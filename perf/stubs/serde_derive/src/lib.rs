@@ -1,0 +1,15 @@
+//! Offline stand-in for `serde_derive`. The benchmarked crates derive
+//! `Serialize`/`Deserialize` on their config and id types but never
+//! serialize them, so the derives expand to nothing.
+
+use proc_macro::TokenStream;
+
+#[proc_macro_derive(Serialize, attributes(serde))]
+pub fn derive_serialize(_input: TokenStream) -> TokenStream {
+    TokenStream::new()
+}
+
+#[proc_macro_derive(Deserialize, attributes(serde))]
+pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
+    TokenStream::new()
+}
