@@ -85,10 +85,17 @@ fn bench_plock(c: &mut Criterion) {
 }
 
 fn bench_page_transfer(c: &mut Criterion) {
-    let dbp: BufferFusion<Page> = BufferFusion::new(realistic_repl(), 4096, 16 * 1024);
+    let dbp: Arc<BufferFusion<Page>> = BufferFusion::new(realistic_repl(), 4096, 16 * 1024);
     let page = Arc::new(Page::new_leaf(PageId(7)));
     let flag = Arc::new(std::sync::atomic::AtomicBool::new(true));
-    dbp.register_push(NodeId(1), PageId(7), Arc::clone(&page), Llsn(1), flag);
+    dbp.register_push(
+        NodeId(1),
+        PageId(7),
+        Arc::clone(&page),
+        Llsn(1),
+        flag,
+        pmp_pmfs::PageSource::Memory,
+    );
     c.bench_function("page/DBP one-sided fetch (16KiB)", |b| {
         b.iter(|| std::hint::black_box(dbp.fetch(NodeId(1), PageId(7))))
     });

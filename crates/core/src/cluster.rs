@@ -8,7 +8,7 @@ use pmp_common::sync::{LockClass, Shutdown, TrackedMutex};
 use pmp_common::{ClusterConfig, NodeId, PmpError, Result, TableId};
 use pmp_engine::recovery::{recover_node, RecoveryStats};
 use pmp_engine::shared::Shared;
-use pmp_engine::{AsyncSession, NodeEngine};
+use pmp_engine::{AsyncSession, IoStats, NodeEngine};
 
 use crate::session::Session;
 use crate::stats::{
@@ -217,7 +217,6 @@ impl Cluster {
             .enumerate()
             .map(|(i, node)| {
                 let s = &node.stats;
-                let io = node.io.stats();
                 let g = node.wal.group_stats();
                 let v = &node.version_store.stats;
                 let sc = node.sched.stats();
@@ -232,15 +231,7 @@ impl Cluster {
                     lock_waits: s.lock_waits.get(),
                     open_txns: s.open_txns.get(),
                     open_txns_hwm: s.open_txns.hwm(),
-                    io: IoSection {
-                        submitted: io.submitted.get(),
-                        completed: io.completed.get(),
-                        cancelled: io.cancelled.get(),
-                        coalesced: io.coalesced.get(),
-                        inflight: io.inflight(),
-                        inflight_hwm: io.inflight_hwm(),
-                        prefetches: s.prefetch_submitted.get(),
-                    },
+                    io: io_section(node.io.stats(), s.prefetch_submitted.get()),
                     commit_stages: CommitStagesSection {
                         cts_mean_us: s.commit_cts_ns.mean_ns() / 1000,
                         cts_p99_us: s.commit_cts_ns.p99_ns() / 1000,
@@ -301,6 +292,15 @@ impl Cluster {
                 pushes: b.pushes.get(),
                 invalidations: b.invalidations.get(),
                 evictions: b.evictions.get(),
+                clean_evictions: b.clean_evictions.get(),
+                writebacks_submitted: b.writebacks_submitted.get(),
+                writebacks_helped: b.writebacks_helped.get(),
+                writebacks_queued_hwm: b.writebacks_queued.hwm(),
+                writeback_io: sh
+                    .writeback
+                    .io_stats()
+                    .map(|io| io_section(io, 0))
+                    .unwrap_or_default(),
             },
             lock_fusion: LockFusionSection {
                 acquires: p.acquires.get(),
@@ -384,6 +384,9 @@ impl Cluster {
                 node.flush_tick(); // flush + opportunistic checkpoint
             }
         }
+        // The flushes' pushes may have queued DBP write-backs: let them
+        // land, so storage is as current as the DBP allows on return.
+        self.shared.pmfs.buffer.drain_evictions();
     }
 
     /// Crash node `i` (volatile state lost, fusion-side locks frozen).
@@ -454,6 +457,19 @@ impl Cluster {
         for node in self.nodes.lock().iter() {
             node.stop_background();
         }
+        self.shared.pmfs.buffer.drain_evictions();
+    }
+}
+
+fn io_section(io: &IoStats, prefetches: u64) -> IoSection {
+    IoSection {
+        submitted: io.submitted.get(),
+        completed: io.completed.get(),
+        cancelled: io.cancelled.get(),
+        coalesced: io.coalesced.get(),
+        inflight: io.inflight(),
+        inflight_hwm: io.inflight_hwm(),
+        prefetches,
     }
 }
 
@@ -634,6 +650,9 @@ mod tests {
             "open_txns_hwm=",
             "gc_evictions=",
             "buffer fusion",
+            "buffer fusion write-back:",
+            "clean_evictions=",
+            "queued_hwm=",
             "lock fusion",
             "row waits",
             "storage:",

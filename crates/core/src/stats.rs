@@ -46,7 +46,7 @@ pub struct NodeSection {
     pub scheduler: SchedulerSection,
 }
 
-/// The node's async storage ring.
+/// An async storage ring: a node's, or the DBP's write-back ring.
 #[derive(Debug, Clone, Default)]
 pub struct IoSection {
     pub submitted: u64,
@@ -55,6 +55,7 @@ pub struct IoSection {
     pub coalesced: u64,
     pub inflight: u64,
     pub inflight_hwm: u64,
+    /// Speculative loads submitted (always 0 on the write-back ring).
     pub prefetches: u64,
 }
 
@@ -117,6 +118,16 @@ pub struct BufferFusionSection {
     pub pushes: u64,
     pub invalidations: u64,
     pub evictions: u64,
+    /// Evictions whose image storage already held: no write-back.
+    pub clean_evictions: u64,
+    /// Write-backs queued on the write-back ring.
+    pub writebacks_submitted: u64,
+    /// Write-backs the evicting thread ran itself (queue full).
+    pub writebacks_helped: u64,
+    /// Most write-backs ever queued at once.
+    pub writebacks_queued_hwm: u64,
+    /// The PMFS-side ring the queued write-backs go through.
+    pub writeback_io: IoSection,
 }
 
 /// Lock Fusion (PLocks).
@@ -301,6 +312,14 @@ impl fmt::Display for StatsSnapshot {
             f,
             "buffer fusion: hits={} misses={} fetches={} pushes={} invalidations={} evictions={}",
             b.hits, b.misses, b.fetches, b.pushes, b.invalidations, b.evictions,
+        )?;
+        let w = &b.writeback_io;
+        writeln!(
+            f,
+            "buffer fusion write-back: clean_evictions={} submitted={} helped={} queued_hwm={} | ring: submitted={} completed={} cancelled={} inflight={} inflight_hwm={}",
+            b.clean_evictions, b.writebacks_submitted, b.writebacks_helped,
+            b.writebacks_queued_hwm,
+            w.submitted, w.completed, w.cancelled, w.inflight, w.inflight_hwm,
         )?;
         let p = &self.lock_fusion;
         writeln!(

@@ -68,6 +68,7 @@ pub mod wal;
 
 pub use node::NodeEngine;
 pub use page::{Page, PageKind, PAGE_BYTES};
+pub use pmp_io::IoStats;
 pub use row::{IndexKey, Row, RowHeader, RowValue};
 pub use scheduler::Scheduler;
 pub use session::{AsyncSession, DbFuture};

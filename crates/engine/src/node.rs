@@ -22,7 +22,7 @@ const NODE_ROOT_HINTS: LockClass = LockClass::new("engine.node.root_hints");
 /// Background-thread join handles (lifecycle only).
 const NODE_BG: LockClass = LockClass::new("engine.node.bg");
 use pmp_io::{Completion, CompletionToken, Cqe, CqePayload, IoRing, SqeOp};
-use pmp_pmfs::{PLockMode, TitRegion};
+use pmp_pmfs::{PLockMode, PageSource, TitRegion};
 use pmp_rdma::Locality;
 
 use crate::cts_cache::{CtsCache, MinActiveTable};
@@ -402,6 +402,7 @@ impl NodeEngine {
                     Arc::clone(&stored),
                     stored.llsn,
                     Arc::clone(&flag),
+                    PageSource::Storage,
                 );
                 engine.wal.observe_llsn(llsn);
                 Ok(engine
@@ -502,6 +503,7 @@ impl NodeEngine {
                 Arc::new(snapshot),
                 llsn,
                 Arc::clone(&frame.valid),
+                PageSource::Memory,
             );
             frame.set_valid();
             return Ok(());
@@ -533,6 +535,7 @@ impl NodeEngine {
                         Arc::clone(&stored),
                         stored.llsn,
                         Arc::clone(&frame.valid),
+                        PageSource::Storage,
                     );
                     (p, l)
                 }
@@ -560,6 +563,7 @@ impl NodeEngine {
             Arc::new(page.clone()),
             page.llsn,
             Arc::clone(&flag),
+            PageSource::Memory,
         );
         match self.lbp.lookup(page_id) {
             Lookup::MustLoad(ticket) => self.lbp.finish_load(page_id, ticket, page, flag),
@@ -573,11 +577,12 @@ impl NodeEngine {
     pub fn flush_frame(&self, page_id: PageId, frame: &Arc<Frame>) {
         let (snapshot, seen) = {
             let page = frame.page.read();
-            (page.clone(), frame.dirty_state())
+            let seen = frame.dirty_state();
+            if !seen.dirty {
+                return;
+            }
+            (Arc::new(page.clone()), seen)
         };
-        if !seen.dirty {
-            return;
-        }
         if self.wal.force(seen.newest_lsn) < seen.newest_lsn {
             // Crash truncated the log under the flush: the image is no
             // longer covered by durable redo, so pushing it to the DBP
@@ -585,12 +590,11 @@ impl NodeEngine {
             // dies with it; recovery rebuilds from what is durable.
             return;
         }
-        self.shared.pmfs.buffer.push(
-            self.node,
-            page_id,
-            Arc::new(snapshot.clone()),
-            snapshot.llsn,
-        );
+        let llsn = snapshot.llsn;
+        self.shared
+            .pmfs
+            .buffer
+            .push(self.node, page_id, snapshot, llsn);
         frame.clear_dirty_if_unchanged(seen);
     }
 

@@ -3,11 +3,12 @@
 //! and handed (as an `Arc`) to every node engine.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pmp_common::sync::{LockClass, TrackedRwLock};
-use pmp_common::{ClusterConfig, PageId, PmpError, Result, TableId};
-use pmp_pmfs::buffer::EvictionSink;
+use pmp_common::{ClusterConfig, IoRingConfig, Llsn, PageId, PmpError, Result, TableId};
+use pmp_io::{CqePayload, IoRing, IoStats, SqeOp};
+use pmp_pmfs::buffer::{EvictionSink, WriteBackDone, WriteBackOutcome, MAX_QUEUED_WRITEBACKS};
 use pmp_pmfs::Pmfs;
 use pmp_rdma::Fabric;
 use pmp_repl::ReplicatedFabric;
@@ -109,18 +110,70 @@ impl Catalog {
     }
 }
 
-/// Write-back sink wiring DBP evictions to the shared page store.
-struct StorageSink {
+/// Write-back sink wiring DBP evictions to the shared page store through a
+/// PMFS-side io ring: the evicting statement queues a `WritePage` SQE and
+/// returns; the encode, the store and the charged device wait happen on the
+/// ring's one worker, whose continuation then completes the eviction. The
+/// ring belongs to PMFS, not to a node — a node crash leaves it alone. When
+/// it is dropped, SQEs still queued complete as cancelled and their entries
+/// stay in the DBP.
+#[derive(Debug)]
+pub struct StorageSink {
     storage: Arc<SharedStorage<Page>>,
+    cfg: IoRingConfig,
+    /// Started by the first queued write-back, so a cluster whose DBP never
+    /// overflows runs no write-back thread at all.
+    ring: OnceLock<IoRing<Page>>,
+}
+
+impl StorageSink {
+    /// `io` is the nodes' ring configuration; the write-back ring takes its
+    /// batching from it but always runs one worker (a second one would only
+    /// add a thread: a batch already overlaps every queued write), on a
+    /// submission queue that holds every write-back the DBP may queue, so
+    /// submitting never waits.
+    fn new(storage: Arc<SharedStorage<Page>>, io: IoRingConfig) -> Self {
+        StorageSink {
+            storage,
+            cfg: IoRingConfig {
+                workers: 1,
+                sq_capacity: io.sq_capacity.max(MAX_QUEUED_WRITEBACKS),
+                ..io
+            },
+            ring: OnceLock::new(),
+        }
+    }
+
+    /// Meters of the write-back ring, once it has started.
+    pub fn io_stats(&self) -> Option<&IoStats> {
+        self.ring.get().map(IoRing::stats)
+    }
 }
 
 impl EvictionSink<Page> for StorageSink {
-    fn write_back(&self, page_id: PageId, page: Arc<Page>, _llsn: pmp_common::Llsn) {
-        // Eviction write-back failing would be a storage outage; surface
-        // loudly rather than silently dropping the only up-to-date copy.
-        self.storage
-            .write_page(page_id, page)
-            .expect("DBP eviction write-back failed");
+    fn write_now(&self, page_id: PageId, page: Arc<Page>, _llsn: Llsn) -> WriteBackOutcome {
+        // A refused write is a storage outage: the entry stays in the DBP,
+        // so the only up-to-date copy is not dropped.
+        match self.storage.write_page(page_id, page) {
+            Ok(()) => WriteBackOutcome::Written,
+            Err(_) => WriteBackOutcome::NotWritten,
+        }
+    }
+
+    fn submit(&self, page_id: PageId, page: Arc<Page>, _llsn: Llsn, done: WriteBackDone) {
+        self.ring
+            .get_or_init(|| IoRing::new(Arc::clone(&self.storage), self.cfg))
+            .submit_with(
+                SqeOp::WritePage(page_id, page),
+                page_id.0,
+                Box::new(move |cqe| {
+                    done(match cqe.result {
+                        Ok(CqePayload::Written) => WriteBackOutcome::Written,
+                        _ => WriteBackOutcome::NotWritten,
+                    })
+                }),
+            )
+            .expect("the sink owns its ring, which stops only when the sink drops");
     }
 }
 
@@ -134,6 +187,9 @@ pub struct Shared {
     pub repl: Arc<ReplicatedFabric>,
     pub pmfs: Pmfs<Page>,
     pub storage: Arc<SharedStorage<Page>>,
+    /// The DBP's write-back sink (also installed in `pmfs.buffer`), kept
+    /// here for its ring's meters.
+    pub writeback: Arc<StorageSink>,
     pub undo: Arc<UndoStore>,
     pub catalog: Arc<Catalog>,
 }
@@ -151,15 +207,16 @@ impl Shared {
             config.compression,
         ));
         let pmfs = Pmfs::new(Arc::clone(&repl), config.dbp_capacity, PAGE_BYTES);
-        pmfs.buffer.set_eviction_sink(Arc::new(StorageSink {
-            storage: Arc::clone(&storage),
-        }));
+        let writeback = Arc::new(StorageSink::new(Arc::clone(&storage), config.engine.io));
+        pmfs.buffer
+            .set_eviction_sink(Arc::clone(&writeback) as Arc<dyn EvictionSink<Page>>);
         Arc::new(Shared {
             config,
             fabric,
             repl,
             pmfs,
             storage,
+            writeback,
             undo: Arc::new(UndoStore::new()),
             catalog: Arc::new(Catalog::new()),
         })
@@ -254,6 +311,90 @@ mod tests {
                 .unwrap()
                 .is_some());
         }
+    }
+
+    /// Node 0 publishes a page it built itself, at `llsn`.
+    fn push_fresh(
+        buffer: &pmp_pmfs::BufferFusion<Page>,
+        id: PageId,
+        llsn: u64,
+        flag: &Arc<std::sync::atomic::AtomicBool>,
+    ) {
+        let mut page = Page::new_leaf(id);
+        page.llsn = Llsn(llsn);
+        buffer.register_push(
+            pmp_common::NodeId(0),
+            id,
+            Arc::new(page),
+            Llsn(llsn),
+            Arc::clone(flag),
+            pmp_pmfs::PageSource::Memory,
+        );
+    }
+
+    #[test]
+    fn dbp_evictions_reach_storage_through_the_writeback_ring() {
+        let mut config = ClusterConfig::test(1);
+        config.dbp_capacity = 64; // one entry per DBP shard
+        let shared = Shared::new(config);
+        assert!(
+            shared.writeback.io_stats().is_none(),
+            "no eviction yet: no write-back ring, no worker thread"
+        );
+        // Two pages per shard: every second registration evicts the first.
+        let flag = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        for id in 1..=128u64 {
+            push_fresh(&shared.pmfs.buffer, PageId(id), id, &flag);
+        }
+        shared.pmfs.buffer.drain_evictions();
+
+        let b = shared.pmfs.buffer.stats();
+        let io = shared.writeback.io_stats().expect("ring started");
+        assert_eq!(b.evictions.get(), 64);
+        assert_eq!(b.writebacks_submitted.get() + b.writebacks_helped.get(), 64);
+        assert_eq!(io.submitted.get(), b.writebacks_submitted.get());
+        assert_eq!(io.completed.get(), io.submitted.get());
+        assert_eq!(shared.pmfs.buffer.page_count(), 64);
+        let stored = shared.storage.page_store().read(PageId(1)).unwrap();
+        assert_eq!(stored.expect("evicted page is in storage").llsn, Llsn(1));
+        assert!(shared.pmfs.buffer.peek(PageId(1)).is_none());
+    }
+
+    #[test]
+    fn dropping_the_sink_cancels_queued_write_backs() {
+        let config = ClusterConfig::test(1);
+        let repl = Arc::new(ReplicatedFabric::single(Arc::new(Fabric::new(
+            config.latency,
+        ))));
+        let storage = Arc::new(SharedStorage::new(config.storage_latency));
+        let buffer = pmp_pmfs::BufferFusion::<Page>::new(repl, 1, PAGE_BYTES);
+        // No worker: what is submitted stays queued until the ring drops.
+        let sink = Arc::new(StorageSink {
+            cfg: IoRingConfig {
+                workers: 0,
+                ..config.engine.io
+            },
+            ..StorageSink::new(Arc::clone(&storage), config.engine.io)
+        });
+        buffer.set_eviction_sink(Arc::clone(&sink) as Arc<dyn EvictionSink<Page>>);
+        let (p1, p2) = (PageId(2), PageId(2 + 64)); // one shard
+        let flag = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        push_fresh(&buffer, p1, 1, &flag);
+        push_fresh(&buffer, p2, 2, &flag);
+        let ring = sink.ring.get().expect("ring started");
+        assert_eq!(ring.sq_len(), 1, "p1's write-back is queued");
+
+        buffer.set_eviction_sink(Arc::new(pmp_pmfs::buffer::DiscardSink));
+        drop(sink); // last owner: the ring shuts down
+
+        assert_eq!(buffer.stats().writebacks_queued.get(), 0);
+        assert_eq!(buffer.stats().evictions.get(), 0);
+        assert!(
+            buffer.peek(p1).is_some(),
+            "cancelled eviction keeps its entry"
+        );
+        assert!(flag.load(Ordering::Acquire), "and its holder's copy");
+        assert!(storage.page_store().read(p1).unwrap().is_none());
     }
 
     #[test]

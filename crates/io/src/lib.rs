@@ -751,8 +751,14 @@ impl<P> Drop for IoRing<P> {
         }
         self.core.sq_cv.notify_all();
         self.core.cq_cv.notify_all();
+        let me = std::thread::current().id();
         for w in self.workers.drain(..) {
-            let _ = w.join();
+            // A continuation may hold the last reference to the ring's
+            // owner, which then drops on the worker itself; that worker
+            // cannot join itself and exits on its own once this returns.
+            if w.thread().id() != me {
+                let _ = w.join();
+            }
         }
         // Workers are gone; entries they never drained (e.g. on a 0-worker
         // poll ring) must still complete exactly once, as cancelled, so no

@@ -16,14 +16,17 @@
 //! entry writes the page back through an injected [`EvictionSink`] (so the
 //! latest version is never lost) and invalidates every holder's copy (so no
 //! node can keep trusting a copy whose future invalidations would have no
-//! directory entry to flow through).
+//! directory entry to flow through). The write-back is asynchronous: the
+//! pushing statement only *picks* the victim and queues its image at the
+//! sink; the directory entry is removed by the sink's completion, after the
+//! image has landed (DESIGN.md §12, "DBP eviction: submit / complete").
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
-use pmp_common::sync::{LockClass, TrackedMutex};
-use pmp_common::{Counter, Llsn, NodeId, PageId};
+use pmp_common::sync::{assert_charge_point, sched_point, LockClass, TrackedCondvar, TrackedMutex};
+use pmp_common::{Counter, Gauge, Llsn, NodeId, PageId};
 use pmp_rdma::Locality;
 use pmp_repl::ReplicatedFabric;
 
@@ -31,18 +34,60 @@ use pmp_repl::ReplicatedFabric;
 const DBP_SHARD: LockClass = LockClass::new("pmfs.dbp.shard");
 /// The eviction-sink slot (taken only to clone the `Arc`).
 const DBP_SINK: LockClass = LockClass::new("pmfs.dbp.sink");
+/// Gate of the queued-write-back gauge (bound check and `drain_evictions`).
+const DBP_WRITEBACKS: LockClass = LockClass::new("pmfs.dbp.writebacks");
+
+/// Write-backs that may be queued at the sink at once, cluster-wide. Past
+/// it the evicting thread writes its victim back itself instead of waiting
+/// for a slot, so a burst (bulk load) spreads the codec work over its
+/// producers rather than serialising it behind the one consumer.
+pub const MAX_QUEUED_WRITEBACKS: usize = 64;
+
+/// How a write-back ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WriteBackOutcome {
+    /// Shared storage holds the image.
+    Written,
+    /// Cancelled at sink shutdown, or refused by the store: storage does
+    /// not hold the image, so the directory entry must stay.
+    NotWritten,
+}
+
+/// Completion of a queued write-back; runs exactly once, on whichever
+/// thread finishes (or cancels) the write.
+pub type WriteBackDone = Box<dyn FnOnce(WriteBackOutcome) + Send>;
 
 /// Where evicted DBP pages are written back (wired to the shared page store
 /// by the cluster assembly).
 pub trait EvictionSink<P>: Send + Sync {
-    fn write_back(&self, page_id: PageId, page: Arc<P>, llsn: Llsn);
+    /// Write the page on the calling thread, paying the storage wait.
+    fn write_now(&self, page_id: PageId, page: Arc<P>, llsn: Llsn) -> WriteBackOutcome;
+
+    /// Queue the write-back and return without waiting for it. A sink
+    /// without a queue (the default) writes on the calling thread.
+    fn submit(&self, page_id: PageId, page: Arc<P>, llsn: Llsn, done: WriteBackDone) {
+        done(self.write_now(page_id, page, llsn));
+    }
 }
 
 /// No-op sink for tests that never overflow the DBP.
 pub struct DiscardSink;
 
 impl<P> EvictionSink<P> for DiscardSink {
-    fn write_back(&self, _page_id: PageId, _page: Arc<P>, _llsn: Llsn) {}
+    fn write_now(&self, _page_id: PageId, _page: Arc<P>, _llsn: Llsn) -> WriteBackOutcome {
+        WriteBackOutcome::Written
+    }
+}
+
+/// Where the image handed to [`BufferFusion::register_push`] came from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PageSource {
+    /// Just read from shared storage: storage holds exactly this image, so
+    /// evicting it unmodified needs no write-back.
+    Storage,
+    /// Built or modified in a node's memory (page split, dirty frame
+    /// re-registered after a DBP loss): storage may be older.
+    Memory,
 }
 
 #[derive(Debug)]
@@ -55,6 +100,11 @@ struct Holder {
 struct DbpEntry<P> {
     page: Arc<P>,
     llsn: Llsn,
+    /// LLSN shared storage is known to hold for this page, set by a
+    /// registration that follows a storage load. An entry whose `llsn`
+    /// equals it is clean. (A write-back that lands makes its entry clean
+    /// too, but removes it in the same step.)
+    stored_llsn: Option<Llsn>,
     holders: Vec<Holder>,
 }
 
@@ -62,6 +112,18 @@ struct DbpEntry<P> {
 struct Shard<P> {
     entries: HashMap<PageId, DbpEntry<P>>,
     fifo: VecDeque<PageId>,
+    /// Victims picked whose write-back has not completed. They are still in
+    /// `entries` (and out of `fifo`), so the shard is over capacity only by
+    /// what exceeds them.
+    in_flight: usize,
+}
+
+/// What the submit half of an eviction picked.
+enum Victim<P> {
+    /// Storage already holds the image: the entry is gone, these are its
+    /// holders' flags.
+    Clean(Vec<Arc<AtomicBool>>),
+    Dirty(PageId, Arc<P>, Llsn),
 }
 
 /// Per-service meters.
@@ -73,6 +135,15 @@ pub struct BufferFusionStats {
     pub pushes: Counter,
     pub invalidations: Counter,
     pub evictions: Counter,
+    /// Evictions that needed no storage write (subset of `evictions`).
+    pub clean_evictions: Counter,
+    /// Write-backs queued at the sink.
+    pub writebacks_submitted: Counter,
+    /// Write-backs the evicting thread ran itself because
+    /// [`MAX_QUEUED_WRITEBACKS`] were already queued.
+    pub writebacks_helped: Counter,
+    /// Write-backs queued right now, with high-water mark.
+    pub writebacks_queued: Gauge,
 }
 
 const SHARDS: usize = 64;
@@ -91,6 +162,12 @@ pub struct BufferFusion<P> {
     page_bytes: usize,
     stats: BufferFusionStats,
     sink: TrackedMutex<Option<Arc<dyn EvictionSink<P>>>>,
+    /// Held to move `stats.writebacks_queued`, so the bound check and the
+    /// increment are one step; `queued_cv` signals the gauge reaching zero.
+    queued_gate: TrackedMutex<()>,
+    queued_cv: TrackedCondvar,
+    /// For the completion closures queued at the sink.
+    me: Weak<Self>,
 }
 
 impl<P> std::fmt::Debug for BufferFusion<P> {
@@ -103,8 +180,8 @@ impl<P> std::fmt::Debug for BufferFusion<P> {
 }
 
 impl<P: Send + Sync + 'static> BufferFusion<P> {
-    pub fn new(repl: Arc<ReplicatedFabric>, capacity: usize, page_bytes: usize) -> Self {
-        BufferFusion {
+    pub fn new(repl: Arc<ReplicatedFabric>, capacity: usize, page_bytes: usize) -> Arc<Self> {
+        Arc::new_cyclic(|me| BufferFusion {
             repl,
             shards: (0..SHARDS)
                 .map(|_| {
@@ -113,6 +190,7 @@ impl<P: Send + Sync + 'static> BufferFusion<P> {
                         Shard {
                             entries: HashMap::new(),
                             fifo: VecDeque::new(),
+                            in_flight: 0,
                         },
                     )
                 })
@@ -121,7 +199,10 @@ impl<P: Send + Sync + 'static> BufferFusion<P> {
             page_bytes,
             stats: BufferFusionStats::default(),
             sink: TrackedMutex::new(DBP_SINK, None),
-        }
+            queued_gate: TrackedMutex::new(DBP_WRITEBACKS, ()),
+            queued_cv: TrackedCondvar::new(),
+            me: me.clone(),
+        })
     }
 
     /// Install the write-back sink (the shared page store).
@@ -133,8 +214,12 @@ impl<P: Send + Sync + 'static> BufferFusion<P> {
         &self.stats
     }
 
+    fn shard_index(id: PageId) -> usize {
+        (id.0 as usize) & (SHARDS - 1)
+    }
+
     fn shard(&self, id: PageId) -> &TrackedMutex<Shard<P>> {
-        &self.shards[(id.0 as usize) & (SHARDS - 1)]
+        &self.shards[Self::shard_index(id)]
     }
 
     /// RPC: "is page X in the DBP?" On a hit the caller is registered as a
@@ -174,7 +259,8 @@ impl<P: Send + Sync + 'static> BufferFusion<P> {
 
     /// After a storage read on a DBP miss, the loading node registers the
     /// page and writes it into the DBP ("Once loaded by a node, the page is
-    /// registered to the DBP and remotely written to it", §4.2).
+    /// registered to the DBP and remotely written to it", §4.2). Also how a
+    /// node publishes an image it built itself (`PageSource::Memory`).
     ///
     /// If a concurrent loader won the race the existing (same or newer)
     /// version is kept and returned so the caller adopts it.
@@ -185,7 +271,9 @@ impl<P: Send + Sync + 'static> BufferFusion<P> {
         page: Arc<P>,
         llsn: Llsn,
         valid_flag: Arc<AtomicBool>,
+        source: PageSource,
     ) -> (Arc<P>, Llsn) {
+        let stored_llsn = (source == PageSource::Storage).then_some(llsn);
         let result = self.repl.rpc(32, || {
             let mut shard = self.shard(page_id).lock();
             match shard.entries.get_mut(&page_id) {
@@ -195,6 +283,7 @@ impl<P: Send + Sync + 'static> BufferFusion<P> {
                         entry.page = Arc::clone(&page);
                         entry.llsn = llsn;
                     }
+                    entry.stored_llsn = entry.stored_llsn.max(stored_llsn);
                     (Arc::clone(&entry.page), entry.llsn)
                 }
                 None => {
@@ -203,6 +292,7 @@ impl<P: Send + Sync + 'static> BufferFusion<P> {
                         DbpEntry {
                             page: Arc::clone(&page),
                             llsn,
+                            stored_llsn,
                             holders: vec![Holder {
                                 node: caller,
                                 valid_flag,
@@ -275,6 +365,7 @@ impl<P: Send + Sync + 'static> BufferFusion<P> {
                         DbpEntry {
                             page,
                             llsn,
+                            stored_llsn: None,
                             holders: Vec::new(),
                         },
                     );
@@ -283,16 +374,23 @@ impl<P: Send + Sync + 'static> BufferFusion<P> {
                 }
             }
         };
-        // One doorbell batch invalidates every other holder: N flag writes,
-        // one charged round trip (posted outside the shard lock). The flags
-        // are node-owned memory, not PMFS state — they don't replicate.
+        self.invalidate(&flags_to_clear);
+        self.maybe_evict(page_id);
+    }
+
+    /// One doorbell batch clears every given holder flag: N flag writes,
+    /// one charged round trip. Call with no shard lock held. The flags are
+    /// node-owned memory, not PMFS state — they don't replicate.
+    fn invalidate(&self, flags: &[Arc<AtomicBool>]) {
+        if flags.is_empty() {
+            return;
+        }
         let mut batch = self.repl.batch();
-        for flag in &flags_to_clear {
+        for flag in flags {
             self.stats.invalidations.inc();
             batch.write_flag(flag, false, Locality::Remote);
         }
         batch.flush();
-        self.maybe_evict(page_id);
     }
 
     /// Drop the caller from a page's holder list (LBP eviction notice).
@@ -323,8 +421,9 @@ impl<P: Send + Sync + 'static> BufferFusion<P> {
     /// copy is invalidated. Nodes transparently fall back to shared storage
     /// (the paper's DBP-failure story: pages "can be recovered from logs in
     /// the event of a DBP failure" — we additionally write back through the
-    /// sink on *clean* eviction, so only log-recoverable state is ever lost
-    /// here).
+    /// sink on orderly eviction, so only log-recoverable state is ever lost
+    /// here). Write-backs in flight still land; their completions find no
+    /// entry.
     pub fn clear(&self) {
         // Drain each shard under its lock, but pay for the remote flag
         // writes only after the lock is dropped — the invalidation fan-out
@@ -337,109 +436,188 @@ impl<P: Send + Sync + 'static> BufferFusion<P> {
             };
             // One doorbell batch per drained shard covers every holder of
             // every dropped page.
-            let mut batch = self.repl.batch();
-            for entry in &drained {
-                for h in &entry.holders {
-                    self.stats.invalidations.inc();
-                    batch.write_flag(&h.valid_flag, false, Locality::Remote);
-                }
-            }
-            batch.flush();
+            let flags: Vec<_> = drained.iter().flat_map(holder_flags).collect();
+            self.invalidate(&flags);
         }
     }
 
     /// FIFO eviction keeping each shard within its capacity. Never evicts
     /// `just_touched`.
-    ///
-    /// The write-back lands in shared storage *before* the directory entry
-    /// is removed. This closes the split-page push race: freshly split
-    /// children exist only in the DBP until their first eviction, and the
-    /// old remove-then-write-back order opened a window (one storage-write
-    /// latency wide) in which the page was in neither the DBP nor storage,
-    /// so a concurrent loader aborted with "missing from shared storage".
-    /// The entry stays visible throughout the write-back and is removed
-    /// only if it is still the version that was written back; a concurrent
-    /// push that made it newer keeps it (and re-queues it for a later
-    /// eviction).
     fn maybe_evict(&self, just_touched: PageId) {
+        self.evict_shard(Self::shard_index(just_touched), Some(just_touched));
+    }
+
+    /// Submit half of eviction: while the shard holds more entries than its
+    /// capacity plus the victims already in flight, pick the oldest entry
+    /// and queue its image at the sink. The caller does not wait for the
+    /// write.
+    ///
+    /// The victim's directory entry stays in place — concurrent loaders keep
+    /// hitting the DBP — until [`complete_eviction`](Self::complete_eviction)
+    /// runs, after the image has landed. Remove-then-write-back would open a
+    /// window (one storage write wide) in which a page that exists only in
+    /// the DBP, such as a freshly split child, is in neither place and a
+    /// concurrent loader aborts with "missing from shared storage"; with the
+    /// removal in the write's completion that order cannot be written down.
+    fn evict_shard(&self, idx: usize, just_touched: Option<PageId>) {
         let sink = self.sink.lock().clone();
-        // A candidate freshened mid-eviction is kept, which does not shrink
-        // the shard; bound those no-progress rounds — the next push retries.
-        let mut kept = 0;
         loop {
-            // Phase 1: pick the eviction candidate and snapshot its page,
-            // leaving the directory entry in place so concurrent loaders
-            // keep hitting the DBP while the write-back is in flight.
-            let (candidate, page, llsn) = {
-                let mut shard = self.shard(just_touched).lock();
-                let mut picked = None;
-                // Bound the scan by the queue length: a concurrent evictor
-                // holds candidates out of the FIFO, which could otherwise
-                // leave only `just_touched` to cycle through forever.
-                let mut spins = shard.fifo.len();
-                while shard.entries.len() > self.per_shard_capacity && spins > 0 {
-                    spins -= 1;
-                    let Some(c) = shard.fifo.pop_front() else {
-                        break;
-                    };
-                    if c == just_touched {
-                        shard.fifo.push_back(c);
-                        continue;
-                    }
-                    if let Some(entry) = shard.entries.get(&c) {
-                        picked = Some((c, Arc::clone(&entry.page), entry.llsn));
-                        break;
-                    }
-                }
-                match picked {
-                    Some(p) => p,
-                    None => return,
-                }
+            let victim = {
+                let mut shard = self.shards[idx].lock();
+                self.pick_victim(&mut shard, just_touched)
             };
-            // Phase 2: write back outside the lock (storage-priced charge).
-            if let Some(sink) = &sink {
-                sink.write_back(candidate, Arc::clone(&page), llsn);
-            }
-            // Phase 3: remove the entry only if the written-back version is
-            // still current. A concurrent push made it newer — keep it so
-            // the newest version is never lost, and re-queue it in FIFO
-            // order (phase 1 took it out of the queue).
-            let flags_to_clear: Vec<Arc<AtomicBool>> = {
-                let mut shard = self.shard(just_touched).lock();
-                match shard.entries.get(&candidate) {
-                    Some(entry) if entry.llsn <= llsn => {
-                        let entry = shard.entries.remove(&candidate).expect("checked above");
-                        self.stats.evictions.inc();
-                        entry
-                            .holders
-                            .iter()
-                            .map(|h| Arc::clone(&h.valid_flag))
-                            .collect()
-                    }
-                    Some(_) => {
-                        shard.fifo.push_back(candidate);
-                        kept += 1;
-                        Vec::new()
-                    }
-                    None => Vec::new(), // cleared concurrently
+            let (victim, page, llsn) = match victim {
+                None => return,
+                Some(Victim::Clean(flags)) => {
+                    self.invalidate(&flags);
+                    continue;
                 }
+                Some(Victim::Dirty(victim, page, llsn)) => (victim, page, llsn),
             };
-            // Evicted holders lose their entry, so future invalidations
-            // would have nowhere to flow through: clear their flags (one
-            // doorbell batch, posted outside the shard lock).
-            if !flags_to_clear.is_empty() {
-                let mut batch = self.repl.batch();
-                for flag in &flags_to_clear {
-                    self.stats.invalidations.inc();
-                    batch.write_flag(flag, false, Locality::Remote);
+            sched_point("dbp.evict.submit");
+            let Some(sink) = &sink else {
+                // No store behind this DBP: the image is simply dropped.
+                self.complete_eviction(idx, victim, llsn, WriteBackOutcome::Written);
+                continue;
+            };
+            if self.reserve_queue_slot() {
+                self.stats.writebacks_submitted.inc();
+                let me = self.me.clone();
+                sink.submit(
+                    victim,
+                    page,
+                    llsn,
+                    Box::new(move |outcome| {
+                        let Some(me) = me.upgrade() else { return };
+                        if me.complete_eviction(idx, victim, llsn, outcome) {
+                            me.evict_shard(idx, None);
+                        }
+                        me.release_queue_slot();
+                    }),
+                );
+            } else {
+                // Queue full: run this write-back here rather than wait for
+                // a slot. A victim that was kept is replaced by the next
+                // turn of this loop; a store that refuses writes ends the
+                // pass (the next push retries).
+                self.stats.writebacks_helped.inc();
+                let outcome = sink.write_now(victim, page, llsn);
+                self.complete_eviction(idx, victim, llsn, outcome);
+                if outcome == WriteBackOutcome::NotWritten {
+                    return;
                 }
-                batch.flush();
-            }
-            if kept >= 8 {
-                return;
             }
         }
     }
+
+    /// Under the shard lock: the oldest entry to evict, if the shard is over
+    /// capacity. A clean victim is removed here; a dirty one only leaves the
+    /// FIFO and is counted in flight.
+    fn pick_victim(&self, shard: &mut Shard<P>, just_touched: Option<PageId>) -> Option<Victim<P>> {
+        // Bound the scan by the queue length: victims in flight are out of
+        // the FIFO, which could otherwise leave only `just_touched` to cycle
+        // through forever.
+        let mut spins = shard.fifo.len();
+        while shard.entries.len().saturating_sub(shard.in_flight) > self.per_shard_capacity
+            && spins > 0
+        {
+            spins -= 1;
+            let c = shard.fifo.pop_front()?;
+            if Some(c) == just_touched {
+                shard.fifo.push_back(c);
+                continue;
+            }
+            // An id whose entry `clear` dropped is skipped.
+            let Some(entry) = shard.entries.get(&c) else {
+                continue;
+            };
+            if entry.stored_llsn == Some(entry.llsn) {
+                let entry = shard.entries.remove(&c).expect("checked above");
+                self.stats.evictions.inc();
+                self.stats.clean_evictions.inc();
+                return Some(Victim::Clean(holder_flags(&entry).collect()));
+            }
+            shard.in_flight += 1;
+            return Some(Victim::Dirty(c, Arc::clone(&entry.page), entry.llsn));
+        }
+        None
+    }
+
+    /// Complete half of eviction, run once the write-back of `victim` at
+    /// `llsn` has ended: remove the entry only if storage now holds its
+    /// current version. A concurrent push made it newer — keep it so the
+    /// newest version is never lost — or the write did not happen: either
+    /// way the entry goes back in FIFO order (the submit half took it out of
+    /// the queue). Then clear the removed entry's holder flags: with the
+    /// entry gone, future invalidations would have nowhere to flow through.
+    ///
+    /// Returns whether the victim was kept although its image was written,
+    /// i.e. the shard still needs another victim.
+    fn complete_eviction(
+        &self,
+        idx: usize,
+        victim: PageId,
+        llsn: Llsn,
+        outcome: WriteBackOutcome,
+    ) -> bool {
+        sched_point("dbp.evict.complete");
+        let written = outcome == WriteBackOutcome::Written;
+        let (flags_to_clear, kept): (Vec<Arc<AtomicBool>>, bool) = {
+            let mut shard = self.shards[idx].lock();
+            shard.in_flight = shard.in_flight.saturating_sub(1);
+            match shard.entries.get(&victim) {
+                Some(entry) if written && entry.llsn <= llsn => {
+                    let entry = shard.entries.remove(&victim).expect("checked above");
+                    self.stats.evictions.inc();
+                    (holder_flags(&entry).collect(), false)
+                }
+                Some(_) => {
+                    shard.fifo.push_back(victim);
+                    (Vec::new(), written)
+                }
+                None => (Vec::new(), false), // cleared concurrently
+            }
+        };
+        self.invalidate(&flags_to_clear);
+        kept
+    }
+
+    /// Claim one of the [`MAX_QUEUED_WRITEBACKS`] slots; `false` when all
+    /// are taken.
+    fn reserve_queue_slot(&self) -> bool {
+        let _gate = self.queued_gate.lock();
+        let queued = &self.stats.writebacks_queued;
+        if queued.get() >= MAX_QUEUED_WRITEBACKS as u64 {
+            return false;
+        }
+        queued.inc();
+        true
+    }
+
+    fn release_queue_slot(&self) {
+        let _gate = self.queued_gate.lock();
+        let queued = &self.stats.writebacks_queued;
+        queued.dec();
+        if queued.get() == 0 {
+            self.queued_cv.notify_all();
+        }
+    }
+
+    /// Block until no write-back is queued at the sink (checkpoints,
+    /// shutdown, tests): every eviction submitted before the call has
+    /// landed and removed its entry. A charge point — the wait spans
+    /// storage writes.
+    pub fn drain_evictions(&self) {
+        assert_charge_point();
+        let mut gate = self.queued_gate.lock();
+        while self.stats.writebacks_queued.get() > 0 {
+            self.queued_cv.wait(&mut gate);
+        }
+    }
+}
+
+fn holder_flags<P>(entry: &DbpEntry<P>) -> impl Iterator<Item = Arc<AtomicBool>> + '_ {
+    entry.holders.iter().map(|h| Arc::clone(&h.valid_flag))
 }
 
 fn upsert_holder<P>(entry: &mut DbpEntry<P>, node: NodeId, valid_flag: Arc<AtomicBool>) {
@@ -458,7 +636,7 @@ mod tests {
 
     type Bf = BufferFusion<String>;
 
-    fn bf(capacity: usize) -> Bf {
+    fn bf(capacity: usize) -> Arc<Bf> {
         BufferFusion::new(
             Arc::new(ReplicatedFabric::single(Arc::new(pmp_rdma::Fabric::new(
                 LatencyConfig::disabled(),
@@ -470,6 +648,18 @@ mod tests {
 
     fn flag(v: bool) -> Arc<AtomicBool> {
         Arc::new(AtomicBool::new(v))
+    }
+
+    /// `register_push` of a one-word page by node 1.
+    fn put(bf: &Bf, id: PageId, text: &str, llsn: u64, flag: &Arc<AtomicBool>, source: PageSource) {
+        bf.register_push(
+            NodeId(1),
+            id,
+            Arc::new(text.into()),
+            Llsn(llsn),
+            Arc::clone(flag),
+            source,
+        );
     }
 
     #[test]
@@ -486,6 +676,7 @@ mod tests {
             Arc::new("v1".into()),
             Llsn(5),
             Arc::clone(&f1),
+            PageSource::Memory,
         );
         assert_eq!(*page, "v1");
         assert_eq!(llsn, Llsn(5));
@@ -512,6 +703,7 @@ mod tests {
             Arc::new("v1".into()),
             Llsn(1),
             Arc::clone(&f1),
+            PageSource::Memory,
         );
         bf.lookup_or_register(NodeId(2), p, Arc::clone(&f2))
             .unwrap();
@@ -528,7 +720,14 @@ mod tests {
     fn stale_push_is_ignored() {
         let bf = bf(1024);
         let p = PageId(3);
-        bf.register_push(NodeId(1), p, Arc::new("v5".into()), Llsn(5), flag(true));
+        bf.register_push(
+            NodeId(1),
+            p,
+            Arc::new("v5".into()),
+            Llsn(5),
+            flag(true),
+            PageSource::Memory,
+        );
         bf.push(NodeId(1), p, Arc::new("v3-stale".into()), Llsn(3));
         assert_eq!(*bf.peek(p).unwrap().0, "v5");
     }
@@ -537,7 +736,14 @@ mod tests {
     fn one_sided_fetch_requires_registration() {
         let bf = bf(1024);
         let p = PageId(9);
-        bf.register_push(NodeId(1), p, Arc::new("v1".into()), Llsn(1), flag(true));
+        bf.register_push(
+            NodeId(1),
+            p,
+            Arc::new("v1".into()),
+            Llsn(1),
+            flag(true),
+            PageSource::Memory,
+        );
         assert!(bf.fetch(NodeId(1), p).is_some());
         assert!(
             bf.fetch(NodeId(2), p).is_none(),
@@ -550,10 +756,23 @@ mod tests {
     fn register_push_race_keeps_newest() {
         let bf = bf(1024);
         let p = PageId(4);
-        bf.register_push(NodeId(1), p, Arc::new("new".into()), Llsn(9), flag(true));
+        bf.register_push(
+            NodeId(1),
+            p,
+            Arc::new("new".into()),
+            Llsn(9),
+            flag(true),
+            PageSource::Memory,
+        );
         // A slower loader with an older version must adopt the newer page.
-        let (page, llsn) =
-            bf.register_push(NodeId(2), p, Arc::new("old".into()), Llsn(2), flag(true));
+        let (page, llsn) = bf.register_push(
+            NodeId(2),
+            p,
+            Arc::new("old".into()),
+            Llsn(2),
+            flag(true),
+            PageSource::Memory,
+        );
         assert_eq!(*page, "new");
         assert_eq!(llsn, Llsn(9));
     }
@@ -563,7 +782,14 @@ mod tests {
         let bf = bf(1024);
         let p = PageId(5);
         let f2 = flag(true);
-        bf.register_push(NodeId(1), p, Arc::new("v1".into()), Llsn(1), flag(true));
+        bf.register_push(
+            NodeId(1),
+            p,
+            Arc::new("v1".into()),
+            Llsn(1),
+            flag(true),
+            PageSource::Memory,
+        );
         bf.lookup_or_register(NodeId(2), p, Arc::clone(&f2))
             .unwrap();
         bf.unregister(NodeId(2), p);
@@ -573,8 +799,9 @@ mod tests {
 
     struct RecordingSink(Mutex<Vec<(PageId, Llsn)>>);
     impl EvictionSink<String> for RecordingSink {
-        fn write_back(&self, page_id: PageId, _page: Arc<String>, llsn: Llsn) {
+        fn write_now(&self, page_id: PageId, _page: Arc<String>, llsn: Llsn) -> WriteBackOutcome {
             self.0.lock().push((page_id, llsn));
+            WriteBackOutcome::Written
         }
     }
 
@@ -595,8 +822,16 @@ mod tests {
             Arc::new("a".into()),
             Llsn(1),
             Arc::clone(&f1),
+            PageSource::Memory,
         );
-        bf.register_push(NodeId(1), p2, Arc::new("b".into()), Llsn(2), flag(true));
+        bf.register_push(
+            NodeId(1),
+            p2,
+            Arc::new("b".into()),
+            Llsn(2),
+            flag(true),
+            PageSource::Memory,
+        );
 
         assert_eq!(bf.page_count(), 1, "oldest entry must have been evicted");
         assert!(bf.peek(p1).is_none());
@@ -627,7 +862,7 @@ mod tests {
     }
 
     impl EvictionSink<String> for WindowProbeSink {
-        fn write_back(&self, page_id: PageId, _page: Arc<String>, llsn: Llsn) {
+        fn write_now(&self, page_id: PageId, _page: Arc<String>, llsn: Llsn) -> WriteBackOutcome {
             let bf = Arc::clone(self.bf.lock().as_ref().expect("sink wired"));
             self.write_backs
                 .lock()
@@ -643,6 +878,7 @@ mod tests {
                     Llsn(99),
                 );
             }
+            WriteBackOutcome::Written
         }
     }
 
@@ -654,15 +890,29 @@ mod tests {
     /// runs.
     #[test]
     fn eviction_write_back_lands_before_directory_removal() {
-        let bf = Arc::new(bf(1));
+        let bf = bf(1);
         let sink = Arc::new(WindowProbeSink::new(false));
         *sink.bf.lock() = Some(Arc::clone(&bf));
         bf.set_eviction_sink(Arc::clone(&sink) as Arc<dyn EvictionSink<String>>);
 
         let p1 = PageId(2);
         let p2 = PageId(2 + 64); // same shard
-        bf.register_push(NodeId(1), p1, Arc::new("a".into()), Llsn(1), flag(true));
-        bf.register_push(NodeId(1), p2, Arc::new("b".into()), Llsn(2), flag(true));
+        bf.register_push(
+            NodeId(1),
+            p1,
+            Arc::new("a".into()),
+            Llsn(1),
+            flag(true),
+            PageSource::Memory,
+        );
+        bf.register_push(
+            NodeId(1),
+            p2,
+            Arc::new("b".into()),
+            Llsn(2),
+            flag(true),
+            PageSource::Memory,
+        );
 
         assert_eq!(
             sink.write_backs.lock().as_slice(),
@@ -679,7 +929,7 @@ mod tests {
     /// racing version back before removing the entry.
     #[test]
     fn eviction_keeps_entry_freshened_by_concurrent_push() {
-        let bf = Arc::new(bf(1));
+        let bf = bf(1);
         let sink = Arc::new(WindowProbeSink::new(true));
         *sink.bf.lock() = Some(Arc::clone(&bf));
         bf.set_eviction_sink(Arc::clone(&sink) as Arc<dyn EvictionSink<String>>);
@@ -687,11 +937,25 @@ mod tests {
         let p1 = PageId(2);
         let p2 = PageId(2 + 64); // same shard
         let p3 = PageId(2 + 128); // same shard
-        bf.register_push(NodeId(1), p1, Arc::new("a".into()), Llsn(1), flag(true));
+        bf.register_push(
+            NodeId(1),
+            p1,
+            Arc::new("a".into()),
+            Llsn(1),
+            flag(true),
+            PageSource::Memory,
+        );
         // Evicting p1 to make room for p2 fires the racing push mid
         // write-back: the stale (Llsn 1) snapshot must not take the entry
         // out, and the eviction pass settles on p2 instead.
-        bf.register_push(NodeId(1), p2, Arc::new("b".into()), Llsn(2), flag(true));
+        bf.register_push(
+            NodeId(1),
+            p2,
+            Arc::new("b".into()),
+            Llsn(2),
+            flag(true),
+            PageSource::Memory,
+        );
 
         assert_eq!(
             sink.write_backs.lock().as_slice(),
@@ -706,7 +970,14 @@ mod tests {
         );
 
         // The next eviction writes the racing version back, then removes.
-        bf.register_push(NodeId(1), p3, Arc::new("c".into()), Llsn(3), flag(true));
+        bf.register_push(
+            NodeId(1),
+            p3,
+            Arc::new("c".into()),
+            Llsn(3),
+            flag(true),
+            PageSource::Memory,
+        );
         assert_eq!(
             sink.write_backs.lock().as_slice(),
             &[
@@ -720,6 +991,164 @@ mod tests {
             bf.peek(p1).is_none(),
             "entry evicted once the racing version reached storage"
         );
+    }
+
+    /// Storage holds what a storage load registered: evicting it unchanged
+    /// writes nothing; once a push made it newer, eviction writes it back.
+    #[test]
+    fn clean_entry_is_evicted_without_a_write() {
+        let bf = bf(1);
+        let sink = Arc::new(RecordingSink(Mutex::new(Vec::new())));
+        bf.set_eviction_sink(Arc::clone(&sink) as Arc<dyn EvictionSink<String>>);
+        let (p1, p2, p3) = (PageId(2), PageId(2 + 64), PageId(2 + 128)); // one shard
+        let f1 = flag(true);
+
+        put(&bf, p1, "a", 1, &f1, PageSource::Storage);
+        put(&bf, p2, "b", 2, &flag(true), PageSource::Storage);
+        assert!(bf.peek(p1).is_none(), "load -> evict drops the entry");
+        assert!(!f1.load(Ordering::Acquire), "and invalidates its holder");
+        assert!(sink.0.lock().is_empty(), "with no page write");
+        assert_eq!(bf.stats().clean_evictions.get(), 1);
+        assert_eq!(bf.stats().evictions.get(), 1);
+
+        bf.push(NodeId(1), p2, Arc::new("b2".into()), Llsn(3));
+        put(&bf, p3, "c", 4, &flag(true), PageSource::Storage);
+        assert!(bf.peek(p2).is_none());
+        assert_eq!(
+            sink.0.lock().as_slice(),
+            &[(p2, Llsn(3))],
+            "load -> push newer -> evict writes the newer image once"
+        );
+        assert_eq!(bf.stats().clean_evictions.get(), 1);
+        assert_eq!(bf.stats().evictions.get(), 2);
+    }
+
+    /// A sink with a queue the test controls: `submit` parks the write-back
+    /// at the gate; `open` ends every parked one with the given outcome.
+    #[derive(Default)]
+    struct GateSink {
+        parked: Mutex<Vec<WriteBackDone>>,
+        written_inline: Mutex<Vec<PageId>>,
+    }
+
+    impl EvictionSink<String> for GateSink {
+        fn write_now(&self, page_id: PageId, _page: Arc<String>, _llsn: Llsn) -> WriteBackOutcome {
+            self.written_inline.lock().push(page_id);
+            WriteBackOutcome::Written
+        }
+
+        fn submit(&self, _page_id: PageId, _page: Arc<String>, _llsn: Llsn, done: WriteBackDone) {
+            self.parked.lock().push(done);
+        }
+    }
+
+    impl GateSink {
+        fn install(bf: &Bf) -> Arc<GateSink> {
+            let sink = Arc::new(GateSink::default());
+            bf.set_eviction_sink(Arc::clone(&sink) as Arc<dyn EvictionSink<String>>);
+            sink
+        }
+
+        fn parked(&self) -> usize {
+            self.parked.lock().len()
+        }
+
+        fn open(&self, outcome: WriteBackOutcome) {
+            // Taken out first: a completion may submit the next victim.
+            let parked = std::mem::take(&mut *self.parked.lock());
+            for done in parked {
+                done(outcome);
+            }
+        }
+    }
+
+    /// The statement that overflows a shard does not wait for the victim's
+    /// write-back: `register_push` and `push` return with it parked at the
+    /// sink, the victim stays served meanwhile, and only the completion
+    /// removes it and invalidates its holder.
+    #[test]
+    fn pushes_return_while_the_write_back_is_blocked() {
+        let bf = bf(1);
+        let sink = GateSink::install(&bf);
+        let (p1, p2) = (PageId(2), PageId(2 + 64)); // one shard
+        let f1 = flag(true);
+        put(&bf, p1, "a", 1, &f1, PageSource::Memory);
+        put(&bf, p2, "b", 2, &flag(true), PageSource::Memory);
+        bf.push(NodeId(1), p2, Arc::new("b2".into()), Llsn(3));
+
+        assert_eq!(sink.parked(), 1, "p1's write-back is queued, once");
+        assert_eq!(bf.stats().writebacks_queued.get(), 1);
+        assert_eq!(bf.page_count(), 2);
+        let (page, llsn) = bf.fetch(NodeId(1), p1).expect("victim still served");
+        assert_eq!((page.as_str(), llsn), ("a", Llsn(1)));
+        assert!(f1.load(Ordering::Acquire), "holder still valid");
+
+        sink.open(WriteBackOutcome::Written);
+        bf.drain_evictions();
+        assert!(bf.peek(p1).is_none(), "removed once the image landed");
+        assert!(!f1.load(Ordering::Acquire), "holder invalidated");
+        assert_eq!(bf.stats().evictions.get(), 1);
+        assert_eq!(bf.stats().writebacks_queued.get(), 0);
+        assert!(sink.written_inline.lock().is_empty());
+    }
+
+    /// At most `MAX_QUEUED_WRITEBACKS` write-backs queue up; past that the
+    /// evicting thread writes its victim back itself and goes on.
+    #[test]
+    fn full_queue_makes_the_submitter_help() {
+        let bf = bf(SHARDS); // one entry per shard
+        let sink = GateSink::install(&bf);
+        // Three pages per shard, shard by shard within a round: the second
+        // round queues one victim per shard (filling the queue exactly), the
+        // third finds it full.
+        for round in 0..3 {
+            for shard in 0..SHARDS {
+                let id = PageId((round * SHARDS + shard) as u64);
+                put(&bf, id, "p", 1, &flag(true), PageSource::Memory);
+            }
+        }
+        let stats = bf.stats();
+        assert_eq!(sink.parked(), MAX_QUEUED_WRITEBACKS);
+        assert_eq!(
+            stats.writebacks_submitted.get(),
+            MAX_QUEUED_WRITEBACKS as u64
+        );
+        assert_eq!(stats.writebacks_queued.hwm(), MAX_QUEUED_WRITEBACKS as u64);
+        assert_eq!(stats.writebacks_helped.get(), SHARDS as u64);
+        assert_eq!(sink.written_inline.lock().len(), SHARDS);
+        assert_eq!(stats.evictions.get(), SHARDS as u64, "helped ones are done");
+        assert_eq!(bf.page_count(), 2 * SHARDS);
+
+        sink.open(WriteBackOutcome::Written);
+        assert_eq!(bf.page_count(), SHARDS);
+        assert_eq!(stats.writebacks_queued.get(), 0);
+        assert_eq!(stats.writebacks_queued.hwm(), MAX_QUEUED_WRITEBACKS as u64);
+    }
+
+    /// A write-back cancelled at sink shutdown (or refused by the store)
+    /// leaves its entry in the DBP, served and evictable again.
+    #[test]
+    fn cancelled_write_back_leaves_the_entry_in_place() {
+        let bf = bf(1);
+        let sink = GateSink::install(&bf);
+        let (p1, p2, p3) = (PageId(2), PageId(2 + 64), PageId(2 + 128));
+        let f1 = flag(true);
+        put(&bf, p1, "a", 1, &f1, PageSource::Memory);
+        put(&bf, p2, "b", 2, &flag(true), PageSource::Memory);
+        sink.open(WriteBackOutcome::NotWritten);
+
+        assert_eq!(bf.page_count(), 2);
+        assert!(bf.fetch(NodeId(1), p1).is_some());
+        assert!(f1.load(Ordering::Acquire), "holder keeps its copy");
+        assert_eq!(bf.stats().evictions.get(), 0);
+        assert_eq!(sink.parked(), 0, "a failed write is not retried at once");
+
+        // The next push to the shard finds both old entries evictable.
+        put(&bf, p3, "c", 3, &flag(true), PageSource::Memory);
+        assert_eq!(sink.parked(), 2);
+        sink.open(WriteBackOutcome::Written);
+        assert_eq!(bf.page_count(), 1);
+        assert!(bf.peek(p3).is_some());
     }
 
     /// Regression: `clear` used to invalidate holder flags while still
@@ -737,6 +1166,7 @@ mod tests {
                 Arc::new(format!("p{i}")),
                 Llsn(1),
                 Arc::clone(f),
+                PageSource::Memory,
             );
         }
         bf.clear();
@@ -754,6 +1184,7 @@ mod tests {
             Arc::new("a".into()),
             Llsn(1),
             Arc::clone(&f1),
+            PageSource::Memory,
         );
         bf.register_push(
             NodeId(1),
@@ -761,6 +1192,7 @@ mod tests {
             Arc::new("b".into()),
             Llsn(1),
             flag(true),
+            PageSource::Memory,
         );
         bf.clear();
         assert_eq!(bf.page_count(), 0);

@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use pmp_repl::ReplicatedFabric;
 
-pub use buffer::{BufferFusion, BufferFusionStats};
+pub use buffer::{BufferFusion, BufferFusionStats, PageSource};
 pub use plock::{PLockFusion, PLockMode, ReleaseRequester};
 pub use pmp_repl::{ReplBatch, ReplCell, ReplSnapshot, ReplStats};
 pub use rlock::{RLockFusion, WaitCell, WaitOutcome};
@@ -59,11 +59,7 @@ impl<P: Send + Sync + 'static> Pmfs<P> {
     pub fn new(repl: Arc<ReplicatedFabric>, dbp_capacity: usize, page_bytes: usize) -> Self {
         Pmfs {
             txn: Arc::new(TxnFusion::new(Arc::clone(&repl))),
-            buffer: Arc::new(BufferFusion::new(
-                Arc::clone(&repl),
-                dbp_capacity,
-                page_bytes,
-            )),
+            buffer: BufferFusion::new(Arc::clone(&repl), dbp_capacity, page_bytes),
             plock: Arc::new(PLockFusion::new(Arc::clone(&repl))),
             rlock: Arc::new(RLockFusion::new(Arc::clone(&repl))),
             repl,

@@ -24,8 +24,14 @@ fn facade_wires_all_three_services_over_one_fabric() {
     // Buffer Fusion: a page placed by node 0 is fetched by node 1.
     let flag0 = Arc::new(std::sync::atomic::AtomicBool::new(true));
     let flag1 = Arc::new(std::sync::atomic::AtomicBool::new(true));
-    pmfs.buffer
-        .register_push(NodeId(0), PageId(7), Arc::new("v1".into()), Llsn(1), flag0);
+    pmfs.buffer.register_push(
+        NodeId(0),
+        PageId(7),
+        Arc::new("v1".into()),
+        Llsn(1),
+        flag0,
+        pmp_pmfs::PageSource::Memory,
+    );
     let (page, _) = pmfs
         .buffer
         .lookup_or_register(NodeId(1), PageId(7), flag1)

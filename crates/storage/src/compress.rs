@@ -337,9 +337,8 @@ pub struct PageSlot {
     base: Vec<u8>,
     deltas: Vec<SpliceDelta>,
     delta_bytes: usize,
-    /// Cached materialized image; `materialize` re-derives it from
-    /// `base + deltas` and the cache is asserted against it in debug builds.
-    current: Vec<u8>,
+    /// Raw length of the current (post-delta) image.
+    logical_len: usize,
 }
 
 impl PageSlot {
@@ -351,7 +350,7 @@ impl PageSlot {
             base: Vec::new(),
             deltas: Vec::new(),
             delta_bytes: 0,
-            current: Vec::new(),
+            logical_len: 0,
         };
         let outcome = slot.install_base(codec, threshold, image);
         (slot, outcome)
@@ -361,10 +360,10 @@ impl PageSlot {
         self.deltas.clear();
         self.delta_bytes = 0;
         self.base_raw_len = image.len();
+        self.logical_len = image.len();
         if codec.kind() == Compression::Off || image.len() < threshold {
             self.compressed = false;
-            self.base = image.clone();
-            self.current = image;
+            self.base = image;
             return SlotOutcome {
                 kind: SlotWrite::Raw,
                 codec_raw_bytes: 0,
@@ -375,8 +374,7 @@ impl PageSlot {
         if comp.len() >= image.len() {
             // Incompressible: storing raw is strictly better.
             self.compressed = false;
-            self.base = image.clone();
-            self.current = image;
+            self.base = image;
             return SlotOutcome {
                 kind: SlotWrite::Raw,
                 codec_raw_bytes,
@@ -384,7 +382,6 @@ impl PageSlot {
         }
         self.compressed = true;
         self.base = comp;
-        self.current = image;
         SlotOutcome {
             kind: SlotWrite::Fresh,
             codec_raw_bytes,
@@ -392,7 +389,9 @@ impl PageSlot {
     }
 
     /// Write a new image for the page: absorb it into the delta region when
-    /// it fits, otherwise recompress.
+    /// it fits, otherwise recompress. The image to diff against is rebuilt
+    /// from `base + deltas` — the slot keeps no second, raw copy of the
+    /// page — and a slot that does not rebuild is recompressed.
     pub fn update(
         &mut self,
         codec: &Codec,
@@ -402,20 +401,20 @@ impl PageSlot {
     ) -> SlotOutcome {
         if !self.compressed {
             // Raw slots have no delta region; re-evaluate compressibility.
-            let out = self.install_base(codec, threshold, image);
-            return SlotOutcome {
-                kind: out.kind,
-                ..out
-            };
+            return self.install_base(codec, threshold, image);
         }
-        let delta = splice_between(&self.current, &image);
-        if self.delta_bytes + delta.encoded_len() <= delta_budget {
+        let delta = self
+            .materialize(codec)
+            .ok()
+            .map(|current| splice_between(&current, &image))
+            .filter(|d| self.delta_bytes + d.encoded_len() <= delta_budget);
+        if let Some(delta) = delta {
             self.delta_bytes += delta.encoded_len();
             self.deltas.push(delta);
-            self.current = image;
+            self.logical_len = image.len();
             debug_assert_eq!(
                 self.materialize(codec).expect("slot materializes"),
-                self.current,
+                image,
                 "delta region must reproduce the written image"
             );
             return SlotOutcome {
@@ -441,11 +440,11 @@ impl PageSlot {
 
     /// Raw length of the current (post-delta) image.
     pub fn logical_len(&self) -> usize {
-        self.current.len()
+        self.logical_len
     }
 
-    /// Rebuild the current image from `base + deltas` alone (the cached
-    /// `current` is not consulted) — what a cold read off storage would do.
+    /// Rebuild the current image from `base + deltas` — what a cold read
+    /// off storage does.
     pub fn materialize(&self, codec: &Codec) -> Result<Vec<u8>> {
         let mut image = if self.compressed {
             codec.decompress(&self.base, self.base_raw_len)?

@@ -93,7 +93,7 @@ proptest! {
         prop_assert_eq!(codec.decompress(&comp, raw.len()).unwrap(), raw);
     }
 
-    /// A cold read (`materialize`: base + deltas, cache ignored) equals the
+    /// A cold read (`materialize`: base + deltas) equals the
     /// last written image after any update history, for any codec,
     /// threshold and delta budget — and `Off` stays byte-for-byte raw.
     #[test]
