@@ -199,16 +199,9 @@ pub enum Compression {
 /// Knobs of the shared-storage compression layer.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CompressionConfig {
-    /// Codec used for page images and (when `log_comp`) redo frames.
+    /// Codec used for page images and for redo frames (compressed at `fill`
+    /// time, outside the log mutex).
     pub compression: Compression,
-    /// Minimum raw image size before the page codec bothers compressing;
-    /// smaller images are stored raw (the codec header would dominate).
-    pub page_comp_threshold: usize,
-    /// Compress redo record groups at `fill` time (outside the log mutex).
-    pub log_comp: bool,
-    /// Byte budget of a compressed page's uncompressed delta region. In-place
-    /// updates append splice deltas here; overflow triggers a recompress.
-    pub delta_region_bytes: usize,
 }
 
 impl CompressionConfig {
@@ -216,9 +209,6 @@ impl CompressionConfig {
     pub fn off() -> Self {
         CompressionConfig {
             compression: Compression::Off,
-            page_comp_threshold: 512,
-            log_comp: false,
-            delta_region_bytes: 2 * 1024,
         }
     }
 
@@ -226,8 +216,6 @@ impl CompressionConfig {
     pub fn lz4() -> Self {
         CompressionConfig {
             compression: Compression::Lz4Like,
-            log_comp: true,
-            ..Self::off()
         }
     }
 
@@ -235,8 +223,6 @@ impl CompressionConfig {
     pub fn dict() -> Self {
         CompressionConfig {
             compression: Compression::DictLike,
-            log_comp: true,
-            ..Self::off()
         }
     }
 
@@ -245,9 +231,9 @@ impl CompressionConfig {
         self.compression != Compression::Off
     }
 
-    /// Whether redo frames are compressed.
+    /// Whether redo frames are compressed: exactly when pages are.
     pub fn log_enabled(&self) -> bool {
-        self.log_comp && self.compression != Compression::Off
+        self.pages_enabled()
     }
 }
 
@@ -262,9 +248,6 @@ impl Default for CompressionConfig {
 pub struct IoRingConfig {
     /// Submission-queue capacity; submitters block (charge-free) when full.
     pub sq_capacity: usize,
-    /// Completion-queue capacity; the oldest unreaped CQE is dropped on
-    /// overflow (counted), mirroring io_uring's overflow semantics.
-    pub cq_capacity: usize,
     /// Completion workers draining the submission queue. Each worker
     /// charges one device round-trip per *batch*, so a small pool sustains
     /// many in-flight operations.
@@ -283,7 +266,6 @@ impl Default for IoRingConfig {
     fn default() -> Self {
         IoRingConfig {
             sq_capacity: 256,
-            cq_capacity: 256,
             workers: 2,
             batch_limit: 32,
             batch_window_us: 0,
@@ -294,19 +276,12 @@ impl Default for IoRingConfig {
 /// Per-node engine tuning knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
-    /// Maximum number of rows in a leaf page before it splits. Small pages
-    /// make page-level contention observable at laptop scale.
-    pub leaf_capacity: usize,
-    /// Maximum number of separators in an internal page before it splits.
-    pub internal_capacity: usize,
     /// Local buffer pool capacity in pages (the paper's LBP, §4.2).
     pub lbp_capacity: usize,
     /// Number of TIT slots per node (§4.1).
     pub tit_slots: usize,
     /// Lock wait timeout in milliseconds (RLock and PLock waits).
     pub lock_wait_timeout_ms: u64,
-    /// Interval of the background min-view / TIT-recycle thread in ms.
-    pub min_view_interval_ms: u64,
     /// Interval of the background dirty-page flusher in ms.
     pub flush_interval_ms: u64,
     /// Chunk size (bytes per node log stream) used by chunked LLSN_bound
@@ -353,12 +328,9 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            leaf_capacity: 64,
-            internal_capacity: 64,
             lbp_capacity: 16_384,
             tit_slots: 4_096,
             lock_wait_timeout_ms: 2_000,
-            min_view_interval_ms: 20,
             flush_interval_ms: 50,
             recovery_chunk_bytes: 64 * 1024,
             read_committed: true,
@@ -386,8 +358,6 @@ pub struct ClusterConfig {
     /// like the disaggregated-memory pool in the paper: much larger than any
     /// single LBP.
     pub dbp_capacity: usize,
-    /// Interval of the Lock Fusion deadlock detector in ms (§4.3.2).
-    pub deadlock_interval_ms: u64,
     /// PMFS replica count (DESIGN.md §15). With 1 the fusion server is a
     /// passive singleton; with 2–3 every PMFS write fans in place to each
     /// replica (SWARM-style) and acked state survives a replica crash.
@@ -416,7 +386,6 @@ impl ClusterConfig {
             storage_latency: StorageLatencyConfig::disabled(),
             engine: EngineConfig::default(),
             dbp_capacity: 262_144,
-            deadlock_interval_ms: 5,
             replicas: 1,
             repl_quorum: 1,
             compression: CompressionConfig::off(),
@@ -439,7 +408,6 @@ impl ClusterConfig {
             storage_latency: StorageLatencyConfig::scaled(scale),
             engine: EngineConfig::default(),
             dbp_capacity: 262_144,
-            deadlock_interval_ms: 5,
             replicas: 1,
             repl_quorum: 1,
             compression: CompressionConfig::off(),
@@ -501,9 +469,8 @@ mod tests {
         assert!(!off.pages_enabled() && !off.log_enabled());
         let lz4 = CompressionConfig::lz4();
         assert!(lz4.pages_enabled() && lz4.log_enabled());
-        let mut log_off = CompressionConfig::dict();
-        log_off.log_comp = false;
-        assert!(log_off.pages_enabled() && !log_off.log_enabled());
+        let dict = CompressionConfig::dict();
+        assert!(dict.pages_enabled() && dict.log_enabled());
     }
 
     #[test]

@@ -76,6 +76,20 @@ pub fn sched_point(label: &'static str) {
     let _ = label;
 }
 
+/// [`sched_point`] for the body of a spin-wait loop (a spin lock, a seqlock
+/// read retry): the caller cannot make progress until some other thread
+/// runs, so the model scheduler picks another runnable thread if there is
+/// one. Compiles to nothing without the `model` feature.
+#[inline]
+pub fn spin_point(label: &'static str) {
+    #[cfg(feature = "model")]
+    if model::intercept() {
+        model::spin_point(label);
+    }
+    #[cfg(not(feature = "model"))]
+    let _ = label;
+}
+
 /// Identity of a lock *class*: one name per lock role, shared by every
 /// instance of that role (e.g. all 16 LBP shard locks are one class).
 ///

@@ -113,7 +113,13 @@ type TokenCell = Arc<(parking_lot::Mutex<Token>, parking_lot::Condvar)>;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum TState {
     Runnable,
-    Blocked { resource: usize, timeoutable: bool },
+    /// At a [`spin_point`]: not scheduled again until another thread has
+    /// taken a step that is not itself a spin (or nobody else can run).
+    Spinning,
+    Blocked {
+        resource: usize,
+        timeoutable: bool,
+    },
     Finished,
 }
 
@@ -277,6 +283,9 @@ fn schedule_next(s: &mut RunState, self_tid: Option<usize>) -> Option<usize> {
             .filter(|(_, t)| t.state == TState::Runnable)
             .map(|(i, _)| i)
             .collect();
+        if runnable.is_empty() && unspin(s) {
+            continue; // only spinners left: one of them goes round again
+        }
         if !runnable.is_empty() {
             let idx = if runnable.len() == 1 {
                 0
@@ -373,6 +382,17 @@ fn schedule_next(s: &mut RunState, self_tid: Option<usize>) -> Option<usize> {
     }
 }
 
+/// Make every thread parked at a [`spin_point`] runnable again; `true` if
+/// there was one.
+fn unspin(s: &mut RunState) -> bool {
+    let mut any = false;
+    for t in s.threads.iter_mut().filter(|t| t.state == TState::Spinning) {
+        t.state = TState::Runnable;
+        any = true;
+    }
+    any
+}
+
 /// Record a step; returns `false` if the run is (now) in teardown and the
 /// caller should revert to real-blocking behavior.
 fn bump_step(s: &mut RunState, tid: usize, op: &'static str, what: &'static str) -> bool {
@@ -394,6 +414,18 @@ fn bump_step(s: &mut RunState, tid: usize, op: &'static str, what: &'static str)
 /// Yield point: the scheduler may preempt the calling thread here. No-op for
 /// non-model threads and during teardown.
 pub(crate) fn yield_point(op: &'static str, what: &'static str) {
+    yield_as(TState::Runnable, op, what);
+}
+
+/// Yield point in the body of a spin-wait loop: the caller cannot progress
+/// until another thread does, so it is not scheduled again before one has.
+/// A plain yield point here livelocks a priority schedule whose leaders
+/// spin on a demoted thread.
+pub(crate) fn spin_point(what: &'static str) {
+    yield_as(TState::Spinning, "spin_point", what);
+}
+
+fn yield_as(as_state: TState, op: &'static str, what: &'static str) {
     let Some(tid) = cur_tid() else { return };
     let token;
     {
@@ -402,6 +434,10 @@ pub(crate) fn yield_point(op: &'static str, what: &'static str) {
         if !bump_step(s, tid, op, what) {
             return;
         }
+        if as_state == TState::Runnable {
+            unspin(s); // a real step: what the spinners wait for may have changed
+        }
+        s.threads[tid].state = as_state;
         match schedule_next(s, Some(tid)) {
             None => return, // re-chosen (or teardown): keep running
             Some(_) => token = Arc::clone(&s.threads[tid].token),

@@ -23,6 +23,9 @@ const CLUSTER_NODES: LockClass = LockClass::new("core.cluster.nodes");
 /// monitor), taken once at shutdown.
 const CLUSTER_DETECTOR: LockClass = LockClass::new("core.cluster.detector");
 
+/// Interval of the Lock Fusion deadlock detector (§4.3.2).
+const DEADLOCK_INTERVAL: Duration = Duration::from_millis(5);
+
 /// Builder for [`Cluster`].
 #[derive(Debug, Clone)]
 pub struct ClusterBuilder {
@@ -93,11 +96,10 @@ impl Cluster {
         background.push({
             let rlock = Arc::clone(&shared.pmfs.rlock);
             let stop = Arc::clone(&stop);
-            let interval = Duration::from_millis(config.deadlock_interval_ms);
             std::thread::spawn(move || {
                 while !stop.is_triggered() {
                     rlock.detect_once();
-                    if stop.sleep_until_triggered(interval) {
+                    if stop.sleep_until_triggered(DEADLOCK_INTERVAL) {
                         break;
                     }
                 }

@@ -165,7 +165,7 @@ pub struct StorageSection {
     pub recompressions: u64,
     /// Raw redo bytes appended across every node's stream.
     pub log_logical_bytes: u64,
-    /// Post-codec redo bytes on storage (== logical when `log_comp` off).
+    /// Post-codec redo bytes on storage (== logical when compression is off).
     pub log_physical_bytes: u64,
     /// Total simulated storage time charged cluster-wide (ns): page-store
     /// charges, io-ring batch charges and direct stream charges.

@@ -41,6 +41,16 @@ use crate::wal::Wal;
 /// cache).
 const CTS_CACHE_CAPACITY: usize = 65_536;
 
+/// Maximum number of rows in a leaf page before it splits. Small pages make
+/// page-level contention observable at laptop scale.
+pub(crate) const LEAF_CAPACITY: usize = 64;
+
+/// Maximum number of separators in an internal page before it splits.
+const INTERNAL_CAPACITY: usize = 64;
+
+/// Interval of the background min-view / TIT-recycle thread.
+const MIN_VIEW_INTERVAL: Duration = Duration::from_millis(20);
+
 /// Node-level meters surfaced to the benchmark harness.
 #[derive(Debug, Default)]
 pub struct NodeStats {
@@ -259,11 +269,10 @@ impl NodeEngine {
         {
             let engine = Arc::clone(self);
             let shutdown = Arc::clone(&self.shutdown);
-            let interval = Duration::from_millis(self.cfg.min_view_interval_ms);
             bg.push(std::thread::spawn(move || {
                 while !shutdown.is_triggered() {
                     engine.min_view_tick();
-                    if shutdown.sleep_until_triggered(interval) {
+                    if shutdown.sleep_until_triggered(MIN_VIEW_INTERVAL) {
                         break;
                     }
                 }
@@ -600,9 +609,9 @@ impl NodeEngine {
 
     pub fn is_full(&self, page: &Page) -> bool {
         if page.is_leaf() {
-            page.entry_count() >= self.cfg.leaf_capacity
+            page.entry_count() >= LEAF_CAPACITY
         } else {
-            page.entry_count() >= self.cfg.internal_capacity
+            page.entry_count() >= INTERNAL_CAPACITY
         }
     }
 

@@ -483,7 +483,7 @@ impl RedoRecord {
 
 // ---- compressed log framing --------------------------------------------
 //
-// With `log_comp` on, the WAL wraps each group of records in one frame:
+// With log compression on, the WAL wraps each group of records in one frame:
 //
 //   [u32 body_len][u8 codec_tag][u32 raw_len][payload: body_len - 5 bytes]
 //
@@ -562,7 +562,7 @@ impl LogFrame {
 
 /// Incremental decoder over one redo stream's byte format: raw
 /// concatenated records, or [`LogFrame`]-wrapped groups when the stream
-/// was written with `log_comp` on. Recovery and the standby shipping loop
+/// was written with log compression on. Recovery and the standby shipping loop
 /// hold one per stream and feed it gathered chunks.
 #[derive(Debug, Clone, Copy)]
 pub struct LogDecoder {

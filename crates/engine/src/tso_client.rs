@@ -433,7 +433,7 @@ mod tests {
     #[test]
     fn lone_committer_pays_plain_faas_and_stays_ordered() {
         let (fusion, c) = leasing_client(8);
-        let atomics_before = fusion.fabric().stats().atomics.get();
+        let atomics_before = fusion.repl().fabric_stats().atomics.get();
         let mut last = Cts(0);
         for _ in 0..10 {
             let cts = c.commit_cts();
@@ -442,7 +442,10 @@ mod tests {
         }
         // No concurrency → every round has size 1 (nothing reserved ahead
         // of demand, so an idle node never inflates `current_cts`).
-        assert_eq!(fusion.fabric().stats().atomics.get(), atomics_before + 10);
+        assert_eq!(
+            fusion.repl().fabric_stats().atomics.get(),
+            atomics_before + 10
+        );
         assert_eq!(c.lease_grants.get(), 10);
         assert_eq!(c.lease_hits.get(), 0);
         assert_eq!(fusion.current_cts(), last, "no timestamps left reserved");
@@ -451,10 +454,10 @@ mod tests {
     #[test]
     fn lease_disabled_pays_one_faa_per_commit() {
         let (fusion, c) = leasing_client(1);
-        let before = fusion.fabric().stats().atomics.get();
+        let before = fusion.repl().fabric_stats().atomics.get();
         c.commit_cts();
         c.commit_cts();
-        assert_eq!(fusion.fabric().stats().atomics.get(), before + 2);
+        assert_eq!(fusion.repl().fabric_stats().atomics.get(), before + 2);
         assert_eq!(c.lease_grants.get(), 0);
     }
 

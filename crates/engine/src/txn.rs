@@ -13,7 +13,7 @@ use pmp_pmfs::WaitOutcome;
 use pmp_rdma::Locality;
 
 use crate::btree::{self, ModifyVerdict, WriteResult};
-use crate::node::NodeEngine;
+use crate::node::{NodeEngine, LEAF_CAPACITY};
 use crate::page::Page;
 use crate::redo::{RedoOp, RedoRecord};
 use crate::row::{index_key, IndexKey, Row, RowHeader, RowValue};
@@ -491,7 +491,6 @@ impl Txn {
         let engine = Arc::clone(&self.engine);
         let gid = self.gid;
         let undo_head = self.undo_head;
-        let leaf_capacity = engine.cfg.leaf_capacity;
         let table = meta.id;
         // Filled in by the closure when it applies a change.
         let mut new_undo: Option<UndoPtr> = None;
@@ -502,7 +501,7 @@ impl Txn {
             match leaf.search(key) {
                 Err(insert_pos) => match op {
                     WriteOp::Insert => {
-                        if leaf.rows.len() >= leaf_capacity {
+                        if leaf.rows.len() >= LEAF_CAPACITY {
                             return ModifyVerdict::NeedSplit;
                         }
                         let value = new_value.clone().expect("insert carries a value");

@@ -122,7 +122,7 @@ pub struct Wal {
     pending_cbs: TrackedMutex<Vec<PendingForce>>,
     next_cb_id: AtomicU64,
     group: WalGroupStats,
-    /// With `log_comp` on, every group is wrapped in a [`LogFrame`] and
+    /// With log compression on, every group is wrapped in a [`LogFrame`] and
     /// compressed at fill time (outside the log mutex); the saved tail of
     /// the reservation is returned to the stream as a dead range.
     framed: bool,

@@ -182,7 +182,7 @@ fn version_store_gc_drops_versions_below_min_active_snapshot() {
 
     // With the old snapshot retired, the min-view tick GCs the stale
     // versions. Poll rather than sleep a fixed amount: the broadcast runs
-    // every `min_view_interval_ms`.
+    // every 20 ms (`MIN_VIEW_INTERVAL`).
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     let stats = &engines[0].version_store.stats;
     while stats.gc_evictions.get() == 0 && std::time::Instant::now() < deadline {

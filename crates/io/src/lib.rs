@@ -51,6 +51,10 @@ const IO_CQ: LockClass = LockClass::new("io.ring.cq");
 /// One-shot completion slots handed to blocking submitters.
 const IO_COMPLETION: LockClass = LockClass::new("io.completion");
 
+/// Completion-queue capacity; the oldest unreaped CQE is dropped on overflow
+/// (counted), mirroring io_uring's overflow semantics.
+pub const CQ_CAPACITY: usize = 256;
+
 /// One submitted storage operation.
 ///
 /// Log operations carry their stream so the ring itself stays stateless
@@ -246,7 +250,7 @@ pub struct IoStats {
     /// SQEs answered from a same-batch duplicate page read.
     pub coalesced: Counter,
     /// CQEs dropped because the completion queue was full (io_uring-style
-    /// overflow; poll-mode callers must size their bursts to `cq_capacity`).
+    /// overflow; poll-mode callers must size their bursts to [`CQ_CAPACITY`]).
     pub cq_overflows: Counter,
     /// Submitted-but-not-completed operations, with high-watermark.
     inflight: Gauge,
@@ -452,7 +456,7 @@ impl<P> RingCore<P> {
         match entry.action {
             DoneAction::PostCq => {
                 let mut cq = self.cq.lock();
-                if cq.len() >= self.cfg.cq_capacity.max(1) {
+                if cq.len() >= CQ_CAPACITY {
                     cq.pop_front();
                     self.stats.cq_overflows.inc();
                 }

@@ -27,8 +27,7 @@ use std::sync::{Arc, Weak};
 
 use pmp_common::sync::{assert_charge_point, sched_point, LockClass, TrackedCondvar, TrackedMutex};
 use pmp_common::{Counter, Gauge, Llsn, NodeId, PageId};
-use pmp_rdma::Locality;
-use pmp_repl::ReplicatedFabric;
+use pmp_repl::{Locality, ReplicatedFabric};
 
 /// DBP directory shards. Every op touches exactly one shard.
 const DBP_SHARD: LockClass = LockClass::new("pmfs.dbp.shard");

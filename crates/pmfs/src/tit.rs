@@ -23,8 +23,7 @@ use std::time::Duration;
 
 use pmp_common::sync::{LockClass, TrackedCondvar, TrackedMutex};
 use pmp_common::{Cts, NodeId, SlotId, CSN_INIT};
-use pmp_rdma::Locality;
-use pmp_repl::{ReplBatch, ReplCell, ReplicatedFabric};
+use pmp_repl::{Locality, ReplBatch, ReplCell, ReplicatedFabric};
 
 /// Free-list lock class; never nests with anything (pure local allocator).
 const TIT_FREE: LockClass = LockClass::new("pmfs.tit.free");
@@ -172,23 +171,6 @@ impl TitRegion {
     pub fn read_slot(&self, slot: SlotId, locality: Locality) -> SlotSnapshot {
         // One charged verb per snapshot regardless of internal retries.
         self.repl.bulk_read(24, locality);
-        self.snapshot_slot(slot)
-    }
-
-    /// [`read_slot`](Self::read_slot) with its fabric cost posted into a
-    /// doorbell batch: the snapshot itself is taken eagerly (batch data
-    /// moves at post time), the latency is charged once at flush.
-    pub fn read_slot_batched(
-        &self,
-        batch: &mut ReplBatch<'_>,
-        slot: SlotId,
-        locality: Locality,
-    ) -> SlotSnapshot {
-        batch.bulk_read(24, locality);
-        self.snapshot_slot(slot)
-    }
-
-    fn snapshot_slot(&self, slot: SlotId) -> SlotSnapshot {
         let s = &self.slots[slot.0 as usize];
         loop {
             let v0 = self.repl.load(&s.version);
@@ -240,16 +222,8 @@ impl TitRegion {
         refs
     }
 
-    /// Write the broadcast global-min-view cell (remote write from
-    /// Transaction Fusion).
-    pub fn store_global_min_view(&self, cts: Cts) {
-        self.repl
-            .write_u64(&self.global_min_view, cts.0, Locality::Remote);
-    }
-
-    /// Post the global-min-view broadcast write into a doorbell batch
-    /// instead of paying a standalone remote write — used by Transaction
-    /// Fusion's all-regions fan-out.
+    /// Post the write of the broadcast global-min-view cell (a remote write
+    /// from Transaction Fusion) into its all-regions doorbell batch.
     pub fn post_global_min_view(&self, batch: &mut ReplBatch<'_>, cts: Cts) {
         batch.write_cell(&self.global_min_view, cts.0, Locality::Remote);
     }
@@ -264,13 +238,8 @@ impl TitRegion {
         self.repl.store(&self.min_active_trx, trx_id);
     }
 
-    /// Read a peer's published minimum active transaction id.
-    pub fn read_min_active_trx(&self, locality: Locality) -> u64 {
-        self.repl.read_u64(&self.min_active_trx, locality)
-    }
-
-    /// [`read_min_active_trx`](Self::read_min_active_trx) posted into a
-    /// doorbell batch — the background min-view tick reads every peer's
+    /// Read a peer's published minimum active transaction id, posted into
+    /// a doorbell batch — the background min-view tick reads every peer's
     /// cell in one charged round trip.
     pub fn read_min_active_trx_batched(
         &self,
@@ -399,7 +368,7 @@ mod tests {
         let (slot, version) = tit.allocate().unwrap();
         tit.add_ref(slot, Locality::Remote);
         tit.add_ref(slot, Locality::Remote);
-        let before_ops = repl.fabric().stats().batched_ops.get();
+        let before_ops = repl.fabric_stats().batched_ops.get();
         let refs = tit.commit_and_take_refs(slot, Cts(42));
         assert_eq!(refs, 2);
         let snap = tit.read_slot(slot, Locality::Local);
@@ -407,17 +376,16 @@ mod tests {
         assert_eq!(snap.version, version);
         assert_eq!(snap.refs, 0, "the batch's swap must clear the flag");
         assert_eq!(
-            repl.fabric().stats().batched_ops.get(),
+            repl.fabric_stats().batched_ops.get(),
             before_ops + 2,
             "CTS write + refs swap post as one doorbell batch"
         );
     }
 
     #[test]
-    fn seqlock_snapshot_stays_consistent_through_batch() {
+    fn seqlock_snapshot_stays_consistent_under_churn() {
         use std::sync::atomic::{AtomicBool, Ordering};
-        let repl = single();
-        let tit = Arc::new(TitRegion::new(Arc::clone(&repl), NodeId(0), 1));
+        let tit = Arc::new(TitRegion::new(single(), NodeId(0), 1));
         let stop = Arc::new(AtomicBool::new(false));
         // Writer churns the one slot: allocate (odd version, CTS=INIT),
         // commit CTS = version + 100, release (even version).
@@ -433,9 +401,7 @@ mod tests {
             })
         };
         for _ in 0..20_000 {
-            let mut b = repl.batch();
-            let snap = tit.read_slot_batched(&mut b, SlotId(0), Locality::Remote);
-            b.flush();
+            let snap = tit.read_slot(SlotId(0), Locality::Remote);
             // The CTS committed under version v is exactly v + 100, and
             // init bumps the version *before* resetting the CTS. A CTS
             // from a later reuse paired with an earlier version (the torn
@@ -469,11 +435,16 @@ mod tests {
 
     #[test]
     fn min_view_broadcast_cells() {
-        let (_, tit) = region();
-        tit.store_global_min_view(Cts(99));
-        assert_eq!(tit.load_global_min_view(), Cts(99));
+        let (repl, tit) = region();
+        let mut batch = repl.batch();
+        tit.post_global_min_view(&mut batch, Cts(99));
         tit.publish_min_active_trx(1234);
-        assert_eq!(tit.read_min_active_trx(Locality::Remote), 1234);
+        assert_eq!(
+            tit.read_min_active_trx_batched(&mut batch, Locality::Remote),
+            1234
+        );
+        batch.flush();
+        assert_eq!(tit.load_global_min_view(), Cts(99));
     }
 
     #[test]

@@ -13,8 +13,7 @@
 use std::sync::Arc;
 
 use pmp_common::{Cts, CSN_MIN};
-use pmp_rdma::Locality;
-use pmp_repl::{ReplCell, ReplicatedFabric};
+use pmp_repl::{Locality, ReplCell, ReplicatedFabric};
 
 /// The global Timestamp Oracle hosted in Transaction Fusion.
 #[derive(Debug)]
@@ -110,7 +109,7 @@ mod tests {
         let next = tso.next_cts(&repl);
         assert_eq!(next.0, first.0 + 8);
         // One lease = one remote atomic, regardless of size.
-        assert_eq!(repl.fabric().stats().atomics.get(), 2);
+        assert_eq!(repl.fabric_stats().atomics.get(), 2);
     }
 
     #[test]
@@ -133,11 +132,11 @@ mod tests {
             })
             .collect();
         let rounds = 200;
-        let reads_before = repl.fabric().stats().reads.get();
+        let reads_before = repl.fabric_stats().reads.get();
         for i in 0..rounds {
             tso.advance_to(&repl, Cts(CSN_MIN.0 + 1_000_000 + i * 1_000));
         }
-        let reads_after = repl.fabric().stats().reads.get();
+        let reads_after = repl.fabric_stats().reads.get();
         stop.store(true, Ordering::Relaxed);
         for h in storm {
             h.join().unwrap();

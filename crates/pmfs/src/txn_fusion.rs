@@ -7,8 +7,7 @@ use std::sync::Arc;
 
 use pmp_common::sync::{LockClass, TrackedRwLock};
 use pmp_common::{Cts, GlobalTrxId, NodeId, CSN_INIT, CSN_MAX, CSN_MIN};
-use pmp_rdma::{Fabric, Locality};
-use pmp_repl::ReplicatedFabric;
+use pmp_repl::{Locality, ReplicatedFabric};
 
 /// Node → TIT-region directory (written once per node at startup).
 const TXN_REGIONS: LockClass = LockClass::new("pmfs.txnfusion.regions");
@@ -48,10 +47,6 @@ impl TxnFusion {
             node_views: TrackedRwLock::new(TXN_NODE_VIEWS, HashMap::new()),
             global_min_view: AtomicU64::new(CSN_INIT.0),
         }
-    }
-
-    pub fn fabric(&self) -> &Arc<Fabric> {
-        self.repl.fabric()
     }
 
     /// The replication facade the fusion state lives on.
@@ -171,6 +166,7 @@ impl TxnFusion {
 mod tests {
     use super::*;
     use pmp_common::{LatencyConfig, SlotId, TrxId};
+    use pmp_rdma::Fabric;
 
     fn fusion_with_nodes(n: u16) -> (Arc<TxnFusion>, Vec<Arc<TitRegion>>) {
         let repl = Arc::new(ReplicatedFabric::single(Arc::new(Fabric::new(
@@ -244,7 +240,7 @@ mod tests {
     #[test]
     fn min_view_broadcast_is_one_doorbell_batch() {
         let (fusion, regions) = fusion_with_nodes(4);
-        let stats = fusion.fabric().stats();
+        let stats = fusion.repl().fabric_stats();
         let (ops, writes) = (stats.batched_ops.get(), stats.writes.get());
         fusion.report_min_view(NodeId(0), Cts(10));
         // Four broadcast writes, all posted through one batch.
@@ -267,10 +263,10 @@ mod tests {
         let (fusion, regions) = fusion_with_nodes(2);
         let (slot, version) = regions[1].allocate().unwrap();
         let g = gid(1, slot, version);
-        let before = fusion.fabric().stats().reads.get();
+        let before = fusion.repl().fabric_stats().reads.get();
         fusion.trx_cts(NodeId(0), g); // remote
         fusion.trx_cts(NodeId(1), g); // local — still metered, not charged
-        assert_eq!(fusion.fabric().stats().reads.get(), before + 2);
+        assert_eq!(fusion.repl().fabric_stats().reads.get(), before + 2);
     }
 
     #[test]

@@ -92,20 +92,25 @@ mod tests {
 
     #[test]
     fn concurrent_waits_overlap() {
-        // Eight threads sleeping 2ms each should take ~2ms wall, not 16ms,
-        // even on a single core — the property the whole benchmark design
-        // rests on.
+        // Eight threads sleeping 2ms each should take about one wait of wall
+        // time, not the sum of the eight, even on a single core — the
+        // property the whole benchmark design rests on. Each thread measures
+        // its own wait, so host load stretches both sides of the bound.
         let t = Instant::now();
         let handles: Vec<_> = (0..8)
-            .map(|_| std::thread::spawn(|| precise_wait_ns(2_000_000)))
+            .map(|_| {
+                std::thread::spawn(|| {
+                    let t = Instant::now();
+                    precise_wait_ns(2_000_000);
+                    t.elapsed()
+                })
+            })
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        let waited: Duration = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        let wall = t.elapsed();
         assert!(
-            t.elapsed() < Duration::from_millis(10),
-            "waits must overlap: {:?}",
-            t.elapsed()
+            wall <= waited.mul_f64(0.75),
+            "waits must overlap: {wall:?} wall for {waited:?} waited"
         );
     }
 }

@@ -18,13 +18,15 @@ pub enum Locality {
     Remote,
 }
 
-/// Verb classes, used for metering.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum OpKind {
+/// Verb classes: what an op is metered as and what it costs.
+#[derive(Clone, Copy)]
+enum OpKind {
     Read,
     Write,
     Atomic,
     Rpc,
+    /// Half an RPC round trip; metered as an RPC.
+    OneWay,
 }
 
 /// Per-fabric op meters. All counters are relaxed; they feed the benchmark
@@ -40,33 +42,6 @@ pub struct FabricStats {
     /// Ops posted through a [`FabricBatch`] doorbell (also counted in the
     /// per-kind meters above; this tracks how much traffic is coalesced).
     pub batched_ops: Counter,
-}
-
-impl FabricStats {
-    pub fn reset(&self) {
-        self.reads.reset();
-        self.writes.reset();
-        self.atomics.reset();
-        self.rpcs.reset();
-        self.bytes_read.reset();
-        self.bytes_written.reset();
-        self.batched_ops.reset();
-    }
-
-    fn note(&self, kind: OpKind, bytes: usize) {
-        match kind {
-            OpKind::Read => {
-                self.reads.inc();
-                self.bytes_read.add(bytes as u64);
-            }
-            OpKind::Write => {
-                self.writes.inc();
-                self.bytes_written.add(bytes as u64);
-            }
-            OpKind::Atomic => self.atomics.inc(),
-            OpKind::Rpc => self.rpcs.inc(),
-        }
-    }
 }
 
 /// The simulated RDMA fabric shared by every node and the PMFS.
@@ -96,65 +71,25 @@ impl Fabric {
         &self.stats
     }
 
-    fn charge(&self, kind: OpKind, base_ns: u64, bytes: usize, locality: Locality) {
-        self.stats.note(kind, bytes);
-        if locality == Locality::Local {
-            return;
-        }
-        precise_wait_ns(self.cfg.charge_ns(base_ns, bytes));
-    }
-
     /// One-sided RDMA READ of a 64-bit registered word.
     pub fn read_u64(&self, cell: &AtomicU64, locality: Locality) -> u64 {
-        self.charge(OpKind::Read, self.cfg.one_sided_read_ns, 8, locality);
-        cell.load(Ordering::Acquire)
+        self.verb().read_u64(cell, locality)
     }
 
     /// One-sided RDMA WRITE of a 64-bit registered word.
     pub fn write_u64(&self, cell: &AtomicU64, value: u64, locality: Locality) {
-        self.charge(OpKind::Write, self.cfg.one_sided_write_ns, 8, locality);
-        cell.store(value, Ordering::Release);
-    }
-
-    /// One-sided RDMA compare-and-swap on a registered word.
-    pub fn cas_u64(
-        &self,
-        cell: &AtomicU64,
-        expected: u64,
-        new: u64,
-        locality: Locality,
-    ) -> Result<u64, u64> {
-        self.charge(OpKind::Atomic, self.cfg.atomic_ns, 8, locality);
-        cell.compare_exchange(expected, new, Ordering::AcqRel, Ordering::Acquire)
-    }
-
-    /// One-sided RDMA fetch-and-add on a registered word (the TSO verb).
-    pub fn fetch_add_u64(&self, cell: &AtomicU64, delta: u64, locality: Locality) -> u64 {
-        self.charge(OpKind::Atomic, self.cfg.atomic_ns, 8, locality);
-        cell.fetch_add(delta, Ordering::AcqRel)
-    }
-
-    /// One-sided RDMA WRITE of a registered flag (buffer-fusion invalidation
-    /// writes a peer's `valid` flag to false, §4.2).
-    pub fn write_flag(&self, flag: &AtomicBool, value: bool, locality: Locality) {
-        self.charge(OpKind::Write, self.cfg.one_sided_write_ns, 1, locality);
-        flag.store(value, Ordering::Release);
-    }
-
-    pub fn read_flag(&self, flag: &AtomicBool, locality: Locality) -> bool {
-        self.charge(OpKind::Read, self.cfg.one_sided_read_ns, 1, locality);
-        flag.load(Ordering::Acquire)
+        self.verb().write_u64(cell, value, locality);
     }
 
     /// Charge for a one-sided bulk READ of `bytes` (page fetch from the DBP).
     /// The caller performs the actual copy (we move `Arc`s in-process).
     pub fn bulk_read(&self, bytes: usize, locality: Locality) {
-        self.charge(OpKind::Read, self.cfg.one_sided_read_ns, bytes, locality);
+        self.verb().bulk_read(bytes, locality);
     }
 
     /// Charge for a one-sided bulk WRITE of `bytes` (page push to the DBP).
     pub fn bulk_write(&self, bytes: usize, locality: Locality) {
-        self.charge(OpKind::Write, self.cfg.one_sided_write_ns, bytes, locality);
+        self.verb().bulk_write(bytes, locality);
     }
 
     /// Charge the engine-CPU cost of one SQL statement (not fabric traffic,
@@ -163,26 +98,24 @@ impl Fabric {
         precise_wait_ns(self.cfg.charge_ns(self.cfg.sql_stmt_ns, 0));
     }
 
-    /// Charge a one-way fusion→node message (half an RPC round trip);
-    /// used for negotiation nudges whose reply is implicit.
-    pub fn one_way_message(&self, bytes: usize) {
-        self.stats.note(OpKind::Rpc, bytes);
-        precise_wait_ns(self.cfg.charge_ns(self.cfg.rpc_ns / 2, bytes));
+    /// Start a doorbell batch: post any number of verbs, then pay for the
+    /// whole list with **one** latency when the doorbell rings — the maximum
+    /// per-op base cost plus the summed per-byte cost, the same model a
+    /// doorbell-batched work-request list (or the `pmp-io` worker batch)
+    /// obeys. Every op is still metered individually. This is the only
+    /// implementation of a verb: the single-verb methods of this type are a
+    /// batch of one.
+    pub fn batch(&self) -> FabricBatch<'_> {
+        FabricBatch::new(self, true)
     }
 
-    /// Start a doorbell batch: post any number of one-sided verbs, then pay
-    /// for the whole list with **one** latency at [`FabricBatch::flush`] —
-    /// the maximum per-op base cost plus the summed per-byte cost, the same
-    /// model a doorbell-batched work-request list (or the `pmp-io` worker
-    /// batch) obeys. Every op is still metered individually.
-    pub fn batch(&self) -> FabricBatch<'_> {
-        FabricBatch {
-            fabric: self,
-            max_base_ns: 0,
-            remote_bytes: 0,
-            any_remote: false,
-            flushed: false,
-        }
+    /// The batch of one behind a single verb: posts, meters and charges like
+    /// [`batch`](Self::batch), but its ops count as `batched_ops` only if it
+    /// ends up carrying more than one (a replicated verb fanning out to its
+    /// backups) — a lone verb is not coalesced traffic. Used as a temporary,
+    /// it is dropped, and so rings, at the end of the posting statement.
+    pub fn verb(&self) -> FabricBatch<'_> {
+        FabricBatch::new(self, false)
     }
 
     /// RDMA-based RPC: charges the round-trip, then runs the handler inline.
@@ -194,24 +127,19 @@ impl Fabric {
     /// PLock request waiting for a conflicting holder, §4.3.1); the charge is
     /// applied up front so blocked time is not double-counted.
     pub fn rpc<R>(&self, request_bytes: usize, handler: impl FnOnce() -> R) -> R {
-        self.charge(
-            OpKind::Rpc,
-            self.cfg.rpc_ns,
-            request_bytes,
-            Locality::Remote,
-        );
+        self.verb().rpc_message(request_bytes);
         handler()
     }
 }
 
-/// A doorbell-batched list of one-sided verbs (see [`Fabric::batch`]).
+/// A doorbell-batched list of verbs (see [`Fabric::batch`]).
 ///
 /// Data movement happens eagerly when an op is posted (the simulated NIC's
-/// DMA is instantaneous in-process, exactly like the single-verb methods),
-/// so reads return their value immediately; only the *latency* is deferred
-/// and charged once at [`flush`](Self::flush). Post ops under whatever locks
-/// you like, but flush — the single charge point — with no tracked lock
-/// held, like any other verb. Dropping an unflushed batch flushes it.
+/// DMA is instantaneous in-process), so reads return their value
+/// immediately; only the *latency* is deferred and charged once when the
+/// doorbell rings: at [`flush`](Self::flush), or wherever the batch is
+/// dropped. Post ops under whatever locks you like, but ring the doorbell —
+/// the single charge point — with no tracked lock held.
 #[derive(Debug)]
 pub struct FabricBatch<'a> {
     fabric: &'a Fabric,
@@ -221,14 +149,52 @@ pub struct FabricBatch<'a> {
     /// Summed payload over the remote ops (bytes serialize on the link).
     remote_bytes: usize,
     any_remote: bool,
-    flushed: bool,
+    /// Ops posted so far.
+    ops: u64,
+    /// From [`Fabric::batch`]: every op counts as batched, however few.
+    explicit: bool,
 }
 
-impl FabricBatch<'_> {
-    fn note(&mut self, kind: OpKind, base_ns: u64, bytes: usize, locality: Locality) {
-        let stats = self.fabric.stats();
-        stats.note(kind, bytes);
-        stats.batched_ops.inc();
+impl<'a> FabricBatch<'a> {
+    fn new(fabric: &'a Fabric, explicit: bool) -> Self {
+        FabricBatch {
+            fabric,
+            max_base_ns: 0,
+            remote_bytes: 0,
+            any_remote: false,
+            ops: 0,
+            explicit,
+        }
+    }
+
+    /// Post one op: meter it, and fold a remote op's cost into the charge.
+    fn post(&mut self, kind: OpKind, bytes: usize, locality: Locality) {
+        let (cfg, stats) = (&self.fabric.cfg, &self.fabric.stats);
+        let base_ns = match kind {
+            OpKind::Read => {
+                stats.reads.inc();
+                stats.bytes_read.add(bytes as u64);
+                cfg.one_sided_read_ns
+            }
+            OpKind::Write => {
+                stats.writes.inc();
+                stats.bytes_written.add(bytes as u64);
+                cfg.one_sided_write_ns
+            }
+            OpKind::Atomic => {
+                stats.atomics.inc();
+                cfg.atomic_ns
+            }
+            OpKind::Rpc => {
+                stats.rpcs.inc();
+                cfg.rpc_ns
+            }
+            OpKind::OneWay => {
+                stats.rpcs.inc();
+                cfg.rpc_ns / 2
+            }
+        };
+        self.ops += 1;
         if locality == Locality::Remote {
             self.any_remote = true;
             self.max_base_ns = self.max_base_ns.max(base_ns);
@@ -236,24 +202,19 @@ impl FabricBatch<'_> {
         }
     }
 
-    /// One-sided READ of a registered word, posted to the batch.
+    /// One-sided READ of a registered word.
     pub fn read_u64(&mut self, cell: &AtomicU64, locality: Locality) -> u64 {
-        self.note(OpKind::Read, self.fabric.cfg.one_sided_read_ns, 8, locality);
+        self.post(OpKind::Read, 8, locality);
         cell.load(Ordering::Acquire)
     }
 
-    /// One-sided WRITE of a registered word, posted to the batch.
+    /// One-sided WRITE of a registered word.
     pub fn write_u64(&mut self, cell: &AtomicU64, value: u64, locality: Locality) {
-        self.note(
-            OpKind::Write,
-            self.fabric.cfg.one_sided_write_ns,
-            8,
-            locality,
-        );
+        self.post(OpKind::Write, 8, locality);
         cell.store(value, Ordering::Release);
     }
 
-    /// One-sided compare-and-swap, posted to the batch.
+    /// One-sided compare-and-swap.
     pub fn cas_u64(
         &mut self,
         cell: &AtomicU64,
@@ -261,103 +222,72 @@ impl FabricBatch<'_> {
         new: u64,
         locality: Locality,
     ) -> Result<u64, u64> {
-        self.note(OpKind::Atomic, self.fabric.cfg.atomic_ns, 8, locality);
+        self.post(OpKind::Atomic, 8, locality);
         cell.compare_exchange(expected, new, Ordering::AcqRel, Ordering::Acquire)
     }
 
-    /// One-sided fetch-and-add, posted to the batch.
+    /// One-sided fetch-and-add (the TSO verb).
     pub fn fetch_add_u64(&mut self, cell: &AtomicU64, delta: u64, locality: Locality) -> u64 {
-        self.note(OpKind::Atomic, self.fabric.cfg.atomic_ns, 8, locality);
+        self.post(OpKind::Atomic, 8, locality);
         cell.fetch_add(delta, Ordering::AcqRel)
     }
 
-    /// Unconditional atomic exchange (a masked FAA on real hardware),
-    /// posted to the batch. Used by the commit-time TIT refs take.
+    /// Unconditional atomic exchange (a masked FAA on real hardware). Used
+    /// by the commit-time TIT refs take.
     pub fn swap_u64(&mut self, cell: &AtomicU64, value: u64, locality: Locality) -> u64 {
-        self.note(OpKind::Atomic, self.fabric.cfg.atomic_ns, 8, locality);
+        self.post(OpKind::Atomic, 8, locality);
         cell.swap(value, Ordering::AcqRel)
     }
 
-    /// One-sided WRITE of a registered flag, posted to the batch.
+    /// One-sided WRITE of a registered flag (buffer-fusion invalidation
+    /// writes a peer's `valid` flag to false, §4.2).
     pub fn write_flag(&mut self, flag: &AtomicBool, value: bool, locality: Locality) {
-        self.note(
-            OpKind::Write,
-            self.fabric.cfg.one_sided_write_ns,
-            1,
-            locality,
-        );
+        self.post(OpKind::Write, 1, locality);
         flag.store(value, Ordering::Release);
     }
 
-    /// One-sided READ of a registered flag, posted to the batch.
-    pub fn read_flag(&mut self, flag: &AtomicBool, locality: Locality) -> bool {
-        self.note(OpKind::Read, self.fabric.cfg.one_sided_read_ns, 1, locality);
-        flag.load(Ordering::Acquire)
-    }
-
-    /// Bulk READ charge of `bytes`, posted to the batch.
+    /// Bulk READ charge of `bytes`.
     pub fn bulk_read(&mut self, bytes: usize, locality: Locality) {
-        self.note(
-            OpKind::Read,
-            self.fabric.cfg.one_sided_read_ns,
-            bytes,
-            locality,
-        );
+        self.post(OpKind::Read, bytes, locality);
     }
 
-    /// Bulk WRITE charge of `bytes`, posted to the batch.
+    /// Bulk WRITE charge of `bytes`.
     pub fn bulk_write(&mut self, bytes: usize, locality: Locality) {
-        self.note(
-            OpKind::Write,
-            self.fabric.cfg.one_sided_write_ns,
-            bytes,
-            locality,
-        );
+        self.post(OpKind::Write, bytes, locality);
     }
 
-    /// One-way fusion→node message (half an RPC round trip), posted to the
-    /// batch. Always remote, like [`Fabric::one_way_message`].
+    /// One-way fusion→node message (half an RPC round trip), used for
+    /// negotiation nudges whose reply is implicit. Always remote.
     pub fn one_way_message(&mut self, bytes: usize) {
-        self.note(
-            OpKind::Rpc,
-            self.fabric.cfg.rpc_ns / 2,
-            bytes,
-            Locality::Remote,
-        );
+        self.post(OpKind::OneWay, bytes, Locality::Remote);
     }
 
-    /// A full-round-trip message whose reply carries no payload (the lazy
-    /// PLock release sweep), posted to the batch. Always remote.
+    /// A full RPC round trip of `bytes` request payload. Always remote.
     pub fn rpc_message(&mut self, bytes: usize) {
-        self.note(OpKind::Rpc, self.fabric.cfg.rpc_ns, bytes, Locality::Remote);
+        self.post(OpKind::Rpc, bytes, Locality::Remote);
     }
 
-    /// Ring the doorbell: charge one latency covering every remote op
-    /// posted — max base cost + summed per-byte cost. Local-only batches
-    /// (and empty ones) charge nothing.
-    pub fn flush(mut self) {
-        self.flush_inner();
+    /// Nanoseconds the doorbell will charge for what has been posted so
+    /// far: max base cost + summed per-byte cost over the remote ops, 0 for
+    /// a local-only or empty batch.
+    pub fn charge_ns(&self) -> u64 {
+        self.fabric
+            .cfg
+            .charge_ns(self.max_base_ns, self.remote_bytes)
     }
 
-    fn flush_inner(&mut self) {
-        if self.flushed {
-            return;
-        }
-        self.flushed = true;
-        if !self.any_remote {
-            return;
-        }
-        precise_wait_ns(
-            self.fabric
-                .cfg
-                .charge_ns(self.max_base_ns, self.remote_bytes),
-        );
-    }
+    /// Ring the doorbell now (dropping the batch does the same).
+    pub fn flush(self) {}
 }
 
 impl Drop for FabricBatch<'_> {
     fn drop(&mut self) {
-        self.flush_inner();
+        if self.explicit || self.ops > 1 {
+            self.fabric.stats.batched_ops.add(self.ops);
+        }
+        if self.any_remote {
+            precise_wait_ns(self.charge_ns());
+        }
     }
 }
 
@@ -378,18 +308,17 @@ mod tests {
         assert_eq!(f.read_u64(&cell, Locality::Remote), 7);
         f.write_u64(&cell, 9, Locality::Remote);
         assert_eq!(f.read_u64(&cell, Locality::Local), 9);
-        assert_eq!(f.fetch_add_u64(&cell, 3, Locality::Remote), 9);
-        assert_eq!(cell.load(Ordering::Relaxed), 12);
-        assert_eq!(f.cas_u64(&cell, 12, 20, Locality::Remote), Ok(12));
-        assert_eq!(f.cas_u64(&cell, 12, 30, Locality::Remote), Err(20));
-    }
-
-    #[test]
-    fn flags_roundtrip() {
-        let f = free_fabric();
         let flag = AtomicBool::new(true);
-        f.write_flag(&flag, false, Locality::Remote);
-        assert!(!f.read_flag(&flag, Locality::Local));
+        let mut b = f.batch();
+        assert_eq!(b.fetch_add_u64(&cell, 3, Locality::Remote), 9);
+        assert_eq!(b.cas_u64(&cell, 12, 20, Locality::Remote), Ok(12));
+        assert_eq!(b.cas_u64(&cell, 12, 30, Locality::Remote), Err(20));
+        assert_eq!(b.swap_u64(&cell, 0, Locality::Remote), 20);
+        b.write_flag(&flag, false, Locality::Remote);
+        b.flush();
+        assert_eq!(f.stats().atomics.get(), 4);
+        assert_eq!(cell.load(Ordering::Relaxed), 0);
+        assert!(!flag.load(Ordering::Relaxed));
     }
 
     #[test]
@@ -399,7 +328,7 @@ mod tests {
         f.read_u64(&cell, Locality::Remote);
         f.read_u64(&cell, Locality::Local);
         f.write_u64(&cell, 1, Locality::Remote);
-        f.fetch_add_u64(&cell, 1, Locality::Remote);
+        f.verb().fetch_add_u64(&cell, 1, Locality::Remote);
         f.bulk_read(16 * 1024, Locality::Remote);
         let r = f.rpc(64, || 42);
         assert_eq!(r, 42);
@@ -408,8 +337,6 @@ mod tests {
         assert_eq!(f.stats().atomics.get(), 1);
         assert_eq!(f.stats().rpcs.get(), 1);
         assert_eq!(f.stats().bytes_read.get(), 8 + 8 + 16 * 1024);
-        f.stats().reset();
-        assert_eq!(f.stats().reads.get(), 0);
     }
 
     #[test]
@@ -421,28 +348,27 @@ mod tests {
         let f = Fabric::new(cfg);
         let cell = AtomicU64::new(0);
 
-        let t = Instant::now();
-        for _ in 0..10 {
-            f.read_u64(&cell, Locality::Local);
-        }
-        let local = t.elapsed();
+        let mut local = f.verb();
+        local.read_u64(&cell, Locality::Local);
+        assert_eq!(local.charge_ns(), 0, "local reads must not be charged");
+        let mut remote = f.verb();
+        remote.read_u64(&cell, Locality::Remote);
+        assert_eq!(remote.charge_ns(), cfg.charge_ns(50_000, 8));
 
         let t = Instant::now();
         f.read_u64(&cell, Locality::Remote);
-        let remote = t.elapsed();
-
-        assert!(local.as_nanos() < 50_000, "local reads must not be charged");
-        assert!(remote.as_nanos() >= 50_000, "remote read must pay latency");
+        assert!(
+            t.elapsed().as_nanos() >= 50_000,
+            "remote read must pay latency"
+        );
     }
 
     #[test]
     fn statement_charge_respects_config() {
-        use std::time::Instant;
         // Disabled → free.
         let f = free_fabric();
-        let t = Instant::now();
+        assert_eq!(f.config().charge_ns(f.config().sql_stmt_ns, 0), 0);
         f.charge_statement();
-        assert!(t.elapsed().as_micros() < 500);
 
         // Enabled → pays the configured statement cost.
         let cfg = LatencyConfig {
@@ -457,17 +383,17 @@ mod tests {
 
     #[test]
     fn one_way_message_is_half_an_rpc_and_metered() {
-        use std::time::Instant;
         let cfg = LatencyConfig {
             rpc_ns: 400_000,
             ..LatencyConfig::realistic()
         };
         let f = Fabric::new(cfg);
+        let mut b = f.batch();
+        b.one_way_message(32);
+        assert_eq!(b.charge_ns(), cfg.charge_ns(200_000, 32), "one-way = rpc/2");
         let t = Instant::now();
-        f.one_way_message(32);
-        let one_way = t.elapsed();
-        assert!(one_way.as_nanos() >= 200_000, "one-way = rpc/2");
-        assert!(one_way.as_nanos() < 390_000, "must be under a round trip");
+        b.flush();
+        assert!(t.elapsed().as_nanos() >= 200_000);
         assert_eq!(f.stats().rpcs.get(), 1, "one-way messages count as RPCs");
     }
 
@@ -477,22 +403,24 @@ mod tests {
         // doorbell batch pays max-base + summed-bytes once (~100µs).
         let cfg = LatencyConfig {
             one_sided_write_ns: 100_000,
-            per_kib_ns: 0,
             ..LatencyConfig::realistic()
         };
         let f = Fabric::new(cfg);
         let cells: Vec<AtomicU64> = (0..4).map(|_| AtomicU64::new(0)).collect();
-        let t = Instant::now();
         let mut b = f.batch();
         for (i, c) in cells.iter().enumerate() {
             b.write_u64(c, i as u64 + 1, Locality::Remote);
         }
+        assert_eq!(
+            b.charge_ns(),
+            cfg.charge_ns(100_000, 32),
+            "batch must not pay per-op"
+        );
+        let t = Instant::now();
         b.flush();
-        let elapsed = t.elapsed();
-        assert!(elapsed.as_nanos() >= 100_000, "batch must pay one op cost");
         assert!(
-            elapsed.as_nanos() < 350_000,
-            "batch must not pay per-op: {elapsed:?}"
+            t.elapsed().as_nanos() >= 100_000,
+            "batch must pay one op cost"
         );
         // Data landed and every op was metered individually.
         for (i, c) in cells.iter().enumerate() {
@@ -504,38 +432,36 @@ mod tests {
     }
 
     #[test]
-    fn batch_counters_match_sequential_counters() {
-        // The same op mix must land in the same per-kind meters whether it
-        // goes through single verbs or a doorbell batch.
-        let sequential = free_fabric();
+    fn only_coalesced_ops_count_as_batched() {
         let cell = AtomicU64::new(1);
-        let flag = AtomicBool::new(true);
-        sequential.read_u64(&cell, Locality::Remote);
-        sequential.write_u64(&cell, 2, Locality::Remote);
-        sequential.fetch_add_u64(&cell, 1, Locality::Remote);
-        sequential.write_flag(&flag, false, Locality::Remote);
-        sequential.bulk_read(4096, Locality::Remote);
-        sequential.one_way_message(32);
+        // Single verbs are a batch of one, which is not batched traffic…
+        let single = free_fabric();
+        single.read_u64(&cell, Locality::Remote);
+        single.write_u64(&cell, 2, Locality::Remote);
+        single.bulk_read(4096, Locality::Remote);
+        single.bulk_write(4096, Locality::Remote);
+        single.rpc(32, || ());
+        assert_eq!(single.stats().batched_ops.get(), 0);
+        // …unless the verb fanned out (a replicated write's backups).
+        let mut fan = single.verb();
+        fan.write_u64(&cell, 3, Locality::Remote);
+        fan.write_u64(&cell, 3, Locality::Remote);
+        fan.flush();
+        assert_eq!(single.stats().batched_ops.get(), 2);
 
+        // An explicit batch counts every op it posts, even a lone one.
         let batched = free_fabric();
         let mut b = batched.batch();
         b.read_u64(&cell, Locality::Remote);
         b.write_u64(&cell, 2, Locality::Remote);
         b.fetch_add_u64(&cell, 1, Locality::Remote);
-        b.write_flag(&flag, false, Locality::Remote);
+        b.write_flag(&AtomicBool::new(true), false, Locality::Remote);
         b.bulk_read(4096, Locality::Remote);
         b.one_way_message(32);
         b.flush();
-
-        let (s, q) = (sequential.stats(), batched.stats());
-        assert_eq!(s.reads.get(), q.reads.get());
-        assert_eq!(s.writes.get(), q.writes.get());
-        assert_eq!(s.atomics.get(), q.atomics.get());
-        assert_eq!(s.rpcs.get(), q.rpcs.get());
-        assert_eq!(s.bytes_read.get(), q.bytes_read.get());
-        assert_eq!(s.bytes_written.get(), q.bytes_written.get());
-        assert_eq!(s.batched_ops.get(), 0);
-        assert_eq!(q.batched_ops.get(), 6);
+        assert_eq!(batched.stats().batched_ops.get(), 6);
+        batched.batch().rpc_message(32);
+        assert_eq!(batched.stats().batched_ops.get(), 7);
     }
 
     #[test]
@@ -546,17 +472,16 @@ mod tests {
         };
         let f = Fabric::new(cfg);
         let cell = AtomicU64::new(0);
-        let t = Instant::now();
         let mut b = f.batch();
         for _ in 0..8 {
             b.write_u64(&cell, 7, Locality::Local);
         }
+        assert_eq!(b.charge_ns(), 0, "local ops are free");
         b.flush();
-        assert!(t.elapsed().as_nanos() < 200_000, "local ops are free");
         assert_eq!(f.stats().writes.get(), 8, "…but still metered");
         assert_eq!(f.stats().batched_ops.get(), 8);
         // An empty batch is also free.
-        f.batch().flush();
+        assert_eq!(f.batch().charge_ns(), 0);
     }
 
     #[test]
@@ -574,20 +499,6 @@ mod tests {
             // dropped without an explicit flush
         }
         assert!(t.elapsed().as_nanos() >= 100_000);
-    }
-
-    #[test]
-    fn batch_cas_and_swap_roundtrip() {
-        let f = free_fabric();
-        let cell = AtomicU64::new(5);
-        let mut b = f.batch();
-        assert_eq!(b.cas_u64(&cell, 5, 9, Locality::Remote), Ok(5));
-        assert_eq!(b.cas_u64(&cell, 5, 11, Locality::Remote), Err(9));
-        assert_eq!(b.swap_u64(&cell, 0, Locality::Remote), 9);
-        assert!(b.read_flag(&AtomicBool::new(true), Locality::Remote));
-        b.flush();
-        assert_eq!(f.stats().atomics.get(), 3);
-        assert_eq!(cell.load(Ordering::Relaxed), 0);
     }
 
     #[test]

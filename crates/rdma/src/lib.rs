@@ -23,4 +23,4 @@ pub mod clock;
 pub mod fabric;
 
 pub use clock::{latency_enabled, precise_wait_ns, set_latency_enabled};
-pub use fabric::{Fabric, FabricBatch, FabricStats, Locality, OpKind};
+pub use fabric::{Fabric, FabricBatch, FabricStats, Locality};

@@ -13,13 +13,15 @@
 //! * only on a detected conflict does the reader fall back to a **majority
 //!   read** across replicas, resolving by a per-cell version **tag**.
 //!
-//! [`ReplicatedFabric`] is a facade over [`pmp_rdma::Fabric`] exposing the
-//! same verb surface (`read_u64`/`write_u64`/`cas_u64`/`fetch_add_u64`/bulk +
-//! a [`FabricBatch`] mirror, [`ReplBatch`]), but operating on [`ReplCell`]s —
-//! a 64-bit word striped across `replicas` slots. With `replicas = 1` every
-//! verb degenerates to exactly the underlying fabric verb on the single slot:
-//! same data movement, same metering, same latency — the unreplicated
-//! configuration is bit-for-bit the pre-replication behaviour.
+//! [`ReplicatedFabric`] is a facade over [`pmp_rdma::Fabric`] operating on
+//! [`ReplCell`]s — a 64-bit word striped across `replicas` slots. The
+//! protocol is written once, on the doorbell batch ([`ReplBatch`], the
+//! replicated [`FabricBatch`]): one body for every write (`ReplBatch::rmw`)
+//! and one validated read. The facade's single verbs and owning-node mirrors
+//! post one op on a batch of one. With `replicas = 1` each primitive
+//! short-circuits to the underlying fabric verb on the single slot: same data
+//! movement, same metering, same latency — the unreplicated configuration is
+//! bit-for-bit the pre-replication behaviour.
 //!
 //! Replica health is `Up → Down` on [`crash_replica`] (the crashed replica's
 //! slot contents are deliberately scrambled — anything not yet replicated is
@@ -36,9 +38,10 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use pmp_common::sync::{LockClass, TrackedMutex};
+use pmp_common::sync::{sched_point, spin_point, LockClass, TrackedMutex};
 use pmp_common::Counter;
-use pmp_rdma::{Fabric, FabricBatch, Locality};
+pub use pmp_rdma::Locality;
+use pmp_rdma::{Fabric, FabricBatch, FabricStats};
 
 /// Cell-registry lock; held standalone (clone-out before any charged work).
 const REPL_CELLS: LockClass = LockClass::new("repl.cells");
@@ -52,7 +55,7 @@ const HEALTH_DOWN: u64 = 2;
 /// Pattern smeared over a crashed replica's slots: any read that trusted a
 /// dead replica would surface this loudly instead of silently reading stale
 /// data.
-const POISON: u64 = 0x6b6b_6b6b_6b6b_6b6b;
+pub const POISON: u64 = 0x6b6b_6b6b_6b6b_6b6b;
 
 /// Single-replica read validation attempts before falling back to a majority
 /// read. Write install windows are a handful of plain stores, so a conflict
@@ -80,6 +83,27 @@ impl ReplSlot {
             tag: AtomicU64::new(0),
             value: AtomicU64::new(value),
         }
+    }
+
+    /// One seqlock-validated sample of this copy, `read` fetching the value
+    /// word: `(tag, value)`, or `None` if a write was landing.
+    fn sample(&self, read: impl FnOnce(&AtomicU64) -> u64) -> Option<(u64, u64)> {
+        let s1 = self.seq.load(Ordering::Acquire);
+        let tag = self.tag.load(Ordering::Acquire);
+        let value = read(&self.value);
+        let s2 = self.seq.load(Ordering::Acquire);
+        (s1 == s2 && s1 & 1 == 0).then_some((tag, value))
+    }
+
+    /// Install `(value, tag)` behind this copy's seqlock window. The value
+    /// movement is posted to `batch` (metered; charged at the doorbell), the
+    /// seq/tag words ride in the same cache line for free.
+    fn install(&self, value: u64, tag: u64, batch: &mut FabricBatch<'_>, loc: Locality) {
+        let odd = self.seq.load(Ordering::Acquire) | 1;
+        self.seq.store(odd, Ordering::Release);
+        batch.write_u64(&self.value, value, loc);
+        self.tag.store(tag, Ordering::Release);
+        self.seq.store(odd.wrapping_add(1), Ordering::Release);
     }
 }
 
@@ -114,6 +138,7 @@ impl ReplCell {
             .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Acquire)
             .is_err()
         {
+            spin_point("repl.cell.lock-spin");
             std::hint::spin_loop();
         }
     }
@@ -121,6 +146,26 @@ impl ReplCell {
     fn unlock(&self) {
         self.wlock.store(false, Ordering::Release);
     }
+}
+
+/// The caller's locality claim is about replica 0, the copy co-located with
+/// the word's owner; every other replica is across the fabric.
+fn slot_locality(replica: usize, locality: Locality) -> Locality {
+    if replica == 0 {
+        locality
+    } else {
+        Locality::Remote
+    }
+}
+
+/// One lap of a read-retry loop: let a descheduled writer run, and give up
+/// the CPU every 64 laps.
+fn backoff(lap: usize) {
+    spin_point("repl.read.retry");
+    if lap.is_multiple_of(64) {
+        std::thread::yield_now();
+    }
+    std::hint::spin_loop();
 }
 
 /// Replication meters, surfaced in `pmp_core::StatsSnapshot`.
@@ -202,8 +247,10 @@ impl ReplicatedFabric {
         Self::new(fabric, 1, 1)
     }
 
-    pub fn fabric(&self) -> &Arc<Fabric> {
-        &self.fabric
+    /// Op meters of the underlying fabric; the fabric itself is not reachable
+    /// from here, so PMFS state is only touched through replicated verbs.
+    pub fn fabric_stats(&self) -> &FabricStats {
+        self.fabric.stats()
     }
 
     pub fn replicas(&self) -> usize {
@@ -253,7 +300,7 @@ impl ReplicatedFabric {
         self.health[replica].load(Ordering::Acquire) == HEALTH_DOWN
     }
 
-    /// Lowest fully-Up replica: the read target and the RMW authority.
+    /// Lowest fully-Up replica: the read target and the write authority.
     /// Writers serialise on the cell lock and install to every not-Down
     /// slot, so all Up slots hold identical values between writes — the
     /// lowest is simply a deterministic pick.
@@ -280,109 +327,29 @@ impl ReplicatedFabric {
         cell
     }
 
-    /// Install `(value, tag)` into one slot behind its seqlock window. The
-    /// value movement is posted to `batch` (metered; charged at flush), the
-    /// seq/tag words ride in the same cache line for free.
-    fn install(slot: &ReplSlot, value: u64, tag: u64, batch: &mut FabricBatch<'_>, loc: Locality) {
-        let odd = slot.seq.load(Ordering::Acquire) | 1;
-        slot.seq.store(odd, Ordering::Release);
-        batch.write_u64(&slot.value, value, loc);
-        slot.tag.store(tag, Ordering::Release);
-        slot.seq.store(odd.wrapping_add(1), Ordering::Release);
+    /// Start a doorbell batch over the replicated verb surface.
+    pub fn batch(&self) -> ReplBatch<'_> {
+        ReplBatch {
+            repl: self,
+            inner: self.fabric.batch(),
+        }
     }
 
-    /// One-sided replicated WRITE: lands in place on every live replica,
-    /// one doorbell charge.
-    pub fn write_u64(&self, cell: &ReplCell, value: u64, locality: Locality) {
-        if self.replicas == 1 {
-            self.fabric.write_u64(&cell.slots[0].value, value, locality);
-            return;
+    /// The batch of one behind a single verb (see [`Fabric::verb`]): at R>1
+    /// a write's fan-out rides its doorbell, and counts as batched traffic.
+    fn verb(&self) -> ReplBatch<'_> {
+        ReplBatch {
+            repl: self,
+            inner: self.fabric.verb(),
         }
-        let mut batch = self.fabric.batch();
-        cell.lock();
-        let tag = cell.next_tag.fetch_add(1, Ordering::AcqRel) + 1;
-        let mut first = true;
-        for (i, slot) in cell.slots.iter().enumerate() {
-            if self.is_down(i) {
-                continue;
-            }
-            let loc = if first { locality } else { Locality::Remote };
-            first = false;
-            Self::install(slot, value, tag, &mut batch, loc);
-        }
-        cell.unlock();
-        batch.flush();
-        self.stats.replicated_writes.inc();
     }
+
+    // ---- Single verbs: one op on a batch of one ---------------------------
 
     /// One-sided replicated READ: one replica, one charged verb, seqlock
     /// validated; majority fallback on conflict.
     pub fn read_u64(&self, cell: &ReplCell, locality: Locality) -> u64 {
-        if self.replicas == 1 {
-            self.stats.single_replica_reads.inc();
-            return self.fabric.read_u64(&cell.slots[0].value, locality);
-        }
-        for _ in 0..SINGLE_READ_RETRIES {
-            let p = self.primary_up();
-            let slot = &cell.slots[p];
-            let s1 = slot.seq.load(Ordering::Acquire);
-            let loc = if p == 0 { locality } else { Locality::Remote };
-            let value = self.fabric.read_u64(&slot.value, loc);
-            let s2 = slot.seq.load(Ordering::Acquire);
-            if s1 == s2 && s1 & 1 == 0 {
-                self.stats.single_replica_reads.inc();
-                return value;
-            }
-            std::hint::spin_loop();
-        }
-        self.stats.conflicts_resolved.inc();
-        self.majority_read(cell, locality)
-    }
-
-    /// Conflict path: sample every Up replica (one doorbell batch per pass),
-    /// require a clean validation from each, resolve to the highest tag.
-    fn majority_read(&self, cell: &ReplCell, locality: Locality) -> u64 {
-        self.stats.majority_reads.inc();
-        let mut spins = 0u32;
-        loop {
-            let mut best: Option<(u64, u64)> = None;
-            let mut sampled = 0usize;
-            let mut up = 0usize;
-            let mut batch = self.fabric.batch();
-            for (i, slot) in cell.slots.iter().enumerate() {
-                if !self.replica_up(i) {
-                    continue;
-                }
-                up += 1;
-                let s1 = slot.seq.load(Ordering::Acquire);
-                let tag = slot.tag.load(Ordering::Acquire);
-                let loc = if i == 0 { locality } else { Locality::Remote };
-                let value = batch.read_u64(&slot.value, loc);
-                let s2 = slot.seq.load(Ordering::Acquire);
-                if s1 != s2 || s1 & 1 == 1 {
-                    continue;
-                }
-                sampled += 1;
-                if best.map_or(true, |(t, _)| tag > t) {
-                    best = Some((tag, value));
-                }
-            }
-            batch.flush();
-            assert!(up > 0, "no PMFS replica left Up during majority read");
-            if sampled >= self.quorum.min(up) {
-                // A write is acknowledged only after it is installed on
-                // every live replica, so any validated sample carries a tag
-                // ≥ the newest acknowledged write; the highest tag among a
-                // quorum of validated samples resolves the conflict.
-                let (_, value) = best.expect("sampled > 0");
-                return value;
-            }
-            spins += 1;
-            if spins % 64 == 0 {
-                std::thread::yield_now();
-            }
-            std::hint::spin_loop();
-        }
+        self.verb().read_cell(cell, locality)
     }
 
     /// One-sided replicated compare-and-swap: resolved on the primary,
@@ -394,186 +361,19 @@ impl ReplicatedFabric {
         new: u64,
         locality: Locality,
     ) -> Result<u64, u64> {
-        if self.replicas == 1 {
-            return self
-                .fabric
-                .cas_u64(&cell.slots[0].value, expected, new, locality);
-        }
-        let mut batch = self.fabric.batch();
-        cell.lock();
-        let p = self.primary_up();
-        let pslot = &cell.slots[p];
-        let odd = pslot.seq.load(Ordering::Acquire) | 1;
-        pslot.seq.store(odd, Ordering::Release);
-        let loc = if p == 0 { locality } else { Locality::Remote };
-        let result = batch.cas_u64(&pslot.value, expected, new, loc);
-        if result.is_ok() {
-            let tag = cell.next_tag.fetch_add(1, Ordering::AcqRel) + 1;
-            pslot.tag.store(tag, Ordering::Release);
-            pslot.seq.store(odd.wrapping_add(1), Ordering::Release);
-            for (i, slot) in cell.slots.iter().enumerate() {
-                if i != p && !self.is_down(i) {
-                    Self::install(slot, new, tag, &mut batch, Locality::Remote);
-                }
-            }
-        } else {
-            pslot.seq.store(odd.wrapping_add(1), Ordering::Release);
-        }
-        cell.unlock();
-        batch.flush();
-        if result.is_ok() {
-            self.stats.replicated_writes.inc();
-        }
-        result
+        self.verb().rmw(cell, locality, |batch, word, loc| {
+            let result = batch.cas_u64(word, expected, new, loc);
+            (result, result.is_ok())
+        })
     }
 
     /// One-sided replicated fetch-and-add (the TSO verb): resolved on the
     /// primary, sum installed in place on the other live replicas.
     pub fn fetch_add_u64(&self, cell: &ReplCell, delta: u64, locality: Locality) -> u64 {
-        if self.replicas == 1 {
-            return self
-                .fabric
-                .fetch_add_u64(&cell.slots[0].value, delta, locality);
-        }
-        let mut batch = self.fabric.batch();
-        cell.lock();
-        let old = self.rmw_in_batch(cell, &mut batch, locality, |batch, pslot, loc| {
-            batch.fetch_add_u64(&pslot.value, delta, loc)
-        });
-        cell.unlock();
-        batch.flush();
-        self.stats.replicated_writes.inc();
-        old
+        self.verb().rmw(cell, locality, |batch, word, loc| {
+            (batch.fetch_add_u64(word, delta, loc), true)
+        })
     }
-
-    /// Shared RMW body: `op` runs the metered atomic on the primary slot
-    /// inside its seqlock window; the result is fanned to the other live
-    /// replicas. Caller holds the cell lock and flushes the batch.
-    fn rmw_in_batch(
-        &self,
-        cell: &ReplCell,
-        batch: &mut FabricBatch<'_>,
-        locality: Locality,
-        op: impl FnOnce(&mut FabricBatch<'_>, &ReplSlot, Locality) -> u64,
-    ) -> u64 {
-        let p = self.primary_up();
-        let pslot = &cell.slots[p];
-        let odd = pslot.seq.load(Ordering::Acquire) | 1;
-        pslot.seq.store(odd, Ordering::Release);
-        let loc = if p == 0 { locality } else { Locality::Remote };
-        let old = op(batch, pslot, loc);
-        let new = pslot.value.load(Ordering::Acquire);
-        let tag = cell.next_tag.fetch_add(1, Ordering::AcqRel) + 1;
-        pslot.tag.store(tag, Ordering::Release);
-        pslot.seq.store(odd.wrapping_add(1), Ordering::Release);
-        for (i, slot) in cell.slots.iter().enumerate() {
-            if i != p && !self.is_down(i) {
-                Self::install(slot, new, tag, batch, Locality::Remote);
-            }
-        }
-        old
-    }
-
-    // ---- Unmetered local mirrors ------------------------------------------
-    //
-    // The TIT's owning-node plain ops (slot init, commit store, version
-    // bumps) are deliberately charge-free in the latency model. At R=1 these
-    // stay plain atomics; at R>1 the primary side stays plain but the
-    // backup fan-out is posted (and metered) like any replicated write —
-    // that traffic is the honest cost of replication.
-
-    /// Plain load of the current value (owning-node peek, never charged).
-    pub fn load(&self, cell: &ReplCell) -> u64 {
-        if self.replicas == 1 {
-            return cell.slots[0].value.load(Ordering::Acquire);
-        }
-        let mut spins = 0u32;
-        loop {
-            let p = self.primary_up();
-            let slot = &cell.slots[p];
-            let s1 = slot.seq.load(Ordering::Acquire);
-            let value = slot.value.load(Ordering::Acquire);
-            let s2 = slot.seq.load(Ordering::Acquire);
-            if s1 == s2 && s1 & 1 == 0 {
-                return value;
-            }
-            spins += 1;
-            if spins % 64 == 0 {
-                std::thread::yield_now();
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Plain store (owning-node op; backup fan-out metered at R>1).
-    pub fn store(&self, cell: &ReplCell, value: u64) {
-        if self.replicas == 1 {
-            cell.slots[0].value.store(value, Ordering::Release);
-            return;
-        }
-        let mut batch = self.fabric.batch();
-        cell.lock();
-        let tag = cell.next_tag.fetch_add(1, Ordering::AcqRel) + 1;
-        let p = self.primary_up();
-        for (i, slot) in cell.slots.iter().enumerate() {
-            if self.is_down(i) {
-                continue;
-            }
-            if i == p {
-                let odd = slot.seq.load(Ordering::Acquire) | 1;
-                slot.seq.store(odd, Ordering::Release);
-                slot.value.store(value, Ordering::Release);
-                slot.tag.store(tag, Ordering::Release);
-                slot.seq.store(odd.wrapping_add(1), Ordering::Release);
-            } else {
-                Self::install(slot, value, tag, &mut batch, Locality::Remote);
-            }
-        }
-        cell.unlock();
-        batch.flush();
-        self.stats.replicated_writes.inc();
-    }
-
-    /// Plain fetch-add (owning-node op; backup fan-out metered at R>1).
-    pub fn fetch_add_local(&self, cell: &ReplCell, delta: u64) -> u64 {
-        if self.replicas == 1 {
-            return cell.slots[0].value.fetch_add(delta, Ordering::AcqRel);
-        }
-        self.rmw_local(cell, |pslot| pslot.value.fetch_add(delta, Ordering::AcqRel))
-    }
-
-    /// Plain swap (owning-node op; backup fan-out metered at R>1).
-    pub fn swap_local(&self, cell: &ReplCell, value: u64) -> u64 {
-        if self.replicas == 1 {
-            return cell.slots[0].value.swap(value, Ordering::AcqRel);
-        }
-        self.rmw_local(cell, |pslot| pslot.value.swap(value, Ordering::AcqRel))
-    }
-
-    fn rmw_local(&self, cell: &ReplCell, op: impl FnOnce(&ReplSlot) -> u64) -> u64 {
-        let mut batch = self.fabric.batch();
-        cell.lock();
-        let p = self.primary_up();
-        let pslot = &cell.slots[p];
-        let odd = pslot.seq.load(Ordering::Acquire) | 1;
-        pslot.seq.store(odd, Ordering::Release);
-        let old = op(pslot);
-        let new = pslot.value.load(Ordering::Acquire);
-        let tag = cell.next_tag.fetch_add(1, Ordering::AcqRel) + 1;
-        pslot.tag.store(tag, Ordering::Release);
-        pslot.seq.store(odd.wrapping_add(1), Ordering::Release);
-        for (i, slot) in cell.slots.iter().enumerate() {
-            if i != p && !self.is_down(i) {
-                Self::install(slot, new, tag, &mut batch, Locality::Remote);
-            }
-        }
-        cell.unlock();
-        batch.flush();
-        self.stats.replicated_writes.inc();
-        old
-    }
-
-    // ---- Passthroughs ------------------------------------------------------
 
     /// Bulk READ charge (reads never replicate: single-replica policy).
     pub fn bulk_read(&self, bytes: usize, locality: Locality) {
@@ -581,10 +381,12 @@ impl ReplicatedFabric {
     }
 
     /// Bulk WRITE charge, replicated: the payload lands on every live
-    /// replica (DBP page pushes at R>1 pay the extra copies).
+    /// replica in one doorbell (DBP page pushes at R>1 pay the extra
+    /// copies' bytes, not an extra round trip).
     pub fn bulk_write(&self, bytes: usize, locality: Locality) {
-        self.fabric.bulk_write(bytes, locality);
-        self.replicate_mutation(bytes);
+        let mut verb = self.verb();
+        verb.inner.bulk_write(bytes, locality);
+        verb.mirror(bytes);
     }
 
     /// RPC round trip to the fusion server (the RPC-served directories keep
@@ -602,28 +404,104 @@ impl ReplicatedFabric {
     /// those directories survive [`crash_replica`](Self::crash_replica)
     /// without a re-seat.
     pub fn replicate_mutation(&self, bytes: usize) {
-        if self.replicas == 1 {
-            return;
-        }
-        let mut batch = self.fabric.batch();
-        let mut backups = 0;
-        for i in 1..self.replicas {
-            if !self.is_down(i) {
-                batch.bulk_write(bytes, Locality::Remote);
-                backups += 1;
-            }
-        }
-        batch.flush();
-        if backups > 0 {
-            self.stats.replicated_writes.inc();
-        }
+        self.verb().mirror(bytes);
     }
 
-    /// Start a doorbell batch over the replicated verb surface.
-    pub fn batch(&self) -> ReplBatch<'_> {
-        ReplBatch {
-            repl: self,
-            inner: self.fabric.batch(),
+    // ---- Unmetered local mirrors ------------------------------------------
+    //
+    // The TIT's owning-node plain ops (slot init, commit store, version
+    // bumps) are deliberately charge-free in the latency model: the primary
+    // op is a plain atomic. At R>1 the backup fan-out is posted and metered
+    // like any replicated write — the honest cost of replication.
+
+    /// Plain load of the current value (owning-node peek, never charged).
+    pub fn load(&self, cell: &ReplCell) -> u64 {
+        self.read_primary(cell, usize::MAX, |word, _| word.load(Ordering::Acquire))
+            .expect("an unbounded retry only returns a validated value")
+    }
+
+    /// Plain store (owning-node op; backup fan-out metered at R>1).
+    pub fn store(&self, cell: &ReplCell, value: u64) {
+        self.verb().rmw(cell, Locality::Local, |_, word, _| {
+            (word.store(value, Ordering::Release), true)
+        })
+    }
+
+    /// Plain fetch-add (owning-node op; backup fan-out metered at R>1).
+    pub fn fetch_add_local(&self, cell: &ReplCell, delta: u64) -> u64 {
+        self.verb().rmw(cell, Locality::Local, |_, word, _| {
+            (word.fetch_add(delta, Ordering::AcqRel), true)
+        })
+    }
+
+    /// Plain swap (owning-node op; backup fan-out metered at R>1).
+    pub fn swap_local(&self, cell: &ReplCell, value: u64) -> u64 {
+        self.verb().rmw(cell, Locality::Local, |_, word, _| {
+            (word.swap(value, Ordering::AcqRel), true)
+        })
+    }
+
+    // ---- The read protocol -------------------------------------------------
+
+    /// The validated single-replica read: sample the primary's copy (`read`
+    /// fetches the value word of the replica it is given) until the seqlock
+    /// validates, at most `attempts` times. `None` means a write was landing
+    /// every time.
+    fn read_primary(
+        &self,
+        cell: &ReplCell,
+        attempts: usize,
+        mut read: impl FnMut(&AtomicU64, usize) -> u64,
+    ) -> Option<u64> {
+        if self.replicas == 1 {
+            return Some(read(&cell.slots[0].value, 0));
+        }
+        for lap in 1..=attempts {
+            let p = self.primary_up();
+            // The pick can be stale by the time the read lands.
+            sched_point("repl.read.primary-picked");
+            if let Some((_, value)) = cell.slots[p].sample(|word| read(word, p)) {
+                return Some(value);
+            }
+            backoff(lap);
+        }
+        None
+    }
+
+    /// Conflict path: sample every Up replica (one doorbell batch per pass),
+    /// require a clean validation from each, resolve to the highest tag.
+    fn majority_read(&self, cell: &ReplCell, locality: Locality) -> u64 {
+        self.stats.majority_reads.inc();
+        let mut lap = 0;
+        loop {
+            let mut best: Option<(u64, u64)> = None;
+            let (mut up, mut sampled) = (0, 0);
+            let mut batch = self.fabric.batch();
+            for (i, slot) in cell.slots.iter().enumerate() {
+                if !self.replica_up(i) {
+                    continue;
+                }
+                up += 1;
+                let read = |word: &AtomicU64| batch.read_u64(word, slot_locality(i, locality));
+                if let Some((tag, value)) = slot.sample(read) {
+                    sampled += 1;
+                    if best.is_none_or(|(t, _)| tag > t) {
+                        best = Some((tag, value));
+                    }
+                }
+            }
+            batch.flush();
+            assert!(up > 0, "no PMFS replica left Up during majority read");
+            if sampled >= self.quorum.min(up) {
+                // A write is acknowledged only after it is installed on
+                // every live replica, so any validated sample carries a tag
+                // ≥ the newest acknowledged write; the highest tag among a
+                // quorum of validated samples resolves the conflict.
+                let (_, value) = best.expect("sampled > 0");
+                return value;
+            }
+            lap += 1;
+            backoff(lap);
         }
     }
 
@@ -682,7 +560,7 @@ impl ReplicatedFabric {
                     continue;
                 }
                 let tag = slot.tag.load(Ordering::Acquire);
-                if src.map_or(true, |(t, _)| tag > t) {
+                if src.is_none_or(|(t, _)| tag > t) {
                     src = Some((tag, slot.value.load(Ordering::Acquire)));
                 }
             }
@@ -692,12 +570,14 @@ impl ReplicatedFabric {
                 // newer than the survivors held when we sampled; never
                 // regress it.
                 if tag >= dst.tag.load(Ordering::Acquire) {
-                    Self::install(dst, value, tag, &mut batch, Locality::Remote);
+                    dst.install(value, tag, &mut batch, Locality::Remote);
                 }
             }
             cell.unlock();
         }
         batch.flush();
+        // Writes landing now must already include the Joining replica.
+        sched_point("repl.recover.reseated");
         self.health[replica].store(HEALTH_UP, Ordering::Release);
         self.stats.recoveries.inc();
         true
@@ -734,118 +614,108 @@ impl ReplicatedFabric {
     }
 }
 
-/// Doorbell batch over the replicated verb surface: cell ops replicate like
-/// their standalone counterparts but post their movement into one underlying
-/// [`FabricBatch`]; raw passthroughs post directly. One charge at
-/// [`flush`](Self::flush) (or drop).
+/// Doorbell batch over the replicated verb surface, and the one place the
+/// replication protocol is implemented: cell ops replicate into one
+/// underlying [`FabricBatch`]; raw passthroughs post directly. One charge
+/// when the doorbell rings, at [`flush`](Self::flush) or drop.
 pub struct ReplBatch<'a> {
     repl: &'a ReplicatedFabric,
     inner: FabricBatch<'a>,
 }
 
 impl ReplBatch<'_> {
-    /// Replicated WRITE of a cell, posted to the batch.
-    pub fn write_cell(&mut self, cell: &ReplCell, value: u64, locality: Locality) {
-        if self.repl.replicas == 1 {
-            self.inner.write_u64(&cell.slots[0].value, value, locality);
-            return;
+    /// The one write path; every mutation of a cell, metered verb or
+    /// owning-node mirror, runs through it. Under the cell lock, `op` runs on
+    /// the primary's value word inside its seqlock window and says whether it
+    /// wrote; if so the new value is tagged, and installed on every other
+    /// live replica through the same doorbell.
+    fn rmw<T>(
+        &mut self,
+        cell: &ReplCell,
+        locality: Locality,
+        op: impl FnOnce(&mut FabricBatch<'_>, &AtomicU64, Locality) -> (T, bool),
+    ) -> T {
+        let repl = self.repl;
+        if repl.replicas == 1 {
+            return op(&mut self.inner, &cell.slots[0].value, locality).0;
         }
         cell.lock();
-        let tag = cell.next_tag.fetch_add(1, Ordering::AcqRel) + 1;
-        let mut first = true;
-        for (i, slot) in cell.slots.iter().enumerate() {
-            if self.repl.is_down(i) {
-                continue;
+        let p = repl.primary_up();
+        let pslot = &cell.slots[p];
+        let odd = pslot.seq.load(Ordering::Acquire) | 1;
+        pslot.seq.store(odd, Ordering::Release);
+        sched_point("repl.write.seq-odd");
+        let (out, wrote) = op(&mut self.inner, &pslot.value, slot_locality(p, locality));
+        sched_point("repl.torn-window");
+        let tag = wrote.then(|| {
+            let tag = cell.next_tag.fetch_add(1, Ordering::AcqRel) + 1;
+            pslot.tag.store(tag, Ordering::Release);
+            tag
+        });
+        sched_point("repl.write.tag-published");
+        pslot.seq.store(odd.wrapping_add(1), Ordering::Release);
+        if let Some(tag) = tag {
+            let new = pslot.value.load(Ordering::Acquire);
+            for (i, slot) in cell.slots.iter().enumerate() {
+                if i != p && !repl.is_down(i) {
+                    slot.install(new, tag, &mut self.inner, Locality::Remote);
+                }
             }
-            let loc = if first { locality } else { Locality::Remote };
-            first = false;
-            ReplicatedFabric::install(slot, value, tag, &mut self.inner, loc);
+            repl.stats.replicated_writes.inc();
         }
         cell.unlock();
-        self.repl.stats.replicated_writes.inc();
+        out
     }
 
-    /// Replicated READ of a cell, posted to the batch (single replica,
-    /// seqlock validated; majority fallback posts further reads).
-    pub fn read_cell(&mut self, cell: &ReplCell, locality: Locality) -> u64 {
-        if self.repl.replicas == 1 {
-            self.repl.stats.single_replica_reads.inc();
-            return self.inner.read_u64(&cell.slots[0].value, locality);
-        }
-        for _ in 0..SINGLE_READ_RETRIES {
-            let p = self.repl.primary_up();
-            let slot = &cell.slots[p];
-            let s1 = slot.seq.load(Ordering::Acquire);
-            let loc = if p == 0 { locality } else { Locality::Remote };
-            let value = self.inner.read_u64(&slot.value, loc);
-            let s2 = slot.seq.load(Ordering::Acquire);
-            if s1 == s2 && s1 & 1 == 0 {
-                self.repl.stats.single_replica_reads.inc();
-                return value;
-            }
-            std::hint::spin_loop();
-        }
-        self.repl.stats.conflicts_resolved.inc();
-        self.repl.majority_read(cell, locality)
+    /// Replicated WRITE of a cell, posted to the batch.
+    pub fn write_cell(&mut self, cell: &ReplCell, value: u64, locality: Locality) {
+        self.rmw(cell, locality, |batch, word, loc| {
+            (batch.write_u64(word, value, loc), true)
+        })
     }
 
     /// Replicated swap of a cell, posted to the batch.
     pub fn swap_cell(&mut self, cell: &ReplCell, value: u64, locality: Locality) -> u64 {
-        if self.repl.replicas == 1 {
-            return self.inner.swap_u64(&cell.slots[0].value, value, locality);
-        }
-        cell.lock();
-        let old = self
-            .repl
-            .rmw_in_batch(cell, &mut self.inner, locality, |batch, pslot, loc| {
-                batch.swap_u64(&pslot.value, value, loc)
-            });
-        cell.unlock();
-        self.repl.stats.replicated_writes.inc();
-        old
+        self.rmw(cell, locality, |batch, word, loc| {
+            (batch.swap_u64(word, value, loc), true)
+        })
     }
 
-    /// Replicated fetch-and-add of a cell, posted to the batch.
-    pub fn fetch_add_cell(&mut self, cell: &ReplCell, delta: u64, locality: Locality) -> u64 {
-        if self.repl.replicas == 1 {
-            return self
-                .inner
-                .fetch_add_u64(&cell.slots[0].value, delta, locality);
+    /// Replicated READ of a cell, posted to the batch: one replica, seqlock
+    /// validated, every attempt a posted read; on persistent conflict a
+    /// majority read, which rings doorbells of its own.
+    pub fn read_cell(&mut self, cell: &ReplCell, locality: Locality) -> u64 {
+        let (repl, inner) = (self.repl, &mut self.inner);
+        let read = |word: &AtomicU64, p| inner.read_u64(word, slot_locality(p, locality));
+        match repl.read_primary(cell, SINGLE_READ_RETRIES, read) {
+            Some(value) => {
+                repl.stats.single_replica_reads.inc();
+                value
+            }
+            None => {
+                repl.stats.conflicts_resolved.inc();
+                repl.majority_read(cell, locality)
+            }
         }
-        cell.lock();
-        let old = self
-            .repl
-            .rmw_in_batch(cell, &mut self.inner, locality, |batch, pslot, loc| {
-                batch.fetch_add_u64(&pslot.value, delta, loc)
-            });
-        cell.unlock();
-        self.repl.stats.replicated_writes.inc();
-        old
+    }
+
+    /// Bulk WRITE of `bytes` to every live backup (the primary's copy is the
+    /// caller's to post). Nothing at R=1.
+    fn mirror(&mut self, bytes: usize) {
+        let repl = self.repl;
+        let backups = (1..repl.replicas).filter(|&i| !repl.is_down(i)).count();
+        for _ in 0..backups {
+            self.inner.bulk_write(bytes, Locality::Remote);
+        }
+        if backups > 0 {
+            repl.stats.replicated_writes.inc();
+        }
     }
 
     /// Raw one-sided WRITE passthrough (node-owned memory, e.g. a peer's
     /// LBP invalid flag — not PMFS state, so it does not replicate).
     pub fn write_flag(&mut self, flag: &AtomicBool, value: bool, locality: Locality) {
         self.inner.write_flag(flag, value, locality);
-    }
-
-    /// Bulk READ charge, posted to the batch.
-    pub fn bulk_read(&mut self, bytes: usize, locality: Locality) {
-        self.inner.bulk_read(bytes, locality);
-    }
-
-    /// Bulk WRITE charge, posted to the batch and replicated to the backups
-    /// within the same doorbell.
-    pub fn bulk_write(&mut self, bytes: usize, locality: Locality) {
-        self.inner.bulk_write(bytes, locality);
-        for i in 1..self.repl.replicas {
-            if !self.repl.is_down(i) {
-                self.inner.bulk_write(bytes, Locality::Remote);
-            }
-        }
-        if self.repl.replicas > 1 {
-            self.repl.stats.replicated_writes.inc();
-        }
     }
 
     /// One-way fusion→node message, posted to the batch.
@@ -858,10 +728,9 @@ impl ReplBatch<'_> {
         self.inner.rpc_message(bytes);
     }
 
-    /// Ring the doorbell (see [`FabricBatch::flush`]). Dropping flushes too.
-    pub fn flush(self) {
-        self.inner.flush();
-    }
+    /// Ring the doorbell now (see [`FabricBatch::flush`]); dropping the
+    /// batch does the same.
+    pub fn flush(self) {}
 }
 
 #[cfg(test)]
@@ -877,34 +746,42 @@ mod tests {
         )
     }
 
+    /// A replicated remote write, alone in its doorbell.
+    fn write(r: &ReplicatedFabric, cell: &ReplCell, value: u64) {
+        r.batch().write_cell(cell, value, Locality::Remote);
+    }
+
     #[test]
     fn unreplicated_verbs_meter_exactly_like_the_raw_fabric() {
         let r = repl(1, 1);
         let c = r.cell(7);
         assert_eq!(r.read_u64(&c, Locality::Remote), 7);
-        r.write_u64(&c, 9, Locality::Remote);
-        assert_eq!(r.fetch_add_u64(&c, 3, Locality::Remote), 9);
-        assert_eq!(r.cas_u64(&c, 12, 20, Locality::Remote), Ok(12));
-        assert_eq!(r.cas_u64(&c, 12, 30, Locality::Remote), Err(20));
+        assert_eq!(r.fetch_add_u64(&c, 3, Locality::Remote), 7);
+        assert_eq!(r.cas_u64(&c, 10, 20, Locality::Remote), Ok(10));
+        assert_eq!(r.cas_u64(&c, 10, 30, Locality::Remote), Err(20));
+        r.bulk_write(4096, Locality::Remote);
+        r.replicate_mutation(32);
         r.store(&c, 5);
         assert_eq!(r.load(&c), 5);
         assert_eq!(r.swap_local(&c, 6), 5);
         assert_eq!(r.fetch_add_local(&c, 1), 6);
-        let s = r.fabric().stats();
-        // Exactly the raw verbs: 1 read, 1 write, 3 atomics; the local
+        let s = r.fabric_stats();
+        // Exactly the raw verbs: 1 read, 1 bulk write, 3 atomics; the local
         // mirrors and the replication layer add nothing at R=1.
         assert_eq!(s.reads.get(), 1);
         assert_eq!(s.writes.get(), 1);
+        assert_eq!(s.bytes_written.get(), 4096);
         assert_eq!(s.atomics.get(), 3);
         assert_eq!(s.batched_ops.get(), 0);
         assert_eq!(r.stats().replicated_writes.get(), 0);
+        assert_eq!(r.stats().single_replica_reads.get(), 1);
     }
 
     #[test]
     fn replicated_write_lands_on_every_slot() {
         let r = repl(3, 2);
         let c = r.cell(0);
-        r.write_u64(&c, 41, Locality::Remote);
+        write(&r, &c, 41);
         r.store(&c, 42);
         for slot in c.slots.iter() {
             assert_eq!(slot.value.load(Ordering::Acquire), 42);
@@ -912,7 +789,7 @@ mod tests {
         assert_eq!(r.read_u64(&c, Locality::Remote), 42);
         assert_eq!(r.load(&c), 42);
         // 3 slots per write → batched writes metered per slot.
-        assert_eq!(r.fabric().stats().writes.get(), 3 + 2); // write fans 3, store fans 2 backups
+        assert_eq!(r.fabric_stats().writes.get(), 3 + 2); // write fans 3, store fans 2 backups
         assert_eq!(r.stats().replicated_writes.get(), 2);
         assert_eq!(r.stats().single_replica_reads.get(), 1);
     }
@@ -936,7 +813,7 @@ mod tests {
         for victim in 0..3 {
             let r = repl(3, 2);
             let c = r.cell(0);
-            r.write_u64(&c, 1000 + victim as u64, Locality::Remote);
+            write(&r, &c, 1000 + victim as u64);
             assert!(r.crash_replica(victim));
             assert!(!r.crash_replica(victim), "double crash is a no-op");
             assert!(r.quorum_ok());
@@ -955,9 +832,9 @@ mod tests {
     fn recovery_reseats_the_crashed_replica_from_survivors() {
         let r = repl(3, 2);
         let c = r.cell(0);
-        r.write_u64(&c, 11, Locality::Remote);
+        write(&r, &c, 11);
         assert!(r.crash_replica(0));
-        r.write_u64(&c, 22, Locality::Remote); // lands only on survivors
+        write(&r, &c, 22); // lands only on survivors
         assert!(r.recover_replica(0));
         assert!(!r.recover_replica(0), "double recover is a no-op");
         assert_eq!(c.slots[0].value.load(Ordering::Acquire), 22);
@@ -975,7 +852,7 @@ mod tests {
         let r = repl(2, 1);
         assert!(r.crash_replica(1));
         let c = r.cell(5);
-        r.write_u64(&c, 6, Locality::Remote);
+        write(&r, &c, 6);
         assert!(r.recover_replica(1));
         assert!(r.crash_replica(0));
         assert_eq!(r.read_u64(&c, Locality::Remote), 6);
@@ -1001,8 +878,7 @@ mod tests {
         let d = r.cell(100);
         let mut b = r.batch();
         b.write_cell(&c, 8, Locality::Local);
-        assert_eq!(b.swap_cell(&d, 0, Locality::Local), 100);
-        assert_eq!(b.fetch_add_cell(&d, 3, Locality::Remote), 0);
+        assert_eq!(b.swap_cell(&d, 3, Locality::Local), 100);
         assert_eq!(b.read_cell(&c, Locality::Remote), 8);
         b.flush();
         for slot in c.slots.iter() {
@@ -1022,22 +898,45 @@ mod tests {
         b.swap_cell(&c, 3, Locality::Local);
         b.read_cell(&c, Locality::Local);
         b.flush();
-        assert_eq!(r.fabric().stats().batched_ops.get(), 3);
+        let s = r.fabric_stats();
+        assert_eq!(s.batched_ops.get(), 3);
+        assert_eq!((s.writes.get(), s.atomics.get(), s.reads.get()), (1, 1, 1));
+        assert_eq!(r.stats().replicated_writes.get(), 0);
+    }
+
+    #[test]
+    fn replicated_single_verbs_ring_one_doorbell() {
+        let r = repl(3, 2);
+        let c = r.cell(0);
+        let s = r.fabric_stats();
+        r.read_u64(&c, Locality::Remote);
+        r.rpc(32, || ());
+        assert_eq!(s.batched_ops.get(), 0, "a lone read or RPC is not batched");
+        r.fetch_add_u64(&c, 1, Locality::Remote); // primary atomic + 2 backup writes
+        assert_eq!(s.batched_ops.get(), 3);
+        r.store(&c, 9); // primary plain and unmetered, 2 backup writes
+        assert_eq!(s.batched_ops.get(), 5);
+        // The page payload reaches the primary and both backups in the same
+        // doorbell (DESIGN.md §15), not primary first and backups after.
+        r.bulk_write(4096, Locality::Remote);
+        assert_eq!(s.batched_ops.get(), 8);
+        assert_eq!(s.bytes_written.get(), 4 * 8 + 3 * 4096);
+        assert_eq!(r.stats().replicated_writes.get(), 3);
     }
 
     #[test]
     fn replicate_mutation_is_free_at_r1_and_charged_at_r3() {
         let r1 = repl(1, 1);
         r1.replicate_mutation(32);
-        assert_eq!(r1.fabric().stats().writes.get(), 0);
+        assert_eq!(r1.fabric_stats().writes.get(), 0);
 
         let r3 = repl(3, 2);
         r3.replicate_mutation(32);
-        assert_eq!(r3.fabric().stats().writes.get(), 2);
-        assert_eq!(r3.fabric().stats().bytes_written.get(), 64);
+        assert_eq!(r3.fabric_stats().writes.get(), 2);
+        assert_eq!(r3.fabric_stats().bytes_written.get(), 64);
         r3.crash_replica(2);
         r3.replicate_mutation(32);
-        assert_eq!(r3.fabric().stats().writes.get(), 3, "dead backup skipped");
+        assert_eq!(r3.fabric_stats().writes.get(), 3, "dead backup skipped");
     }
 
     #[test]
@@ -1082,7 +981,7 @@ mod tests {
         // forever or returning the torn value.
         let r = repl(3, 2);
         let c = r.cell(0);
-        r.write_u64(&c, 7, Locality::Remote);
+        write(&r, &c, 7);
         let slot0 = &c.slots[0];
         slot0
             .seq

@@ -39,6 +39,14 @@ use pmp_rdma::precise_wait_ns;
 /// Slot-map shards; power of two so the pick is a mask.
 const SLOT_SHARDS: usize = 64;
 
+/// Raw image bytes below which a page is stored uncompressed (the codec
+/// header would dominate).
+const PAGE_COMP_THRESHOLD: usize = 512;
+
+/// Byte budget of a compressed page's uncompressed delta region. In-place
+/// updates append splice deltas there; overflow triggers a recompress.
+const DELTA_REGION_BYTES: usize = 2 * 1024;
+
 /// Codec shards never nest with anything: encoding is pure CPU and the
 /// page-store write happens after the shard is released.
 const SLOT_SHARD: LockClass = LockClass::new("storage.page_codec");
@@ -187,16 +195,16 @@ impl<P: Clone + Send + Sync + StorageImage> SharedStorage<P> {
                 codec_raw_bytes: 0,
             });
         }
-        let threshold = self.comp.page_comp_threshold;
-        let budget = self.comp.delta_region_bytes;
         let mut shard = self.slot_shard(id).lock();
         let (physical, outcome) = match shard.entry(id) {
             Entry::Occupied(mut e) => {
-                let o = e.get_mut().update(&self.codec, threshold, budget, image);
+                let o =
+                    e.get_mut()
+                        .update(&self.codec, PAGE_COMP_THRESHOLD, DELTA_REGION_BYTES, image);
                 (e.get().physical_len(), o)
             }
             Entry::Vacant(v) => {
-                let (slot, o) = PageSlot::new(&self.codec, threshold, image);
+                let (slot, o) = PageSlot::new(&self.codec, PAGE_COMP_THRESHOLD, image);
                 let physical = slot.physical_len();
                 v.insert(slot);
                 (physical, o)

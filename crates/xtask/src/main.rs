@@ -22,13 +22,13 @@
 //!   code: page reads on engine paths must go through the `pmp-io` ring
 //!   (`IoRing::read_page`, `submit_with`, or a prefetch) so the charged
 //!   storage latency elapses off-thread and loads overlap.
-//! * `sequential-fanout` — single-verb `Fabric::read_u64` / `write_u64`
-//!   calls inside `for` loops are forbidden in `pmfs` and `engine` library
-//!   code: each iteration charges a full fabric round-trip, so fan-outs
-//!   over collections must go through `Fabric::batch()` (one doorbell, one
-//!   charge at flush). Bare `loop` / `while` bodies are exempt so CAS
-//!   retry loops stay idiomatic, and batch receivers (`batch.write_u64`)
-//!   never match.
+//! * `sequential-fanout` — single-verb `read_u64` / `write_u64` calls (on
+//!   the raw or the replicated fabric: each is a doorbell batch of one)
+//!   inside `for` loops are forbidden in `pmfs` and `engine` library code:
+//!   each iteration charges a full fabric round-trip, so fan-outs over
+//!   collections must post into one `batch()` (one doorbell, one charge at
+//!   flush). Bare `loop` / `while` bodies are exempt so CAS retry loops
+//!   stay idiomatic, and batch receivers (`batch.write_u64`) never match.
 //! * `blocking-wait-in-scheduler` — condvar waits (`.wait(` /
 //!   `.wait_until(`) and `precise_wait_ns` are forbidden in the transaction
 //!   scheduler and session actor (`engine/src/scheduler.rs`,
@@ -43,13 +43,6 @@
 //!   version reconstruction must flow through `txn::visible_version` so
 //!   every walk consults and back-fills the per-node version store.
 //!   Recovery replay carries documented allows.
-//! * `unreplicated-pmfs-write` — fabric mutation verbs (`write_u64`,
-//!   `cas_u64`, `fetch_add_u64`, `swap_u64`, `write_flag`, `bulk_write`)
-//!   on a raw `Fabric` receiver are forbidden in `crates/pmfs` library
-//!   code: PMFS-owned cells must mutate through `pmp_repl::ReplicatedFabric`
-//!   (or a `ReplBatch`) so the write fans to every replica and survives a
-//!   replica crash (DESIGN.md §15). A mutation that deliberately targets
-//!   node-owned (non-replicated) memory carries a documented allow.
 //!
 //! Escape hatches, each requiring a written justification:
 //!
@@ -65,7 +58,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const RULES: [&str; 12] = [
+const RULES: [&str; 11] = [
     "std-sync",
     "raw-sleep",
     "raw-instant",
@@ -76,7 +69,6 @@ const RULES: [&str; 12] = [
     "undo-reconstruction",
     "blocking-wait-in-scheduler",
     "relaxed-atomic",
-    "unreplicated-pmfs-write",
     "uncompressed-storage-append",
 ];
 
@@ -107,12 +99,6 @@ const UNDO_WALK_ALLOWED_FILES: [&str; 2] =
 /// of `read_u64`/`write_u64` charges one round-trip per iteration where a
 /// `Fabric::batch()` would charge one for the whole doorbell.
 const FANOUT_BANNED: [&str; 2] = ["crates/pmfs/src/", "crates/engine/src/"];
-
-/// PMFS library code owns the fusion-server state that `pmp-repl`
-/// replicates; a mutation issued on a raw `Fabric` receiver lands on one
-/// replica only and silently diverges the others. All PMFS-owned cells
-/// must mutate through `ReplicatedFabric` / `ReplBatch`.
-const PMFS_REPL_BANNED: &str = "crates/pmfs/src/";
 
 /// The simulated-latency charge point is the one legitimate home of real
 /// sleeps and real clock reads.
@@ -248,7 +234,6 @@ fn lint_source(rel_path: &str, text: &str) -> Vec<Violation> {
     let sched_blocking_banned = SCHED_BLOCKING_BANNED.contains(&rel_path);
     let relaxed_banned =
         rel_path.starts_with(RELAXED_BANNED_DIR) || RELAXED_BANNED_FILES.contains(&rel_path);
-    let pmfs_repl_banned = rel_path.starts_with(PMFS_REPL_BANNED);
     let storage_append_banned = rel_path.starts_with(STORAGE_APPEND_BANNED)
         && !STORAGE_APPEND_ALLOWED_FILES.contains(&rel_path);
 
@@ -462,19 +447,6 @@ fn lint_source(rel_path: &str, text: &str) -> Vec<Violation> {
             );
         }
 
-        if pmfs_repl_banned
-            && unreplicated_pmfs_verb(code, if idx > 0 { lines[idx - 1] } else { "" })
-        {
-            report(
-                "unreplicated-pmfs-write",
-                "fabric mutation verb on a raw Fabric receiver in PMFS code; \
-                 the write lands on one replica only — go through \
-                 ReplicatedFabric / ReplBatch so it fans to every replica, \
-                 or add a documented allow if this memory is node-owned"
-                    .into(),
-            );
-        }
-
         if relaxed_banned && code.contains("Ordering::Relaxed") {
             report(
                 "relaxed-atomic",
@@ -599,47 +571,6 @@ fn fanout_verb_pos(code: &str, prev_raw: &str) -> Option<usize> {
         }
     }
     None
-}
-
-/// Does `code` issue a fabric mutation verb on a raw `Fabric` receiver?
-/// Receivers named after the replication facade (`repl…`) or a batch
-/// builder (`…batch`) are the sanctioned paths and never match; anything
-/// containing `fabric` (fields, locals, `self.fabric`) does. `prev_raw`
-/// supplies the receiver for rustfmt-split chains where the verb opens the
-/// line.
-fn unreplicated_pmfs_verb(code: &str, prev_raw: &str) -> bool {
-    let ident_start = |s: &str| {
-        s.rfind(|c: char| !(c.is_alphanumeric() || c == '_'))
-            .map(|i| i + 1)
-            .unwrap_or(0)
-    };
-    for verb in [
-        ".write_u64(",
-        ".cas_u64(",
-        ".fetch_add_u64(",
-        ".swap_u64(",
-        ".write_flag(",
-        ".bulk_write(",
-    ] {
-        let mut from = 0;
-        while let Some(pos) = code[from..].find(verb) {
-            let abs = from + pos;
-            let recv = &code[ident_start(&code[..abs])..abs];
-            let recv: &str = if recv.is_empty() {
-                // The verb opens the line: the receiver ended the previous
-                // line (rustfmt-split chain).
-                let prev = strip_comment(prev_raw).trim_end();
-                &prev[ident_start(prev)..]
-            } else {
-                recv
-            };
-            if recv.contains("fabric") {
-                return true;
-            }
-            from = abs + verb.len();
-        }
-    }
-    false
 }
 
 /// Does `line` carry `// lint: <kind>(<rule>): <non-empty reason>`?
@@ -892,14 +823,16 @@ mod tests {
         let src = "for page in pages {\n\
                        fabric.write_u64(&cell, v, Locality::Remote);\n\
                    }\n";
-        // In pmfs code a raw-fabric write in a loop breaks two rules at
-        // once: it fans out sequentially AND it bypasses replication.
+        for scoped in ["crates/pmfs/src/x.rs", "crates/engine/src/x.rs"] {
+            assert_eq!(rules_hit(scoped, src), vec!["sequential-fanout"]);
+        }
+        // A batch of one per iteration on the replication facade is the
+        // same per-iteration charge.
+        let repl = "for r in regions {\n\
+                        self.repl.read_u64(&r.cell, Locality::Remote);\n\
+                    }\n";
         assert_eq!(
-            rules_hit("crates/pmfs/src/x.rs", src),
-            vec!["sequential-fanout", "unreplicated-pmfs-write"]
-        );
-        assert_eq!(
-            rules_hit("crates/engine/src/x.rs", src),
+            rules_hit("crates/pmfs/src/x.rs", repl),
             vec!["sequential-fanout"]
         );
         // Out-of-scope crates (and the fabric impl itself) are exempt.
@@ -909,7 +842,7 @@ mod tests {
         let one = "for f in flags { fabric.write_u64(f, 1, Locality::Remote); }\n";
         assert_eq!(
             rules_hit("crates/pmfs/src/x.rs", one),
-            vec!["sequential-fanout", "unreplicated-pmfs-write"]
+            vec!["sequential-fanout"]
         );
         // Calls after the loop closes don't match.
         let after = "for p in ps {\n    collect(p);\n}\nfabric.read_u64(&cell, Locality::Local);\n";
@@ -937,12 +870,11 @@ mod tests {
         let split_batch =
             "for p in ps {\n    batch\n        .write_u64(p, 1, Locality::Remote);\n}\n";
         assert!(rules_hit("crates/pmfs/src/x.rs", split_batch).is_empty());
-        // …but a split single-verb chain is still a violation (of both the
-        // fanout rule and, for a raw-fabric mutation in pmfs, replication).
+        // …but a split single-verb chain is still a violation.
         let split = "for p in ps {\n    fabric\n        .write_u64(p, 1, Locality::Remote);\n}\n";
         assert_eq!(
             rules_hit("crates/pmfs/src/x.rs", split),
-            vec!["sequential-fanout", "unreplicated-pmfs-write"]
+            vec!["sequential-fanout"]
         );
         // CAS retry loops use `loop`/`while` and are deliberately exempt.
         let retry = "loop {\n\
@@ -954,71 +886,12 @@ mod tests {
                            cur = fabric.read_u64(&cell, Locality::Remote);\n\
                        }\n";
         assert!(rules_hit("crates/pmfs/src/x.rs", advance).is_empty());
-        // Escape hatch with a written reason (one allow per rule broken).
+        // Escape hatch with a written reason.
         let allowed = "for p in ps {\n\
                            // lint: allow(sequential-fanout): bounded to 2 replicas\n\
-                           fabric.write_u64(p, 1, Locality::Remote); // lint: allow(unreplicated-pmfs-write): node-owned flag\n\
+                           fabric.write_u64(p, 1, Locality::Remote);\n\
                        }\n";
         assert!(rules_hit("crates/pmfs/src/x.rs", allowed).is_empty());
-    }
-
-    #[test]
-    fn unreplicated_pmfs_write_flagged_on_raw_fabric_mutations() {
-        // Every mutation verb on a raw-fabric receiver is flagged in pmfs
-        // library code — even outside a loop.
-        for verb in [
-            "self.fabric.write_u64(&cell, v, Locality::Remote);\n",
-            "fabric.cas_u64(&cell, cur, next, Locality::Remote);\n",
-            "self.fabric.fetch_add_u64(&cell, 1, Locality::Local);\n",
-            "fabric.swap_u64(&cell, 0, Locality::Local);\n",
-            "self.fabric.write_flag(&flag, false, Locality::Remote);\n",
-            "fabric.bulk_write(self.page_bytes, Locality::Remote);\n",
-        ] {
-            assert_eq!(
-                rules_hit("crates/pmfs/src/buffer.rs", verb),
-                vec!["unreplicated-pmfs-write"],
-                "{verb}"
-            );
-        }
-        // Reads stay single-replica (the fast path) — never flagged.
-        assert!(rules_hit(
-            "crates/pmfs/src/tit.rs",
-            "let v = fabric.read_u64(&cell, Locality::Remote);\n"
-        )
-        .is_empty());
-        // The replication facade and batch builders ARE the fix.
-        assert!(rules_hit(
-            "crates/pmfs/src/tso.rs",
-            "repl.write_u64(&cell, v, Locality::Remote);\n\
-             self.repl.cas_u64(&cell, a, b, Locality::Local);\n\
-             batch.write_u64(&cell, v, Locality::Remote);\n"
-        )
-        .is_empty());
-        // rustfmt-split chains are caught via the previous line…
-        let split = "self.fabric\n    .write_u64(&cell, v, Locality::Remote);\n";
-        assert_eq!(
-            rules_hit("crates/pmfs/src/plock.rs", split),
-            vec!["unreplicated-pmfs-write"]
-        );
-        // …and split repl chains stay clean.
-        let split_repl = "self.repl\n    .write_u64(&cell, v, Locality::Remote);\n";
-        assert!(rules_hit("crates/pmfs/src/plock.rs", split_repl).is_empty());
-        // Out-of-scope crates keep raw-fabric access (the facade itself,
-        // the engine's undo reads, baselines).
-        let raw = "fabric.write_u64(&cell, v, Locality::Remote);\n";
-        assert!(rules_hit("crates/repl/src/lib.rs", raw).is_empty());
-        assert!(rules_hit("crates/engine/src/node.rs", raw).is_empty());
-        // Escape hatch with a written reason; an empty reason suppresses
-        // nothing.
-        let allowed = "fabric.write_u64(&f, 1, Locality::Remote); \
-                       // lint: allow(unreplicated-pmfs-write): node-owned invalid flag\n";
-        assert!(rules_hit("crates/pmfs/src/buffer.rs", allowed).is_empty());
-        let no_reason = "fabric.write_u64(&f, 1, Locality::Remote); \
-                         // lint: allow(unreplicated-pmfs-write):\n";
-        assert_eq!(
-            rules_hit("crates/pmfs/src/buffer.rs", no_reason),
-            vec!["unreplicated-pmfs-write"]
-        );
     }
 
     #[test]
