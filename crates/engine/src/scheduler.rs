@@ -587,8 +587,17 @@ impl Scheduler {
     /// their blocking fallbacks, so it terminates). Idempotent.
     pub fn stop(&self) {
         self.inner.stopped.store(true, Ordering::Release);
+        // Each waiter reads `stopped` under its mutex and then waits on the
+        // condvar paired with it. Passing through that mutex between the
+        // store and the notify means a waiter either sees the flag or is
+        // already inside `wait` when the notify lands; notifying without it
+        // can fall between the waiter's check and its wait, and the waiter
+        // (and the join below) then sleeps forever.
+        drop(self.inner.queue.lock());
         self.inner.cv.notify_all();
+        drop(self.inner.timers.lock());
         self.inner.timer_cv.notify_all();
+        drop(self.inner.blocking.lock());
         self.inner.blocking_cv.notify_all();
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.threads.lock());
         for h in handles {
@@ -851,6 +860,38 @@ mod tests {
                 std::thread::yield_now();
             }
         }
+    }
+
+    #[test]
+    fn stop_racing_thread_start_up_does_not_hang() {
+        // Regression for the lost wake-up in `stop`: a worker, the timer
+        // thread or a helper that had read `stopped == false` and not yet
+        // entered its condvar wait missed a notify sent without the mutex,
+        // and `stop` hung in `join`. The window is a few instructions wide
+        // right after a thread starts, so sweep `stop` across start-up with
+        // a jittered delay, many times, under a watchdog.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let cycles = std::thread::spawn(move || {
+            for round in 0..3_000u64 {
+                let sched = Scheduler::new(1);
+                if round % 3 == 0 {
+                    // Bring a helper thread into the race too.
+                    sched.spawn_blocking(Box::new(|| {}));
+                }
+                // 0–200 µs, scattered: a prime stride walks the whole range.
+                let delay = Duration::from_nanos(round * 7_919 % 200_000);
+                let t = Instant::now();
+                while t.elapsed() < delay {
+                    std::hint::spin_loop();
+                }
+                sched.stop();
+            }
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("Scheduler::stop hung: a thread missed the stop notification");
+        cycles.join().unwrap();
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! reservation, so a crash still persists whole reservations or nothing —
 //! the same atomic-group contract appenders had before.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pmp_common::sync::{LockClass, TrackedCondvar, TrackedMutex};
@@ -59,6 +58,82 @@ impl ReservationSlot {
     }
 }
 
+/// The holes of a stream: `[start, end)` byte ranges that hold no stored
+/// bytes, sorted by `start`, never overlapping (they can abut).
+///
+/// Every compressed redo group leaves one (the unwritten tail of its
+/// worst-case reservation), so a long-running stream holds one entry per
+/// commit or more and the container's footprint is resident memory that
+/// grows with throughput. Ranges arrive almost in stream order — fills
+/// complete in nearly the order they were reserved — which leaves the
+/// leaves of a `BTreeMap` half full (36 B per entry measured); a sorted
+/// `Vec` is 16 B per entry, an insert is a push or lands a few slots from
+/// the end, and every lookup is one binary search.
+#[derive(Debug, Default)]
+struct DeadRanges(Vec<(u64, u64)>);
+
+impl DeadRanges {
+    /// Index of the first range starting at or after `pos`.
+    fn idx_at_or_after(&self, pos: u64) -> usize {
+        self.0.partition_point(|&(start, _)| start < pos)
+    }
+
+    /// Record `[start, end)`; a range already recorded at `start` is replaced.
+    fn insert(&mut self, start: u64, end: u64) {
+        if self.0.last().is_none_or(|&(last, _)| last < start) {
+            self.0.push((start, end));
+            return;
+        }
+        let i = self.idx_at_or_after(start);
+        match self.0.get_mut(i) {
+            Some(range) if range.0 == start => range.1 = end,
+            _ => self.0.insert(i, (start, end)),
+        }
+    }
+
+    /// The last range that starts below `pos`.
+    fn last_starting_below(&self, pos: u64) -> Option<(u64, u64)> {
+        self.idx_at_or_after(pos).checked_sub(1).map(|i| self.0[i])
+    }
+
+    /// Start of the first range at or after `pos` (`u64::MAX` if none).
+    fn next_start(&self, pos: u64) -> u64 {
+        self.0
+            .get(self.idx_at_or_after(pos))
+            .map_or(u64::MAX, |&(start, _)| start)
+    }
+
+    /// First position at or after `pos` that is outside every range, hopping
+    /// over ranges that cover `pos` (they can abut). The `limit` clamp
+    /// doubles as a progress guard: a range ending past the durable
+    /// watermark must not spin a reader in place.
+    fn next_live(&self, mut pos: u64, limit: u64) -> u64 {
+        // "Starts below `pos + 1`": the last range starting at or before `pos`.
+        while let Some((_, end)) = self.last_starting_below(pos.saturating_add(1)) {
+            let next = end.min(limit);
+            if next <= pos {
+                break;
+            }
+            pos = next;
+        }
+        pos
+    }
+
+    /// Dead bytes below `to` in the ranges that start within `[from, to)`.
+    fn bytes_within(&self, from: u64, to: u64) -> u64 {
+        self.0[self.idx_at_or_after(from)..]
+            .iter()
+            .take_while(|&&(start, _)| start < to)
+            .map(|&(start, end)| end.min(to) - start)
+            .sum()
+    }
+
+    /// Forget every range that starts at or after `at`.
+    fn truncate_from(&mut self, at: u64) {
+        self.0.truncate(self.idx_at_or_after(at));
+    }
+}
+
 #[derive(Debug)]
 struct LogInner {
     data: Vec<u8>,
@@ -76,12 +151,13 @@ struct LogInner {
     head: u64,
     /// Sequence number the next reservation will get.
     tail: u64,
-    /// `start → end` of abandoned reservations: the owner dropped the
-    /// reservation without filling it (a panic between reserve and fill).
-    /// The bytes stay zeroed and are never handed out by `read_chunk`, but
-    /// they no longer block the durability watermark — one wedged writer
-    /// must not stall group commit for the whole stream.
-    dead: BTreeMap<u64, u64>,
+    /// Reserved ranges nobody wrote: the tail a `fill_prefix` gave back, or
+    /// a whole reservation its owner dropped without filling (a panic
+    /// between reserve and fill). The bytes stay zeroed and are never handed
+    /// out by `read_chunk`, but they no longer block the durability
+    /// watermark — one wedged writer must not stall group commit for the
+    /// whole stream.
+    dead: DeadRanges,
     /// Bumped by `crash()`; fills carrying an older epoch are dead — their
     /// reservation was truncated away, and a fresh reservation may already
     /// occupy the same offsets.
@@ -97,7 +173,7 @@ impl Default for LogInner {
             slots: vec![ReservationSlot::empty(); RESERVATION_SLOTS].into_boxed_slice(),
             head: 0,
             tail: 0,
-            dead: BTreeMap::new(),
+            dead: DeadRanges::default(),
             epoch: 0,
         }
     }
@@ -416,12 +492,7 @@ impl LogStream {
         // Dead ranges never straddle the durable watermark (both are slot
         // boundaries), so every range overlapping the new span starts in it.
         let durable = g.durable;
-        let dead_in_span: u64 = g
-            .dead
-            .range(before..durable)
-            .map(|(&s, &e)| e.min(durable) - s)
-            .sum();
-        let newly = (g.durable - before) - dead_in_span;
+        let newly = (durable - before) - g.dead.bytes_within(before, durable);
         self.synced_bytes.add(newly);
         (Lsn(g.durable), newly)
     }
@@ -484,7 +555,7 @@ impl LogStream {
         // glue) inert. Dead ranges below the watermark are durable holes
         // and survive; those above died with the tail.
         g.head = g.tail; // retire every outstanding slot
-        g.dead.split_off(&durable);
+        g.dead.truncate_from(durable);
         g.epoch += 1;
         drop(g);
         self.state.fill_cv.notify_all();
@@ -523,26 +594,10 @@ impl LogStream {
     /// charged at batch granularity by the `pmp-io` worker).
     pub fn read_chunk_uncharged(&self, from: Lsn, max_bytes: usize) -> ReadChunk {
         let g = self.state.inner.lock();
-        let mut start = from.0.min(g.durable);
-        // Hop over any dead ranges covering `start` (they can abut). The
-        // durable clamp doubles as a progress guard: a range ending past
-        // the watermark must not spin us in place.
-        while let Some((_, &end)) = g.dead.range(..=start).next_back() {
-            let next = end.min(g.durable);
-            if next <= start {
-                break;
-            }
-            start = next;
-        }
-        let next_dead = g
-            .dead
-            .range(start..)
-            .next()
-            .map(|(&s, _)| s)
-            .unwrap_or(u64::MAX);
+        let start = g.dead.next_live(from.0.min(g.durable), g.durable);
         let end = (start.saturating_add(max_bytes as u64))
             .min(g.durable)
-            .min(next_dead);
+            .min(g.dead.next_start(start));
         ReadChunk {
             start: Lsn(start),
             end: Lsn(end),
@@ -571,26 +626,11 @@ impl LogStream {
     /// granularity; `read_gather` is the direct charged form).
     pub fn read_gather_uncharged(&self, from: Lsn, max_bytes: usize) -> ReadChunk {
         let g = self.state.inner.lock();
-        let hop = |mut pos: u64| {
-            while let Some((_, &end)) = g.dead.range(..=pos).next_back() {
-                let next = end.min(g.durable);
-                if next <= pos {
-                    break;
-                }
-                pos = next;
-            }
-            pos
-        };
-        let start = hop(from.0.min(g.durable));
+        let start = g.dead.next_live(from.0.min(g.durable), g.durable);
         let mut pos = start;
         let mut data = Vec::new();
         while pos < g.durable && data.len() < max_bytes {
-            let next_dead = g
-                .dead
-                .range(pos..)
-                .next()
-                .map(|(&s, _)| s)
-                .unwrap_or(u64::MAX);
+            let next_dead = g.dead.next_start(pos);
             let span_end = pos
                 .saturating_add((max_bytes - data.len()) as u64)
                 .min(g.durable)
@@ -598,7 +638,7 @@ impl LogStream {
             data.extend_from_slice(&g.data[pos as usize..span_end as usize]);
             pos = span_end;
             if pos == next_dead {
-                pos = hop(pos);
+                pos = g.dead.next_live(pos, g.durable);
             } else {
                 break; // hit the durable watermark or max_bytes
             }
@@ -625,7 +665,7 @@ impl LogStream {
             // Skip trailing dead padding (ranges can abut) so the byte we
             // drop below is a stored one. `e >= new_durable` (not `>`)
             // catches a range ending exactly at the watermark.
-            while let Some((&s, &e)) = g.dead.range(..new_durable).next_back() {
+            while let Some((s, e)) = g.dead.last_starting_below(new_durable) {
                 if e >= new_durable && s < new_durable {
                     new_durable = s;
                 } else {
@@ -641,7 +681,7 @@ impl LogStream {
         g.checkpoint = g.checkpoint.min(new_durable);
         g.data.truncate(new_durable as usize);
         g.head = g.tail; // retire every outstanding slot
-        g.dead.split_off(&new_durable);
+        g.dead.truncate_from(new_durable);
         g.epoch += 1;
         drop(g);
         self.state.fill_cv.notify_all();
@@ -682,6 +722,78 @@ mod tests {
 
     fn stream() -> LogStream {
         LogStream::new(StorageLatencyConfig::disabled())
+    }
+
+    fn dead(ranges: &[(u64, u64)]) -> DeadRanges {
+        let mut d = DeadRanges::default();
+        for &(start, end) in ranges {
+            d.insert(start, end);
+        }
+        d
+    }
+
+    #[test]
+    fn dead_ranges_stay_sorted_under_out_of_order_inserts() {
+        // Fills complete almost, not exactly, in stream order.
+        let d = dead(&[(10, 12), (30, 35), (20, 22), (5, 6), (40, 41), (36, 40)]);
+        assert_eq!(
+            d.0,
+            [(5, 6), (10, 12), (20, 22), (30, 35), (36, 40), (40, 41)]
+        );
+        // A crash truncates and the offsets are handed out again: the new
+        // range at a recorded start replaces the old one.
+        let mut d = d;
+        d.insert(30, 33);
+        d.insert(41, 50);
+        assert_eq!(d.0[3..], [(30, 33), (36, 40), (40, 41), (41, 50)]);
+    }
+
+    #[test]
+    fn dead_ranges_answer_covering_and_next_live() {
+        let d = dead(&[(10, 12), (20, 25), (25, 30), (30, 31), (50, 60)]);
+        assert_eq!(d.last_starting_below(10), None);
+        assert_eq!(d.last_starting_below(11), Some((10, 12)));
+        assert_eq!(d.last_starting_below(u64::MAX), Some((50, 60)));
+        assert_eq!(dead(&[]).last_starting_below(7), None);
+
+        assert_eq!(d.next_start(0), 10);
+        assert_eq!(d.next_start(10), 10);
+        assert_eq!(d.next_start(11), 20);
+        assert_eq!(d.next_start(51), u64::MAX);
+
+        // Outside every range: stays put. Inside one: its end. Abutting
+        // ranges are hopped in one call.
+        assert_eq!(d.next_live(9, 100), 9);
+        assert_eq!(d.next_live(12, 100), 12);
+        assert_eq!(d.next_live(10, 100), 12);
+        assert_eq!(d.next_live(20, 100), 31);
+        assert_eq!(d.next_live(27, 100), 31);
+        // Never past the limit, and no livelock on a range that straddles it.
+        assert_eq!(d.next_live(20, 28), 28);
+        assert_eq!(d.next_live(55, 55), 55);
+        assert_eq!(d.next_live(55, 52), 55);
+    }
+
+    #[test]
+    fn dead_ranges_count_bytes_and_truncate() {
+        let mut d = dead(&[(10, 12), (20, 25), (25, 30), (50, 60)]);
+        assert_eq!(d.bytes_within(0, 100), 2 + 5 + 5 + 10);
+        assert_eq!(d.bytes_within(12, 50), 10);
+        assert_eq!(d.bytes_within(20, 25), 5);
+        assert_eq!(
+            d.bytes_within(11, 20),
+            0,
+            "only ranges starting in the span"
+        );
+        assert_eq!(d.bytes_within(50, 55), 5, "clipped at the span's end");
+        assert_eq!(d.bytes_within(30, 30), 0);
+
+        d.truncate_from(25);
+        assert_eq!(d.0, [(10, 12), (20, 25)]);
+        d.truncate_from(11);
+        assert_eq!(d.0, [(10, 12)], "a range that starts below the cut stays");
+        d.truncate_from(0);
+        assert!(d.0.is_empty());
     }
 
     #[test]
