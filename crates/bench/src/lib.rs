@@ -498,112 +498,6 @@ mod tests {
         }
     }
 
-    /// Async-session connections sweep (EXPERIMENTS.md §async engine): N
-    /// sessions on one node run a closed-loop begin → update-own-key →
-    /// commit, all driven from a single polling thread. The client side
-    /// holds no engine thread, so the concurrency the engine sees is bounded
-    /// by the scheduler worker pool and the TIT — not by client threads.
-    /// Each point reports tps, the open-transaction high-water mark (the
-    /// "connections actually in flight" proof), scheduler park/wake traffic,
-    /// and the mean commit latency; `conns=1` rows are the single-connection
-    /// regression guard across the knob settings.
-    #[test]
-    #[ignore] // probe: 64/128/256 async connections on a tiny scheduler pool
-    fn async_connections_probe() {
-        use pmp_engine::AsyncSession;
-
-        const WARMUP_SECS: f64 = 0.5;
-        const MEASURE_SECS: f64 = 1.0;
-
-        for &(workers, window_us) in &[(2usize, 0u64), (2, 20), (4, 20)] {
-            for &conns in &[1usize, 64, 128, 256] {
-                let mut config = ClusterConfig::bench(1, 1.0);
-                config.engine.sched_workers = workers;
-                config.engine.wal_group_window_us = window_us;
-                let shared = Shared::new(config);
-                let engine = NodeEngine::start(Arc::clone(&shared), NodeId(0));
-                let t = shared.create_table("t", 1, &[]).unwrap().id;
-                pmp_rdma::set_latency_enabled(false);
-                for k in 0..conns as u64 {
-                    commit_one_key(&engine, t, k);
-                }
-                pmp_rdma::set_latency_enabled(true);
-
-                let sessions: Vec<AsyncSession> =
-                    (0..conns).map(|_| AsyncSession::open(&engine)).collect();
-                // One transaction per connection at a time: queue the whole
-                // begin/update/commit triple on the session actor and keep
-                // only the commit future; its resolution restarts the loop.
-                let submit = |i: usize| {
-                    let s = &sessions[i];
-                    let _ = s.begin();
-                    let _ = s.update(t, i as u64, RowValue::new(vec![i as u64]));
-                    s.commit()
-                };
-                let mut futs: Vec<_> = (0..conns).map(submit).collect();
-
-                let start = std::time::Instant::now();
-                let warm_end = start + Duration::from_secs_f64(WARMUP_SECS);
-                let end = warm_end + Duration::from_secs_f64(MEASURE_SECS);
-                let mut measure_start = start;
-                let mut measuring = false;
-                let (mut commits, mut aborts) = (0u64, 0u64);
-                loop {
-                    let now = std::time::Instant::now();
-                    if !measuring && now >= warm_end {
-                        measuring = true;
-                        measure_start = now;
-                        commits = 0;
-                        aborts = 0;
-                    }
-                    if now >= end {
-                        break;
-                    }
-                    let mut progressed = false;
-                    for (i, slot) in futs.iter_mut().enumerate() {
-                        if let Some(res) = slot.try_take() {
-                            match res {
-                                Ok(_) => commits += 1,
-                                Err(_) => aborts += 1,
-                            }
-                            *slot = submit(i);
-                            progressed = true;
-                        }
-                    }
-                    if !progressed {
-                        // Don't starve the (tiny) worker pool with the poll
-                        // spin on small hosts.
-                        std::thread::sleep(Duration::from_micros(50));
-                    }
-                }
-                let elapsed = measure_start.elapsed().as_secs_f64();
-                for fut in futs {
-                    let _ = fut.wait();
-                }
-                for s in &sessions {
-                    let _ = s.close().wait();
-                }
-                let sched = engine.sched.stats();
-                println!(
-                    "workers={workers} window={window_us:>2}us conns={conns:>3} | tps={:>7.0} \
-                     aborts={aborts} | open_txns_hwm={} tasks_hwm={} parks={} wakes={} \
-                     | mean commit lat={:>6.0}us",
-                    commits as f64 / elapsed,
-                    engine.stats.open_txns.hwm(),
-                    sched.tasks.hwm(),
-                    sched.parks.get(),
-                    sched.wakes.get(),
-                    if commits > 0 {
-                        elapsed * 1e6 / commits as f64
-                    } else {
-                        0.0
-                    },
-                );
-                engine.stop_background();
-            }
-        }
-    }
-
     #[test]
     #[ignore] // probe: 4-node write-heavy sysbench, whole pipeline on/off
     fn commit_sysbench_pipeline_probe() {

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use pmp_common::sync::{sched_point, LockClass, TrackedCondvar, TrackedMutex, TrackedMutexGuard};
 use pmp_common::{Counter, NodeId, PageId, PmpError, Result};
-use pmp_pmfs::{PLockFusion, PLockMode, ReleaseRequester};
+use pmp_pmfs::{PLockFusion, PLockMode, PendingGrant, ReleaseRequester};
 
 use crate::scheduler::{self, Parker};
 
@@ -183,10 +183,9 @@ impl LocalPLocks {
     /// Acquire `mode` on `page`. Returns a guard whose drop decrements the
     /// reference count.
     ///
-    /// On a scheduler worker (lazy mode only) the wait points *park* the
-    /// calling transaction instead of blocking: the fusion RPC moves to the
-    /// scheduler's blocking pool and the call returns
-    /// [`PmpError::WouldBlock`]; the statement is re-run when the shard
+    /// Inside a scheduler task (lazy mode only) the wait points *park* the
+    /// calling transaction instead of blocking: the call returns
+    /// [`PmpError::WouldBlock`] and the statement is re-run when the shard
     /// changes state. Everywhere else this blocks as before.
     pub fn acquire(self: &Arc<Self>, page: PageId, mode: PLockMode) -> Result<PLockGuard<'_>> {
         if self.lazy {
@@ -219,38 +218,7 @@ impl LocalPLocks {
 
                     self.stats.fusion_acquires.inc();
                     let res = self.fusion.acquire(self.node, page, mode, self.timeout);
-
-                    st = shard.state.lock();
-                    match res {
-                        Ok(()) => {
-                            if st.entries.get_mut(&page).is_none() {
-                                // `crash_clear` wiped the table while the
-                                // fusion call was in flight: the node crashed
-                                // under us. Hand the surprise grant straight
-                                // back so fusion doesn't record a hold no
-                                // local entry tracks (recovery's release_all
-                                // may already have run), and fail the caller.
-                                drop(st);
-                                self.fusion.release(self.node, page);
-                                return Err(PmpError::NodeUnavailable { node: self.node });
-                            }
-                            let e = st.entries.get_mut(&page).expect("checked above");
-                            e.state = EntryState::Held;
-                            e.mode = mode;
-                            e.refcount = 1;
-                            notify_shard(st, shard);
-                            return Ok(PLockGuard {
-                                owner: self,
-                                page,
-                                mode,
-                            });
-                        }
-                        Err(e) => {
-                            st.entries.remove(&page);
-                            notify_shard(st, shard);
-                            return Err(e);
-                        }
-                    }
+                    return self.install_grant(page, mode, res);
                 }
                 Some(entry) => match entry.state {
                     EntryState::Acquiring => {
@@ -294,10 +262,52 @@ impl LocalPLocks {
         }
     }
 
+    /// The acquirer's last step, on the thread that asked: turn Lock
+    /// Fusion's verdict for the `Acquiring` entry into a guard (`Held`, one
+    /// reference) or remove the entry, and wake the shard either way.
+    fn install_grant(
+        &self,
+        page: PageId,
+        mode: PLockMode,
+        res: Result<()>,
+    ) -> Result<PLockGuard<'_>> {
+        let shard = self.shard(page);
+        let mut st = shard.state.lock();
+        if let Err(e) = res {
+            st.entries.remove(&page);
+            notify_shard(st, shard);
+            return Err(e);
+        }
+        let Some(e) = st.entries.get_mut(&page) else {
+            // `crash_clear` wiped the table while the fusion call was in
+            // flight: the node crashed under us. Hand the surprise grant
+            // straight back so fusion doesn't record a hold no local entry
+            // tracks (recovery's release_all may already have run), and
+            // fail the caller.
+            drop(st);
+            self.fusion.release(self.node, page);
+            return Err(PmpError::NodeUnavailable { node: self.node });
+        };
+        e.state = EntryState::Held;
+        e.mode = mode;
+        e.refcount = 1;
+        notify_shard(st, shard);
+        Ok(PLockGuard {
+            owner: self,
+            page,
+            mode,
+        })
+    }
+
     /// The parking variant of [`acquire`](Self::acquire): every wait the
     /// blocking path spends on the shard condvar instead registers a waker
-    /// and returns [`PmpError::WouldBlock`], and the fusion acquire RPC runs
-    /// on the scheduler's blocking pool with the transaction parked.
+    /// and returns [`PmpError::WouldBlock`]. Lock Fusion is asked on this
+    /// thread — the RPC and the negotiation are bounded, and the usual
+    /// answer is a grant (at once, or handed back by an idle holder inside
+    /// the negotiation), which returns the guard without parking. Only a
+    /// grant that is really outstanding (the holder has the page pinned)
+    /// parks the transaction, with the wait on the scheduler's blocking
+    /// pool.
     ///
     /// Waker registration happens under the shard lock and every state
     /// change notifies under that same lock, so a wake can't be missed:
@@ -327,40 +337,26 @@ impl LocalPLocks {
                     );
                     drop(st);
                     self.stats.fusion_acquires.inc();
-                    let this = Arc::clone(self);
-                    let wake = Arc::clone(parker);
-                    parker.spawn_blocking(Box::new(move || {
-                        let res = this.fusion.acquire(this.node, page, mode, this.timeout);
-                        let shard = this.shard(page);
-                        let mut st = shard.state.lock();
-                        let mut surprise_grant = false;
-                        match res {
-                            Ok(()) => match st.entries.get_mut(&page) {
-                                Some(e) => {
-                                    // Install as a lazily retained hold; the
-                                    // woken transaction re-grants locally.
-                                    e.state = EntryState::Held;
-                                    e.mode = mode;
-                                }
-                                // crash_clear raced the fusion call (see the
-                                // blocking path): hand the grant back.
-                                None => surprise_grant = true,
-                            },
-                            Err(e) => {
-                                st.entries.remove(&page);
-                                wake.set_error(e);
-                            }
+                    // Parking is disabled around the request: a negotiated
+                    // holder runs its release hook (log force, DBP push) on
+                    // this thread, and that must not park *our* task.
+                    let pending = scheduler::with_parking_disabled(|| {
+                        self.fusion.request(self.node, page, mode)
+                    });
+                    let res = match pending {
+                        None => Ok(()),
+                        // Landed inside the negotiation: `wait_grant` only
+                        // does the bookkeeping, it cannot block.
+                        Some(p) if p.is_granted() => self.fusion.wait_grant(p, self.timeout),
+                        Some(p) => {
+                            self.wait_grant_on_pool(p, page, mode, parker);
+                            // Guaranteed wake from the pool job (`wait_grant`
+                            // has its own timeout) — no deadline timer needed.
+                            return Err(PmpError::WouldBlock);
                         }
-                        notify_shard(st, shard);
-                        if surprise_grant {
-                            this.fusion.release(this.node, page);
-                            wake.set_error(PmpError::NodeUnavailable { node: this.node });
-                        }
-                        wake.wake();
-                    }));
-                    // Guaranteed wake from the pool job (the fusion acquire
-                    // has its own timeout) — no deadline timer needed.
-                    return Err(PmpError::WouldBlock);
+                    };
+                    parker.clear_plock_wait(Some(page));
+                    return self.install_grant(page, mode, res);
                 }
                 Some(entry) => match entry.state {
                     EntryState::Acquiring => {
@@ -374,7 +370,11 @@ impl LocalPLocks {
                         if can_local {
                             entry.refcount += 1;
                             self.stats.local_grants.inc();
-                            parker.clear_plock_wait();
+                            // Only this page's wait is over: a re-run
+                            // statement re-takes its uncontended PLocks
+                            // first, and those must not wipe the deadline
+                            // saved for the contended one.
+                            parker.clear_plock_wait(Some(page));
                             return Ok(PLockGuard {
                                 owner: self.as_ref(),
                                 page,
@@ -400,9 +400,55 @@ impl LocalPLocks {
         }
     }
 
+    /// A grant that is really outstanding: wait for it on the scheduler's
+    /// blocking pool, install the verdict for the `Acquiring` entry as a
+    /// lazily retained hold (the woken transaction re-grants locally) and
+    /// wake `parker`; a failure is left on the parker for the re-run.
+    fn wait_grant_on_pool(
+        self: &Arc<Self>,
+        pending: PendingGrant,
+        page: PageId,
+        mode: PLockMode,
+        parker: &Arc<Parker>,
+    ) {
+        let this = Arc::clone(self);
+        let wake = Arc::clone(parker);
+        parker.spawn_blocking(Box::new(move || {
+            let res = this.fusion.wait_grant(pending, this.timeout);
+            let shard = this.shard(page);
+            let mut st = shard.state.lock();
+            let mut surprise_grant = false;
+            match res {
+                Ok(()) => match st.entries.get_mut(&page) {
+                    Some(e) => {
+                        e.state = EntryState::Held;
+                        e.mode = mode;
+                    }
+                    // crash_clear raced the fusion call (see
+                    // `install_grant`): hand the grant back.
+                    None => surprise_grant = true,
+                },
+                Err(e) => {
+                    st.entries.remove(&page);
+                    wake.set_error(e);
+                }
+            }
+            notify_shard(st, shard);
+            if surprise_grant {
+                this.fusion.release(this.node, page);
+                wake.set_error(PmpError::NodeUnavailable { node: this.node });
+            }
+            wake.wake();
+        }));
+    }
+
     /// Register `parker` on the shard's waker list, keeping the lock-wait
     /// deadline across park/wake cycles. Fails with `LockWaitTimeout` once
     /// the deadline has passed (the waker is then *not* registered).
+    ///
+    /// The backstop timer is armed once, when the wait is first recorded:
+    /// that heap entry fires at the deadline however often the statement
+    /// is woken and re-parks before it.
     fn park_on_shard(
         &self,
         st: &mut TrackedMutexGuard<'_, ShardState>,
@@ -411,27 +457,30 @@ impl LocalPLocks {
     ) -> Result<()> {
         // lint: allow(raw-instant): lock-wait timeout deadline
         let now = Instant::now();
-        let deadline = match parker.plock_wait() {
+        let first_deadline = match parker.plock_wait() {
             Some((p, dl)) if p == page => {
                 if now >= dl {
-                    parker.clear_plock_wait();
+                    parker.clear_plock_wait(Some(page));
                     return Err(PmpError::LockWaitTimeout);
                 }
-                dl
+                None
             }
             _ => {
                 let dl = now + self.timeout;
                 parker.set_plock_wait(page, dl);
-                dl
+                Some(dl)
             }
         };
         let w = Arc::clone(parker);
         st.wakers.push(Box::new(move || w.wake()));
         sched_point("plock.wait.register-backstop");
-        // Safety net: peers' notify sites cover every grant/release, but a
-        // crashed peer's `crash_clear` could race our registration; the
-        // timer turns a lost wake into a timeout instead of a hang.
-        parker.park_deadline(deadline);
+        if let Some(deadline) = first_deadline {
+            // Safety net: peers' notify sites cover every grant/release,
+            // but a crashed peer's `crash_clear` could race our
+            // registration; the timer turns a lost wake into a timeout
+            // instead of a hang.
+            parker.park_deadline(deadline);
+        }
         Ok(())
     }
 
@@ -598,10 +647,18 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn setup(lazy: bool) -> (Arc<PLockFusion>, Arc<LocalPLocks>, Arc<LocalPLocks>) {
+        setup_with_timeout(lazy, Duration::from_secs(5))
+    }
+
+    /// `timeout` is node 1's lock-wait timeout; node 2 keeps five seconds.
+    fn setup_with_timeout(
+        lazy: bool,
+        timeout: Duration,
+    ) -> (Arc<PLockFusion>, Arc<LocalPLocks>, Arc<LocalPLocks>) {
         let fusion = Arc::new(PLockFusion::new(Arc::new(
             pmp_repl::ReplicatedFabric::single(Arc::new(Fabric::new(LatencyConfig::disabled()))),
         )));
-        let a = LocalPLocks::new(NodeId(1), Arc::clone(&fusion), lazy, Duration::from_secs(5));
+        let a = LocalPLocks::new(NodeId(1), Arc::clone(&fusion), lazy, timeout);
         let b = LocalPLocks::new(NodeId(2), Arc::clone(&fusion), lazy, Duration::from_secs(5));
         fusion.register_node(NodeId(1), NegotiationHandler::new(Arc::clone(&a)));
         fusion.register_node(NodeId(2), NegotiationHandler::new(Arc::clone(&b)));
@@ -772,5 +829,221 @@ mod tests {
         }
         assert_eq!(a.stats().fusion_acquires.get(), 1);
         assert_eq!(a.stats().local_grants.get(), 8 * 50 - 1);
+    }
+
+    // ---- the parking path (`acquire_async`) --------------------------------
+
+    use crate::scheduler::{current_parker, eventually, Scheduler, StepResult};
+
+    /// One `acquire` driven as a scheduler task, the way the session actor
+    /// drives a statement: `WouldBlock` parks the step, a wake re-runs it
+    /// from the top (re-taking `first`, a statement's uncontended PLock),
+    /// and an error a wait source left on the parker is the outcome.
+    struct AcquireTask {
+        parker: Arc<Parker>,
+        runs: Arc<AtomicUsize>,
+        outcome: Arc<TrackedMutex<Option<Result<PLockMode>>>>,
+    }
+
+    impl AcquireTask {
+        fn spawn(
+            sched: &Scheduler,
+            locks: &Arc<LocalPLocks>,
+            first: Option<PageId>,
+            page: PageId,
+            mode: PLockMode,
+        ) -> AcquireTask {
+            let runs = Arc::new(AtomicUsize::new(0));
+            let outcome = Arc::new(TrackedMutex::new(LOCAL_HOOK, None));
+            let (locks, r, o) = (Arc::clone(locks), Arc::clone(&runs), Arc::clone(&outcome));
+            let parker = sched.spawn(Box::new(move || {
+                r.fetch_add(1, Ordering::SeqCst);
+                let wait_err = current_parker().and_then(|p| p.take_error());
+                let res = match wait_err {
+                    Some(e) => Err(e),
+                    None => {
+                        if let Some(first) = first {
+                            drop(locks.acquire(first, PLockMode::S).unwrap());
+                        }
+                        locks.acquire(page, mode).map(|g| g.mode)
+                    }
+                };
+                if res == Err(PmpError::WouldBlock) {
+                    return StepResult::Parked;
+                }
+                *o.lock() = Some(res);
+                StepResult::Done
+            }));
+            AcquireTask {
+                parker,
+                runs,
+                outcome,
+            }
+        }
+
+        fn wait_parked_after(&self, runs: usize) {
+            eventually("task never parked", || {
+                self.runs.load(Ordering::SeqCst) >= runs && self.parker.is_parked()
+            });
+        }
+
+        fn wait_outcome(&self) -> Result<PLockMode> {
+            eventually("acquire never resolved", || self.outcome.lock().is_some());
+            self.outcome.lock().take().expect("checked")
+        }
+    }
+
+    #[test]
+    fn async_acquire_is_granted_inline_when_nobody_pins_the_page() {
+        let (fusion, a, b) = setup(true);
+        let sched = Scheduler::new(1);
+
+        // Uncontended: granted by the request itself.
+        let free = PageId(20);
+        let t = AcquireTask::spawn(&sched, &a, None, free, PLockMode::X);
+        assert_eq!(t.wait_outcome(), Ok(PLockMode::X));
+        assert_eq!(fusion.stats().immediate_grants.get(), 1);
+
+        // Held by an idle, lazily retaining peer: handed back inside the
+        // negotiation, so the grant has landed when `request` returns.
+        let retained = PageId(21);
+        drop(b.acquire(retained, PLockMode::X).unwrap());
+        assert!(b.is_retained(retained));
+        let t = AcquireTask::spawn(&sched, &a, None, retained, PLockMode::X);
+        assert_eq!(t.wait_outcome(), Ok(PLockMode::X));
+        assert!(!b.is_retained(retained) && a.is_retained(retained));
+        assert_eq!(b.stats().negotiated_releases.get(), 1);
+        assert_eq!(fusion.queue_len(retained), 0);
+        assert_eq!(fusion.holders(retained), vec![(NodeId(1), PLockMode::X)]);
+
+        assert_eq!(t.runs.load(Ordering::SeqCst), 1, "one run, no re-run");
+        let st = sched.stats();
+        assert_eq!(st.blocking_jobs.get(), 0, "no grant was outstanding");
+        assert_eq!(st.parks.get(), 0);
+        assert_eq!(st.timer_fires.get(), 0);
+        // The guards were dropped: both locks are idle, retained holds.
+        drop(a.acquire(free, PLockMode::X).unwrap());
+        drop(a.acquire(retained, PLockMode::S).unwrap());
+        assert_eq!(a.stats().local_grants.get(), 2);
+    }
+
+    #[test]
+    fn async_acquire_parks_on_a_pinned_page_and_the_unref_wakes_it() {
+        let (fusion, a, b) = setup(true);
+        let sched = Scheduler::new(1);
+        let p = PageId(22);
+        let pin = b.acquire(p, PLockMode::X).unwrap();
+
+        let t = AcquireTask::spawn(&sched, &a, None, p, PLockMode::X);
+        t.wait_parked_after(1);
+        let st = sched.stats();
+        assert_eq!(
+            st.blocking_jobs.get(),
+            1,
+            "the outstanding grant waits on the pool"
+        );
+        assert_eq!(st.parks.get(), 1);
+        assert_eq!(fusion.queue_len(p), 1);
+        assert!(t.outcome.lock().is_none());
+
+        drop(pin); // last reference: the pending negotiation hands the lock over
+        assert_eq!(t.wait_outcome(), Ok(PLockMode::X));
+        assert_eq!(t.runs.load(Ordering::SeqCst), 2, "parked once, woken once");
+        assert_eq!(st.blocking_jobs.get(), 1);
+        assert_eq!(fusion.queue_len(p), 0);
+        assert_eq!(fusion.holders(p), vec![(NodeId(1), PLockMode::X)]);
+    }
+
+    #[test]
+    fn async_acquire_times_out_on_the_pool_and_leaves_no_queue_entry() {
+        let (fusion, a, b) = setup_with_timeout(true, Duration::from_millis(50));
+        let sched = Scheduler::new(1);
+        let p = PageId(23);
+        let _pin = b.acquire(p, PLockMode::X).unwrap();
+
+        let t = AcquireTask::spawn(&sched, &a, None, p, PLockMode::S);
+        assert_eq!(t.wait_outcome(), Err(PmpError::LockWaitTimeout));
+        assert_eq!(fusion.stats().timeouts.get(), 1);
+        assert_eq!(fusion.queue_len(p), 0);
+        assert_eq!(a.held_count(), 0, "the Acquiring entry is gone");
+        assert_eq!(fusion.holders(p), vec![(NodeId(2), PLockMode::X)]);
+    }
+
+    #[test]
+    fn crash_clear_during_an_async_request_errors_cleanly() {
+        // Inline grant: the peer's release hook runs inside our `request`,
+        // which is where the crash lands.
+        struct CrashPeer(Arc<LocalPLocks>);
+        impl ReleaseHook for CrashPeer {
+            fn before_release(&self, _page: PageId) {
+                self.0.crash_clear();
+            }
+        }
+        let (fusion, a, b) = setup(true);
+        let sched = Scheduler::new(1);
+        let p = PageId(24);
+        drop(b.acquire(p, PLockMode::X).unwrap());
+        b.set_hook(Arc::new(CrashPeer(Arc::clone(&a))));
+        let t = AcquireTask::spawn(&sched, &a, None, p, PLockMode::X);
+        assert_eq!(
+            t.wait_outcome(),
+            Err(PmpError::NodeUnavailable { node: NodeId(1) })
+        );
+        assert_eq!(sched.stats().blocking_jobs.get(), 0);
+        assert_eq!(a.held_count(), 0);
+        assert!(fusion.holders(p).is_empty(), "the surprise grant went back");
+
+        // Outstanding grant: the crash lands while the pool waits.
+        let (fusion, a, b) = setup(true);
+        let pin = b.acquire(p, PLockMode::X).unwrap();
+        let t = AcquireTask::spawn(&sched, &a, None, p, PLockMode::X);
+        t.wait_parked_after(1);
+        a.crash_clear();
+        drop(pin);
+        assert_eq!(
+            t.wait_outcome(),
+            Err(PmpError::NodeUnavailable { node: NodeId(1) })
+        );
+        assert_eq!(a.held_count(), 0);
+        assert!(fusion.holders(p).is_empty());
+        assert_eq!(fusion.queue_len(p), 0);
+    }
+
+    #[test]
+    fn lock_wait_deadline_survives_statement_reruns_with_one_timer() {
+        const RERUNS: usize = 5;
+        let timeout = Duration::from_millis(300);
+        let (_fusion, a, _b) = setup_with_timeout(true, timeout);
+        let sched = Scheduler::new(1);
+        let (root, leaf) = (PageId(30), PageId(31));
+        // A local reader pins the leaf in S; the task wants X and must wait
+        // for the refcount to drain.
+        let _pin = a.acquire(leaf, PLockMode::S).unwrap();
+
+        let armed = Instant::now();
+        let t = AcquireTask::spawn(&sched, &a, Some(root), leaf, PLockMode::X);
+        t.wait_parked_after(1);
+        let recorded = t.parker.plock_wait().expect("wait recorded");
+        assert_eq!(recorded.0, leaf);
+        assert_eq!(sched.pending_timers(), 1);
+
+        // Every re-run re-takes the root PLock first (a local grant for
+        // another page), then parks on the leaf again.
+        for rerun in 1..=RERUNS {
+            t.parker.wake();
+            t.wait_parked_after(1 + rerun);
+            assert_eq!(
+                t.parker.plock_wait(),
+                Some(recorded),
+                "re-run {rerun} moved the deadline"
+            );
+            assert_eq!(sched.pending_timers(), 1, "re-run {rerun} armed a timer");
+        }
+        assert!(a.stats().local_grants.get() >= RERUNS as u64);
+
+        assert_eq!(t.wait_outcome(), Err(PmpError::LockWaitTimeout));
+        assert!(armed.elapsed() >= timeout, "timed out before the deadline");
+        assert_eq!(sched.stats().timer_fires.get(), 1);
+        assert!(t.parker.plock_wait().is_none());
     }
 }

@@ -32,13 +32,22 @@
 //! idempotent (statement retry, staged commit), which the rest of the
 //! engine relies on.
 //!
-//! ## Stopped schedulers
+//! ## Inline runs
 //!
-//! After [`Scheduler::stop`] (node shutdown or crash), wakes run the step
-//! *inline* on the waking thread, and [`Parker::can_park`] turns false so
-//! every park point falls back to its bounded blocking path. Combined with
-//! stop firing all pending deadline timers, every outstanding future
-//! resolves — usually with `NodeUnavailable` from the dead node.
+//! A step moves to a worker only when that buys something. Two wakers run
+//! the step they claim on their own thread instead, through the same
+//! protocol a worker uses (thread-local parker set, publish-then-CAS on
+//! `Parked`):
+//!
+//! * [`Parker::wake_inline`] — the caller has nothing else to do until the
+//!   task makes progress (`DbFuture::wait`), so a hand-off would cost a
+//!   futex round trip each way for no overlap. A step that meets a real
+//!   wait parks as usual and is resumed on a worker by its wait source.
+//! * Any wake after [`Scheduler::stop`] (node shutdown or crash).
+//!   [`Parker::can_park`] turns false so every park point falls back to its
+//!   bounded blocking path; combined with stop firing all pending deadline
+//!   timers, every outstanding future resolves — usually with
+//!   `NodeUnavailable` from the dead node.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -58,7 +67,7 @@ const SCHED_QUEUE: LockClass = LockClass::new("sched.queue");
 const SCHED_PARKER: LockClass = LockClass::new("sched.parker");
 /// Deadline-timer heap.
 const SCHED_TIMER: LockClass = LockClass::new("sched.timer");
-/// Helper pool for unbounded blocking calls (PLock negotiation RPCs).
+/// Helper pool for unbounded blocking waits (outstanding PLock grants).
 const SCHED_BLOCKING: LockClass = LockClass::new("sched.blocking");
 
 const RUNNING: u8 = 0;
@@ -87,8 +96,9 @@ thread_local! {
 }
 
 /// The parker of the task currently running on this thread, if any. Park
-/// points deep in the engine use this to discover they are on a scheduler
-/// worker and may register a waker instead of blocking.
+/// points deep in the engine use this to discover they are inside a
+/// scheduler task — on a worker, or on a client thread running the task
+/// inline — and may register a waker instead of blocking.
 pub fn current_parker() -> Option<Arc<Parker>> {
     CURRENT_PARKER.with(|c| c.borrow().clone())
 }
@@ -109,28 +119,44 @@ fn set_current(parker: Option<Arc<Parker>>) -> Option<Arc<Parker>> {
 /// replay is not safe to interleave with a statement re-run, so it must
 /// complete synchronously even on a scheduler worker.
 pub(crate) fn with_parking_disabled<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Arc<Parker>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_current(self.0.take());
-        }
-    }
-    let _restore = Restore(set_current(None));
+    let _restore = CurrentParker::enter(None);
     f()
+}
+
+/// Scope of a [`set_current`]: the previous parker comes back on drop, so a
+/// step that panics on a client thread (an inline run) cannot leave that
+/// thread looking like a scheduler worker.
+struct CurrentParker(Option<Arc<Parker>>);
+
+impl CurrentParker {
+    fn enter(parker: Option<Arc<Parker>>) -> Self {
+        CurrentParker(set_current(parker))
+    }
+}
+
+impl Drop for CurrentParker {
+    fn drop(&mut self) {
+        set_current(self.0.take());
+    }
 }
 
 /// Scheduler counters, surfaced through the typed cluster stats.
 #[derive(Debug, Default)]
 pub struct SchedStats {
-    /// Steps that yielded their worker (one per park, not per task).
+    /// Steps a *worker* gave up (one per park, not per task). A step that
+    /// parks at the end of an inline run is not counted: no worker was
+    /// released.
     pub parks: Counter,
-    /// Wakes delivered (including absorbed/spurious ones).
+    /// Hand-offs to the run queue — the wakes that cost a futex. Absorbed
+    /// wakes and inline runs are not counted.
     pub wakes: Counter,
-    /// Steps run inline on a waker's thread because the scheduler stopped.
+    /// Steps run on the thread that woke them: a client inside
+    /// `DbFuture::wait`, or any waker after `stop`.
     pub inline_runs: Counter,
     /// Deadline timers that fired.
     pub timer_fires: Counter,
-    /// Jobs routed through the blocking helper pool.
+    /// Jobs handed to the blocking helper pool: PLock grants that were
+    /// still outstanding after the Lock Fusion request returned.
     pub blocking_jobs: Counter,
     /// Live tasks (spawned and not yet `Done`); the HWM is the
     /// open-continuations ceiling the acceptance test asserts on.
@@ -227,17 +253,39 @@ impl Parker {
     /// extra wakes are absorbed, and a wake that races the parking worker
     /// is never lost (publish-then-check, see module docs).
     pub fn wake(self: &Arc<Self>) {
+        if let Some(step) = self.claim() {
+            SchedInner::enqueue(&self.sched, Arc::clone(self), step);
+        }
+    }
+
+    /// [`wake`](Self::wake) for a caller that is about to block on the
+    /// task's progress: a parked task's step runs on the calling thread
+    /// rather than being handed to a worker (module docs, "Inline runs").
+    /// If the task is not parked this is an ordinary wake. The caller runs
+    /// charged engine code, so it must hold no tracked lock.
+    pub fn wake_inline(self: &Arc<Self>) {
+        if let Some(step) = self.claim() {
+            SchedInner::run_inline(self.sched.upgrade().as_deref(), self, step);
+        }
+    }
+
+    /// The waker half of the protocol: mark `NOTIFIED` and, if that found
+    /// the task `PARKED`, take its step.
+    fn claim(&self) -> Option<Step> {
         let prev = self.state.swap(NOTIFIED, Ordering::AcqRel);
         sched_point("sched.wake.swap-window");
         if prev != PARKED {
-            return;
+            return None;
         }
         // Only the single waker that observed PARKED reaches here, and
         // PARKED is set strictly after the step was published to the slot.
-        let step = self.slot.lock().step.take();
-        if let Some(step) = step {
-            SchedInner::enqueue(&self.sched, Arc::clone(self), step);
-        }
+        self.slot.lock().step.take()
+    }
+
+    /// Whether the task is parked (its step published, no wake pending).
+    #[cfg(test)]
+    pub(crate) fn is_parked(&self) -> bool {
+        self.state.load(Ordering::Acquire) == PARKED
     }
 
     /// Whether the owning scheduler still accepts parks. False after stop
@@ -267,8 +315,13 @@ impl Parker {
         self.slot.lock().plock_wait = Some((page, deadline));
     }
 
-    pub fn clear_plock_wait(&self) {
-        self.slot.lock().plock_wait = None;
+    /// Forget the recorded PLock wait if it is for `page` (granted, or
+    /// timed out); `None` forgets whatever is there (a new statement).
+    pub fn clear_plock_wait(&self, page: Option<PageId>) {
+        let mut slot = self.slot.lock();
+        if page.is_none() || slot.plock_wait.map(|(p, _)| p) == page {
+            slot.plock_wait = None;
+        }
     }
 
     /// Arm a deadline: the task is woken (possibly spuriously) at `at`.
@@ -295,8 +348,13 @@ impl Parker {
                         seq,
                         parker: Arc::clone(self),
                     }));
+                    // The timer thread sleeps to the earliest deadline; it
+                    // needs a nudge only when this entry became that.
+                    let earliest = t.heap.peek().map(|Reverse(e)| e.seq) == Some(seq);
                     drop(t);
-                    s.timer_cv.notify_all();
+                    if earliest {
+                        s.timer_cv.notify_all();
+                    }
                     return;
                 }
             }
@@ -307,9 +365,10 @@ impl Parker {
         self.wake();
     }
 
-    /// Route a bounded-but-slow blocking call (a negotiation RPC) to the
-    /// helper pool so it does not occupy a scheduler worker. Falls back to
-    /// running the job on the calling thread when the scheduler stopped.
+    /// Route a wait that may last as long as a peer keeps a page pinned (an
+    /// outstanding PLock grant) to the helper pool, so it occupies neither
+    /// a scheduler worker nor a waiting client. Falls back to running the
+    /// job on the calling thread when the scheduler stopped.
     pub fn spawn_blocking(&self, job: Job) {
         match self.sched.upgrade() {
             Some(s) => s.spawn_blocking(job),
@@ -323,24 +382,33 @@ impl SchedInner {
     /// stopped, run it inline on the calling thread so its future still
     /// resolves.
     fn enqueue(sched: &Weak<SchedInner>, parker: Arc<Parker>, step: Step) {
-        if let Some(s) = sched.upgrade() {
-            s.stats.wakes.inc();
+        let s = sched.upgrade();
+        if let Some(s) = &s {
             if !s.stopped.load(Ordering::Acquire) {
                 let mut q = s.queue.lock();
                 if !s.stopped.load(Ordering::Acquire) {
                     q.tasks.push_back(ReadyTask { parker, step });
                     drop(q);
+                    s.stats.wakes.inc();
                     s.cv.notify_one();
                     return;
                 }
             }
+        }
+        Self::run_inline(s.as_deref(), &parker, step);
+    }
+
+    /// Run a claimed step on the calling thread and account for it (`sched`
+    /// is `None` once the scheduler was dropped entirely: nothing left to
+    /// account against).
+    fn run_inline(sched: Option<&SchedInner>, parker: &Arc<Parker>, step: Step) {
+        if let Some(s) = sched {
             s.stats.inline_runs.inc();
-            if Self::run_task_on_current_thread(&parker, step) {
+        }
+        if Self::run_task_on_current_thread(parker, step) {
+            if let Some(s) = sched {
                 s.stats.tasks.dec();
             }
-        } else {
-            // Scheduler dropped entirely; nothing left to account against.
-            let _ = Self::run_task_on_current_thread(&parker, step);
         }
     }
 
@@ -349,9 +417,10 @@ impl SchedInner {
     fn run_task_on_current_thread(parker: &Arc<Parker>, mut step: Step) -> bool {
         loop {
             parker.state.store(RUNNING, Ordering::Release);
-            let prev = set_current(Some(Arc::clone(parker)));
-            let res = step();
-            set_current(prev);
+            let res = {
+                let _current = CurrentParker::enter(Some(Arc::clone(parker)));
+                step()
+            };
             match res {
                 StepResult::Done => return true,
                 StepResult::Parked => {
@@ -396,9 +465,10 @@ impl SchedInner {
                 return;
             };
             parker.state.store(RUNNING, Ordering::Release);
-            let prev = set_current(Some(Arc::clone(&parker)));
-            let res = step();
-            set_current(prev);
+            let res = {
+                let _current = CurrentParker::enter(Some(Arc::clone(&parker)));
+                step()
+            };
             match res {
                 StepResult::Done => {
                     self.stats.tasks.dec();
@@ -521,7 +591,7 @@ impl SchedInner {
 }
 
 /// The per-node scheduler: a small worker pool, a deadline-timer thread and
-/// a lazily-grown helper pool for blocking RPCs.
+/// a lazily-grown helper pool for outstanding PLock grants.
 pub struct Scheduler {
     inner: Arc<SchedInner>,
     threads: TrackedMutex<Vec<JoinHandle<()>>>,
@@ -575,6 +645,12 @@ impl Scheduler {
         self.inner.stats.tasks.inc();
         SchedInner::enqueue(&Arc::downgrade(&self.inner), Arc::clone(&parker), step);
         parker
+    }
+
+    /// Deadline timers armed and not yet fired.
+    #[cfg(test)]
+    pub(crate) fn pending_timers(&self) -> usize {
+        self.inner.timers.lock().heap.len()
     }
 
     /// Route a blocking job to the helper pool (see [`Parker::spawn_blocking`]).
@@ -631,10 +707,7 @@ impl Scheduler {
             let task = self.inner.queue.lock().tasks.pop_front();
             match task {
                 Some(ReadyTask { parker, step }) => {
-                    self.inner.stats.inline_runs.inc();
-                    if SchedInner::run_task_on_current_thread(&parker, step) {
-                        self.inner.stats.tasks.dec();
-                    }
+                    SchedInner::run_inline(Some(&self.inner), &parker, step)
                 }
                 None => break,
             }
@@ -645,6 +718,17 @@ impl Scheduler {
 impl Drop for Scheduler {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+/// Test support: spin until `cond` holds — another thread's progress, never
+/// a time bound (the ten seconds only turn a hang into a failure).
+#[cfg(test)]
+pub(crate) fn eventually(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + std::time::Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::yield_now();
     }
 }
 
@@ -760,6 +844,105 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert!(sched.stats().timer_fires.get() >= 1);
+    }
+
+    /// Spawn a task that parks on every run until `gate` opens, and wait
+    /// until a worker has parked it.
+    fn parked_task(
+        sched: &Scheduler,
+        runs: &Arc<AtomicUsize>,
+        gate: &Arc<AtomicBool>,
+    ) -> Arc<Parker> {
+        let (r, g) = (Arc::clone(runs), Arc::clone(gate));
+        let parker = sched.spawn(Box::new(move || {
+            r.fetch_add(1, Ordering::SeqCst);
+            if g.load(Ordering::SeqCst) {
+                StepResult::Done
+            } else {
+                StepResult::Parked
+            }
+        }));
+        eventually("task never parked", || parker.is_parked());
+        parker
+    }
+
+    #[test]
+    fn later_deadline_behind_an_earlier_one_still_fires() {
+        // Only a push that becomes the earliest entry nudges the timer
+        // thread; one queued behind it must be picked up when the thread
+        // re-reads the heap after the earlier deadline.
+        let sched = Scheduler::new(1);
+        let gate = Arc::new(AtomicBool::new(false));
+        let (runs_a, runs_b) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let a = parked_task(&sched, &runs_a, &gate);
+        let b = parked_task(&sched, &runs_b, &gate);
+        gate.store(true, Ordering::SeqCst);
+        let now = Instant::now();
+        a.park_deadline(now + Duration::from_millis(10));
+        b.park_deadline(now + Duration::from_millis(40));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while runs_a.load(Ordering::SeqCst) < 2 || runs_b.load(Ordering::SeqCst) < 2 {
+            assert!(Instant::now() < deadline, "a queued deadline never fired");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(sched.stats().timer_fires.get(), 2);
+        assert_eq!(sched.pending_timers(), 0);
+    }
+
+    #[test]
+    fn wake_inline_runs_a_parked_step_on_the_calling_thread() {
+        let sched = Scheduler::new(1);
+        let ran_on = Arc::new(TrackedMutex::new(SCHED_PARKER, Vec::new()));
+        let r = Arc::clone(&ran_on);
+        let parker = sched.spawn(Box::new(move || {
+            r.lock().push(std::thread::current().id());
+            StepResult::Parked
+        }));
+        eventually("task never parked", || parker.is_parked());
+        let stats = sched.stats();
+        let (wakes, parks) = (stats.wakes.get(), stats.parks.get());
+
+        parker.wake_inline();
+        let ran_on = ran_on.lock().clone();
+        assert_eq!(ran_on.len(), 2);
+        assert_ne!(
+            ran_on[0],
+            std::thread::current().id(),
+            "spawn runs on a worker"
+        );
+        assert_eq!(
+            ran_on[1],
+            std::thread::current().id(),
+            "wake_inline runs here"
+        );
+        assert_eq!(stats.inline_runs.get(), 1);
+        assert_eq!(stats.wakes.get(), wakes, "no hand-off to the run queue");
+        assert_eq!(stats.parks.get(), parks, "no worker gave anything up");
+        assert!(parker.is_parked(), "parked again");
+        assert!(
+            current_parker().is_none(),
+            "the caller is not left looking like a worker"
+        );
+    }
+
+    #[test]
+    fn panicking_inline_step_restores_the_callers_parker() {
+        let sched = Scheduler::new(1);
+        let first = Arc::new(AtomicBool::new(true));
+        let f = Arc::clone(&first);
+        let parker = sched.spawn(Box::new(move || {
+            if f.swap(false, Ordering::SeqCst) {
+                StepResult::Parked
+            } else {
+                panic!("step failed");
+            }
+        }));
+        eventually("task never parked", || parker.is_parked());
+        let p = Arc::clone(&parker);
+        let unwound =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || p.wake_inline()));
+        assert!(unwound.is_err());
+        assert!(current_parker().is_none());
     }
 
     #[test]

@@ -2,22 +2,31 @@
 //!
 //! An [`AsyncSession`] is one client connection: a queue of operations
 //! drained by a single **actor** task on the node's [`Scheduler`]. Each
-//! `begin/get/put/scan/commit` call enqueues an [`Op`] and returns a
-//! [`DbFuture`] immediately; the actor runs the operation on a scheduler
-//! worker and completes the future when the engine answers. When a
-//! statement hits a wait — a page load in flight, a PLock held remotely, a
-//! CTS lease refill, the group-commit window — it returns
-//! [`PmpError::WouldBlock`] up to the actor, which parks (releasing the
-//! worker thread) and re-runs the statement after the wake. This is what
-//! lets a 2-worker node keep hundreds of transactions open at once.
+//! `begin/get/put/scan/commit` call only enqueues an [`Op`] and returns a
+//! [`DbFuture`]; the actor completes the future when the engine answers.
 //!
-//! Ordering: operations of one session run strictly in submission order
-//! (it is a single actor); operations of different sessions interleave
-//! freely across the worker pool.
+//! **Who runs the actor.** A future is started by whoever first needs its
+//! result, and work leaves the caller's thread only for a wait that is
+//! real. A caller that polls (`try_take`, `is_ready`, `on_ready`) or drops
+//! the future has other things to do: the actor is handed to a scheduler
+//! worker, once per future, and the caller never runs engine code. A
+//! caller in [`DbFuture::wait`] has declared it has nothing else to do: if
+//! the actor is idle it runs *on the waiting thread*, so a statement that
+//! meets no wait resolves with no thread hand-off at all. Either way, when
+//! a statement does hit a wait — a page load in flight, a PLock a peer has
+//! pinned, a CTS lease refill, the group-commit window — it returns
+//! [`PmpError::WouldBlock`] up to the actor, which parks (holding no
+//! thread) and is re-run on a worker by the wake. This is what lets a
+//! 2-worker node keep hundreds of transactions open at once.
 //!
-//! The blocking shim is [`DbFuture::wait`]: synchronous callers (the
-//! existing `pmp_core::Session`, tests, probes) submit and immediately
-//! wait, which charges the same latency as the old direct call path.
+//! Ordering is the queue's, not the starter's: operations of one session
+//! run strictly in submission order (it is a single actor), whichever
+//! future is started first; operations of different sessions interleave
+//! freely.
+//!
+//! `pmp_core::Session` does not go through this module: it drives a `Txn`
+//! directly on the caller's thread, where every park point takes its
+//! blocking fallback.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,23 +45,37 @@ use crate::txn::{Txn, TxnStatus};
 const SESSION_OPS: LockClass = LockClass::new("engine.session.ops");
 
 /// An engine-driven future: resolved by the session actor when the
-/// operation completes. Cheap to poll; `wait` is the blocking shim.
+/// operation completes.
+///
+/// Submitting only queues the operation. The first `try_take` / `is_ready`
+/// / `on_ready` — or dropping the future — hands the session's actor to the
+/// scheduler workers (one wake per future however often it is polled);
+/// [`wait`](Self::wait) runs the actor on the calling thread instead.
 pub struct DbFuture<T> {
     done: Completion<Result<T>>,
+    actor: Arc<Parker>,
+    /// Set by whoever starts the actor for this future, so a poll loop costs
+    /// one wake in total: a wake that finds the actor running leaves
+    /// `NOTIFIED` behind and forces a spurious re-run of its step.
+    started: AtomicBool,
 }
 
-impl<T: Clone> DbFuture<T> {
-    fn new() -> (Self, Completion<Result<T>>) {
-        let done = Completion::new();
-        (DbFuture { done: done.clone() }, done)
+impl<T> DbFuture<T> {
+    /// Hand the actor to the workers unless this future already started it.
+    fn start(&self) {
+        if !self.started.swap(true, Ordering::AcqRel) {
+            self.actor.wake();
+        }
     }
 
     /// Non-blocking poll; the result can be taken exactly once.
     pub fn try_take(&self) -> Option<Result<T>> {
+        self.start();
         self.done.try_take()
     }
 
     pub fn is_ready(&self) -> bool {
+        self.start();
         self.done.is_ready()
     }
 
@@ -60,14 +83,30 @@ impl<T: Clone> DbFuture<T> {
     /// it already did). At most one callback; a second replaces the first.
     pub fn on_ready(&self, f: Box<dyn FnOnce() + Send>) {
         self.done.set_notify(f);
+        self.start();
     }
 
-    /// The blocking shim for synchronous callers. Never call this from a
-    /// scheduler worker: the actor that would resolve the future may be
-    /// scheduled behind the caller.
+    /// Block until the result lands. If the session's actor is idle it runs
+    /// on *this* thread — this operation and everything queued before it —
+    /// until the queue is empty or a statement meets a real wait; only then
+    /// does the caller sleep, and a worker resumes the actor.
+    ///
+    /// The caller therefore runs charged engine code: it must hold no
+    /// tracked lock (under `sanitize` the charge-point assertion applies to
+    /// it). Never call this from a scheduler worker: the actor that would
+    /// resolve the future may be scheduled behind the caller.
     pub fn wait(self) -> Result<T> {
+        self.started.store(true, Ordering::Release);
+        self.actor.wake_inline();
         // lint: allow(blocking-wait-in-scheduler): this IS the documented blocking shim; it runs on client threads, not scheduler workers
         self.done.wait()
+    }
+}
+
+impl<T> Drop for DbFuture<T> {
+    fn drop(&mut self) {
+        // Nobody will ask for the result; the operation still has to run.
+        self.start();
     }
 }
 
@@ -166,12 +205,14 @@ impl AsyncSession {
                 };
                 let parker = scheduler::current_parker();
                 let wait_err = match &parker {
-                    // A fresh op discards errors left by waits an earlier
-                    // (timed-out) statement abandoned; only a resumed op
-                    // owns what is in the slot.
+                    // A fresh op discards the error and the lock-wait
+                    // deadline left by waits an earlier (timed-out)
+                    // statement abandoned; only a resumed op owns what is
+                    // in the slot.
                     Some(p) if resumed => p.take_error(),
                     Some(p) => {
                         let _ = p.take_error();
+                        p.clear_plock_wait(None);
                         None
                     }
                     None => None,
@@ -199,74 +240,63 @@ impl AsyncSession {
         }
     }
 
-    fn submit(&self, op: Op) {
+    /// Queue `op` and return its future. Nothing runs yet: the future
+    /// starts the actor when somebody asks for (or drops) the result.
+    fn submit<T>(&self, op: impl FnOnce(Completion<Result<T>>) -> Op) -> DbFuture<T> {
+        let done = Completion::new();
+        let op = op(done.clone());
         if self.closed.load(Ordering::Acquire) {
             op.fail(PmpError::aborted("session closed"));
-            return;
+        } else {
+            self.queue.lock().push_back(op);
         }
-        self.queue.lock().push_back(op);
-        self.parker.wake();
+        DbFuture {
+            done,
+            actor: Arc::clone(&self.parker),
+            started: AtomicBool::new(false),
+        }
     }
 
     pub fn begin(&self) -> DbFuture<()> {
-        let (fut, done) = DbFuture::new();
-        self.submit(Op::Begin(done));
-        fut
+        self.submit(Op::Begin)
     }
 
     pub fn get(&self, table: TableId, key: u64) -> DbFuture<Option<RowValue>> {
-        let (fut, done) = DbFuture::new();
-        self.submit(Op::Get(table, key, done));
-        fut
+        self.submit(|done| Op::Get(table, key, done))
     }
 
     pub fn get_for_update(&self, table: TableId, key: u64) -> DbFuture<Option<RowValue>> {
-        let (fut, done) = DbFuture::new();
-        self.submit(Op::GetForUpdate(table, key, done));
-        fut
+        self.submit(|done| Op::GetForUpdate(table, key, done))
     }
 
     pub fn insert(&self, table: TableId, key: u64, value: RowValue) -> DbFuture<()> {
-        let (fut, done) = DbFuture::new();
-        self.submit(Op::Insert(table, key, value, done));
-        fut
+        self.submit(|done| Op::Insert(table, key, value, done))
     }
 
     pub fn update(&self, table: TableId, key: u64, value: RowValue) -> DbFuture<()> {
-        let (fut, done) = DbFuture::new();
-        self.submit(Op::Update(table, key, value, done));
-        fut
+        self.submit(|done| Op::Update(table, key, value, done))
     }
 
     pub fn delete(&self, table: TableId, key: u64) -> DbFuture<()> {
-        let (fut, done) = DbFuture::new();
-        self.submit(Op::Delete(table, key, done));
-        fut
+        self.submit(|done| Op::Delete(table, key, done))
     }
 
     pub fn scan(&self, table: TableId, from: u64, limit: usize) -> DbFuture<Vec<(u64, RowValue)>> {
-        let (fut, done) = DbFuture::new();
-        self.submit(Op::Scan(table, from, limit, done));
-        fut
+        self.submit(|done| Op::Scan(table, from, limit, done))
     }
 
     pub fn commit(&self) -> DbFuture<Cts> {
-        let (fut, done) = DbFuture::new();
-        self.submit(Op::Commit(done));
-        fut
+        self.submit(Op::Commit)
     }
 
     pub fn rollback(&self) -> DbFuture<()> {
-        let (fut, done) = DbFuture::new();
-        self.submit(Op::Rollback(done));
-        fut
+        self.submit(Op::Rollback)
     }
 
     /// Close the session: any open transaction rolls back on the actor,
     /// later-queued ops fail, and the actor task retires.
     pub fn close(&self) -> DbFuture<()> {
-        let (fut, done) = DbFuture::new();
-        self.submit(Op::Close(done));
+        let fut = self.submit(Op::Close);
         self.closed.store(true, Ordering::Release);
         fut
     }
@@ -275,10 +305,9 @@ impl AsyncSession {
 impl Drop for AsyncSession {
     fn drop(&mut self) {
         if !self.closed.load(Ordering::Acquire) {
-            // Fire-and-forget close so the actor task does not leak.
-            let (_fut, done) = DbFuture::new();
-            self.queue.lock().push_back(Op::Close(done));
-            self.parker.wake();
+            // Fire-and-forget close so the actor task does not leak (the
+            // dropped future hands the actor to a worker).
+            drop(self.close());
         }
     }
 }
@@ -457,4 +486,165 @@ fn finish_stmt<T: Clone>(
     }
     done.complete(r);
     OpOutcome::Completed
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scheduler::{eventually, SchedStats};
+    use crate::shared::Shared;
+    use pmp_common::{ClusterConfig, NodeId};
+    use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
+
+    fn node() -> (Arc<Shared>, Arc<NodeEngine>, TableId) {
+        let shared = Shared::new(ClusterConfig::test(1));
+        let engine = NodeEngine::start(Arc::clone(&shared), NodeId(0));
+        let t = shared.create_table("t", 1, &[]).unwrap().id;
+        (shared, engine, t)
+    }
+
+    fn v(x: u64) -> RowValue {
+        RowValue::new(vec![x])
+    }
+
+    /// An open session whose actor has run once on a worker, found the
+    /// queue empty and parked.
+    fn idle_session(engine: &Arc<NodeEngine>) -> AsyncSession {
+        let s = AsyncSession::open(engine);
+        eventually("actor never parked", || s.parker.is_parked());
+        s
+    }
+
+    fn counts(st: &SchedStats) -> (u64, u64, u64) {
+        (st.wakes.get(), st.inline_runs.get(), st.parks.get())
+    }
+
+    #[test]
+    fn wait_on_an_idle_session_runs_the_actor_on_the_waiting_thread() {
+        let (_shared, engine, t) = node();
+        // Bring the table's root page in first: a page load is a real wait.
+        let mut warm = engine.begin().unwrap();
+        warm.insert(t, 0, v(0)).unwrap();
+        warm.commit().unwrap();
+        let s = idle_session(&engine);
+        let st = engine.sched.stats();
+        let (wakes, inline, parks) = counts(st);
+
+        let ran_on = Arc::new(TrackedMutex::new(SESSION_OPS, None::<ThreadId>));
+        let r = Arc::clone(&ran_on);
+        let begin = s.begin();
+        // The notify runs on the thread that completes the future; `wait`
+        // below is what starts the actor (this future was already marked).
+        begin.done.set_notify(Box::new(move || {
+            *r.lock() = Some(std::thread::current().id())
+        }));
+        begin.wait().unwrap();
+        assert_eq!(*ran_on.lock(), Some(std::thread::current().id()));
+        assert_eq!(counts(st), (wakes, inline + 1, parks));
+
+        // Every statement of a wait-free transaction is one more inline
+        // run: no hand-off, no park.
+        s.insert(t, 1, v(1)).wait().unwrap();
+        assert_eq!(s.get(t, 1).wait().unwrap(), Some(v(1)));
+        s.commit().wait().unwrap();
+        assert_eq!(counts(st), (wakes, inline + 4, parks));
+        assert!(scheduler::current_parker().is_none());
+    }
+
+    #[test]
+    fn polling_costs_one_wake_and_never_runs_the_op_on_the_poller() {
+        let (_shared, engine, _t) = node();
+        let s = idle_session(&engine);
+        let st = engine.sched.stats();
+        let (wakes, inline, _) = counts(st);
+
+        let ran_on = Arc::new(TrackedMutex::new(SESSION_OPS, None::<ThreadId>));
+        let r = Arc::clone(&ran_on);
+        let begin = s.begin();
+        begin.on_ready(Box::new(move || {
+            *r.lock() = Some(std::thread::current().id())
+        }));
+        let mut polls = 0u64;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let res = loop {
+            polls += 1;
+            if let Some(res) = begin.try_take() {
+                break res;
+            }
+            assert!(Instant::now() < deadline, "begin never resolved");
+            let _ = begin.is_ready();
+            std::thread::yield_now();
+        };
+        res.unwrap();
+        eventually("actor never went idle again", || s.parker.is_parked());
+        let ran_on = ran_on.lock().expect("on_ready fired");
+        assert_ne!(
+            ran_on,
+            std::thread::current().id(),
+            "the poller ran engine code"
+        );
+        let (wakes_after, inline_after, _) = counts(st);
+        assert_eq!(wakes_after, wakes + 1, "{polls} polls must cost one wake");
+        assert_eq!(inline_after, inline);
+        drop(begin);
+        assert_eq!(
+            st.wakes.get(),
+            wakes + 1,
+            "dropping a started future is free"
+        );
+    }
+
+    #[test]
+    fn unwaited_futures_execute_in_submission_order() {
+        let (_shared, engine, t) = node();
+        let s = idle_session(&engine);
+        let order = Arc::new(TrackedMutex::new(SESSION_OPS, Vec::new()));
+        let note = |tag: u32| -> Box<dyn FnOnce() + Send> {
+            let o = Arc::clone(&order);
+            Box::new(move || o.lock().push(tag))
+        };
+
+        // A dropped `begin`, then a mix of callbacks and drops, all started
+        // before anybody waits.
+        drop(s.begin());
+        let first = s.insert(t, 1, v(1));
+        first.on_ready(note(1));
+        drop(s.insert(t, 2, v(2)));
+        let third = s.get(t, 2);
+        third.on_ready(note(3));
+        // The waited commit runs behind everything queued before it.
+        s.commit().wait().unwrap();
+        assert_eq!(*order.lock(), vec![1, 3]);
+        assert_eq!(third.try_take().unwrap().unwrap(), Some(v(2)));
+
+        // Order is the queue's, not the starter's: waiting on `b` runs `a`
+        // first, and `a` is resolved by the time `b` is.
+        s.begin().wait().unwrap();
+        let a = s.get(t, 1);
+        let b = s.get(t, 2);
+        assert_eq!(b.wait().unwrap(), Some(v(2)));
+        assert_eq!(a.try_take().expect("a ran before b").unwrap(), Some(v(1)));
+        s.commit().wait().unwrap();
+    }
+
+    #[test]
+    fn close_and_drop_retire_the_actor_when_nobody_waits() {
+        let (_shared, engine, t) = node();
+        let st = engine.sched.stats();
+        let s = idle_session(&engine);
+        s.begin().wait().unwrap();
+        s.insert(t, 9, v(9)).wait().unwrap();
+        assert_eq!(engine.stats.open_txns.get(), 1);
+        // Dropped with a transaction open: the fire-and-forget close rolls
+        // it back on a worker.
+        drop(s);
+        eventually("dropped session never retired", || st.tasks.get() == 0);
+        assert_eq!(engine.stats.open_txns.get(), 0);
+
+        let s = idle_session(&engine);
+        drop(s.close());
+        eventually("closed session never retired", || st.tasks.get() == 0);
+        assert!(s.begin().wait().is_err(), "ops after close fail");
+    }
 }

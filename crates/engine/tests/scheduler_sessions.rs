@@ -1,6 +1,7 @@
 //! Async-session / scheduler integration tests: the open-transaction
-//! ceiling on a tiny worker pool, park/wake on cross-node PLock conflicts,
-//! and the min-active-snapshot version-store GC.
+//! ceiling on a tiny worker pool, overlap under a single polling client,
+//! cross-node PLock conflicts (granted inline vs parked on the helper
+//! pool), and the min-active-snapshot version-store GC.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -9,6 +10,7 @@ use pmp_common::{ClusterConfig, NodeId};
 use pmp_engine::row::RowValue;
 use pmp_engine::shared::Shared;
 use pmp_engine::{AsyncSession, NodeEngine};
+use pmp_pmfs::PLockMode;
 
 fn cluster_with(config: ClusterConfig) -> (Arc<Shared>, Vec<Arc<NodeEngine>>) {
     let shared = Shared::new(config);
@@ -83,11 +85,11 @@ fn hammer_256_sessions_on_two_workers_holds_all_open() {
     check.commit().unwrap();
 }
 
-/// A transaction parked on a PLock that another node holds lazily must wake
-/// when the lazy holder releases it through negotiation — without burning a
-/// worker thread while it waits.
+/// A PLock another node retains lazily (idle, no page pin) is handed back
+/// inside the Lock Fusion negotiation, on the requesting thread: the
+/// statement gets its guard without the grant ever being outstanding.
 #[test]
-fn txn_parked_on_remote_plock_wakes_on_lazy_release() {
+fn idle_remote_plock_is_negotiated_away_without_the_helper_pool() {
     let mut config = ClusterConfig::test(2);
     config.engine.lazy_plock_release = true;
     let (shared, engines) = cluster_with(config);
@@ -99,7 +101,7 @@ fn txn_parked_on_remote_plock_wakes_on_lazy_release() {
     holder.commit().unwrap();
 
     // Node 1 updates the same row through an async session: the PLock
-    // conflict negotiates a release from node 0; meanwhile the actor parks.
+    // conflict negotiates a release from node 0.
     let s = AsyncSession::open(&engines[1]);
     s.begin().wait().unwrap();
     s.update(t, 1, v(20)).wait().unwrap();
@@ -113,6 +115,116 @@ fn txn_parked_on_remote_plock_wakes_on_lazy_release() {
     assert!(
         negotiations > 0,
         "the conflicting update must have negotiated the lazy lock away"
+    );
+    assert_eq!(
+        engines[1].sched.stats().blocking_jobs.get(),
+        0,
+        "no grant was outstanding, so nothing goes to the helper pool"
+    );
+}
+
+/// A transaction whose PLock is pinned on another node parks — holding no
+/// thread — with the outstanding grant on the helper pool, and wakes when
+/// the holder's last reference drains.
+#[test]
+fn txn_parked_on_pinned_remote_plock_wakes_on_release() {
+    let mut config = ClusterConfig::test(2);
+    config.engine.lazy_plock_release = true;
+    let (shared, engines) = cluster_with(config);
+    let meta = shared.create_table("t", 1, &[]).unwrap();
+    let t = meta.id;
+    let mut holder = engines[0].begin().unwrap();
+    holder.insert(t, 1, v(10)).unwrap();
+    holder.commit().unwrap();
+
+    // Pin the (single-leaf) table's page on node 0, as a running statement
+    // would.
+    let pin = engines[0].plocks.acquire(meta.root, PLockMode::X).unwrap();
+
+    let s = AsyncSession::open(&engines[1]);
+    s.begin().wait().unwrap();
+    let update = s.update(t, 1, v(20));
+    let sched = engines[1].sched.stats();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !(update.is_ready() || sched.blocking_jobs.get() == 1) {
+        assert!(std::time::Instant::now() < deadline, "update never parked");
+        std::thread::yield_now();
+    }
+    assert!(
+        !update.is_ready(),
+        "the update resolved while node 0 still pinned the page"
+    );
+    assert_eq!(shared.pmfs.plock.queue_len(meta.root), 1);
+
+    drop(pin);
+    update.wait().unwrap();
+    s.commit().wait().unwrap();
+    s.close().wait().unwrap();
+    assert_eq!(sched.blocking_jobs.get(), 1);
+
+    let mut check = engines[0].begin().unwrap();
+    assert_eq!(check.get(t, 1).unwrap(), Some(v(20)));
+    check.commit().unwrap();
+}
+
+/// The pipelined guard: one client thread drives 64 connections with
+/// queued `begin`/`update`/`commit` triples and only ever polls. The
+/// workers must overlap those transactions (many open at once, parked in
+/// the group-commit window), and the polling thread must never run engine
+/// code. A design that starts the actor inside `submit` fails both: the
+/// poller becomes the only executor and nothing overlaps.
+#[test]
+fn one_polling_thread_keeps_many_transactions_open() {
+    const CONNS: usize = 64;
+    const COMMITS: u64 = 400;
+    let mut config = ClusterConfig::bench(1, 1.0);
+    config.engine.sched_workers = 2;
+    config.engine.wal_group_window_us = 20;
+    let (shared, engines) = cluster_with(config);
+    let engine = &engines[0];
+    let t = shared.create_table("t", 1, &[]).unwrap().id;
+    let mut setup = engine.begin().unwrap();
+    for k in 0..CONNS as u64 {
+        setup.insert(t, k, v(k)).unwrap();
+    }
+    setup.commit().unwrap();
+
+    let sessions: Vec<AsyncSession> = (0..CONNS).map(|_| AsyncSession::open(engine)).collect();
+    let submit = |i: usize, round: u64| {
+        let s = &sessions[i];
+        let _ = s.begin();
+        let _ = s.update(t, i as u64, v(round));
+        s.commit()
+    };
+    let mut futs: Vec<_> = (0..CONNS).map(|i| Some(submit(i, 0))).collect();
+    let (mut commits, mut submitted) = (0u64, CONNS as u64);
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while futs.iter().any(Option::is_some) {
+        assert!(std::time::Instant::now() < deadline, "commits stalled");
+        for (i, slot) in futs.iter_mut().enumerate() {
+            let Some(res) = slot.as_ref().and_then(|f| f.try_take()) else {
+                continue;
+            };
+            res.unwrap_or_else(|e| panic!("commit on connection {i}: {e:?}"));
+            commits += 1;
+            *slot = (submitted < COMMITS).then(|| {
+                submitted += 1;
+                submit(i, submitted)
+            });
+        }
+        std::thread::yield_now();
+    }
+    assert_eq!(commits, COMMITS);
+
+    let hwm = engine.stats.open_txns.hwm();
+    assert!(
+        hwm >= 8,
+        "open-transaction high-water mark {hwm}: the connections did not overlap"
+    );
+    assert_eq!(
+        engine.sched.stats().inline_runs.get(),
+        0,
+        "a polling client must never run engine code"
     );
 }
 

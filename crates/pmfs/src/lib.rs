@@ -34,7 +34,7 @@ use std::sync::Arc;
 use pmp_repl::ReplicatedFabric;
 
 pub use buffer::{BufferFusion, BufferFusionStats, PageSource};
-pub use plock::{PLockFusion, PLockMode, ReleaseRequester};
+pub use plock::{PLockFusion, PLockMode, PendingGrant, ReleaseRequester};
 pub use pmp_repl::{ReplBatch, ReplCell, ReplSnapshot, ReplStats};
 pub use rlock::{RLockFusion, WaitCell, WaitOutcome};
 pub use tit::{SlotSnapshot, TitRegion};

@@ -104,6 +104,22 @@ struct WaitingReq {
     cell: Arc<GrantCell>,
 }
 
+/// A request [`PLockFusion::request`] left in the FIFO queue: the handle
+/// [`PLockFusion::wait_grant`] blocks on.
+#[derive(Debug)]
+pub struct PendingGrant {
+    node: NodeId,
+    page: PageId,
+    cell: Arc<GrantCell>,
+}
+
+impl PendingGrant {
+    /// Whether the grant has landed, i.e. `wait_grant` would not block.
+    pub fn is_granted(&self) -> bool {
+        matches!(*self.cell.state.lock(), GrantState::Granted)
+    }
+}
+
 #[derive(Debug, Default)]
 struct PLockState {
     /// Current holders. Invariant: either any number of distinct S holders,
@@ -205,13 +221,14 @@ impl PLockFusion {
         &self.shards[(page.0 as usize) & (SHARDS - 1)]
     }
 
-    /// Acquire `mode` on `page` for `node`, blocking up to `timeout`.
+    /// Acquire `mode` on `page` for `node`, blocking up to `timeout`:
+    /// [`request`](Self::request), then [`wait_grant`](Self::wait_grant) if
+    /// the grant is still outstanding.
     ///
-    /// Called by the engine over RDMA RPC (charged here). The node-side
-    /// cache guarantees at most one in-flight fusion request per (node,
-    /// page), and that a node only re-requests a lock it still holds when a
-    /// negotiation forbade local re-granting — in which case FIFO queueing
-    /// below provides the fairness the paper requires.
+    /// The node-side cache guarantees at most one in-flight fusion request
+    /// per (node, page), and that a node only re-requests a lock it still
+    /// holds when a negotiation forbade local re-granting — in which case
+    /// FIFO queueing provides the fairness the paper requires.
     pub fn acquire(
         &self,
         node: NodeId,
@@ -219,6 +236,21 @@ impl PLockFusion {
         mode: PLockMode,
         timeout: Duration,
     ) -> Result<()> {
+        match self.request(node, page, mode) {
+            None => Ok(()),
+            Some(pending) => self.wait_grant(pending, timeout),
+        }
+    }
+
+    /// Ask for `mode` on `page`: the RDMA RPC (charged here), then either
+    /// an immediate grant (`None`) or a FIFO queue entry plus negotiation
+    /// messages to the conflicting holders. Bounded — it never waits for a
+    /// peer to drain. The returned [`PendingGrant`] may already be granted
+    /// (an idle holder hands the lock back inside the negotiation); either
+    /// way it must be passed to [`wait_grant`](Self::wait_grant), which is
+    /// what removes the queue entry if the grant never comes.
+    #[must_use = "a pending grant left unwaited leaks its FIFO queue entry"]
+    pub fn request(&self, node: NodeId, page: PageId, mode: PLockMode) -> Option<PendingGrant> {
         self.stats.acquires.inc();
         self.repl.rpc(32, || ());
         // The grant/queue mutation below lands on every PMFS backup.
@@ -233,14 +265,14 @@ impl PLockFusion {
             if let Some(held) = state.holder_mode(node) {
                 if held.covers(mode) && state.queue.is_empty() {
                     self.stats.immediate_grants.inc();
-                    return Ok(());
+                    return None;
                 }
             }
 
             if state.queue.is_empty() && state.grantable(node, mode) {
                 state.add_holder(node, mode);
                 self.stats.immediate_grants.inc();
-                return Ok(());
+                return None;
             }
 
             // Conflict: enqueue FIFO and remember whom to negotiate with.
@@ -262,7 +294,14 @@ impl PLockFusion {
         // Send negotiation messages outside the shard lock: the handler may
         // release immediately, which re-enters this fusion.
         self.negotiate(page, mode, &conflicting);
+        Some(PendingGrant { node, page, cell })
+    }
 
+    /// Block until `pending` is granted or `timeout` passes; on timeout the
+    /// request leaves the FIFO queue and whatever it was blocking is
+    /// granted. Returns at once when the grant already landed.
+    pub fn wait_grant(&self, pending: PendingGrant, timeout: Duration) -> Result<()> {
+        let PendingGrant { node, page, cell } = pending;
         if cell.wait(timeout) {
             self.stats.queued_grants.inc();
             return Ok(());
@@ -666,6 +705,59 @@ mod tests {
             0,
             "release nudges must not run under any tracked fusion lock"
         );
+    }
+
+    #[test]
+    fn request_grants_now_or_returns_the_pending_grant() {
+        let f = fusion();
+        let p = PageId(14);
+        assert!(f.request(NodeId(1), p, PLockMode::X).is_none());
+        assert_eq!(f.stats().immediate_grants.get(), 1);
+
+        // No handler for node 1: the request stays queued until a release.
+        let pending = f.request(NodeId(2), p, PLockMode::X).expect("conflict");
+        assert!(!pending.is_granted());
+        assert_eq!(f.queue_len(p), 1);
+
+        f.release(NodeId(1), p);
+        assert!(pending.is_granted(), "the release grants the queue head");
+        assert_eq!(f.queue_len(p), 0, "a granted request has left the queue");
+        f.wait_grant(pending, Duration::ZERO)
+            .expect("an already-granted request does not wait");
+        assert_eq!(f.holders(p), vec![(NodeId(2), PLockMode::X)]);
+    }
+
+    #[test]
+    fn request_is_granted_inside_the_negotiation_by_an_idle_holder() {
+        let f = fusion();
+        let p = PageId(15);
+        let h1 = instant(&f, NodeId(1));
+        f.acquire(NodeId(1), p, PLockMode::X, T).unwrap();
+
+        let pending = f.request(NodeId(2), p, PLockMode::X).expect("conflict");
+        assert_eq!(h1.nudges.load(Ordering::Relaxed), 1);
+        assert!(pending.is_granted(), "node 1 released on the nudge");
+        f.wait_grant(pending, Duration::ZERO).unwrap();
+        assert_eq!(f.holders(p), vec![(NodeId(2), PLockMode::X)]);
+    }
+
+    #[test]
+    fn wait_grant_timeout_leaves_the_queue_and_regrants_behind_it() {
+        let f = fusion();
+        let p = PageId(16);
+        f.acquire(NodeId(1), p, PLockMode::S, T).unwrap();
+        // X queues behind node 1's S; node 3's S queues behind the X.
+        let x = f.request(NodeId(2), p, PLockMode::X).expect("conflict");
+        let s = f.request(NodeId(3), p, PLockMode::S).expect("no barging");
+        assert_eq!(f.queue_len(p), 2);
+
+        let err = f.wait_grant(x, Duration::from_millis(20)).unwrap_err();
+        assert_eq!(err, PmpError::LockWaitTimeout);
+        assert_eq!(f.stats().timeouts.get(), 1);
+        assert_eq!(f.queue_len(p), 0, "the abandoned X no longer blocks the S");
+        assert!(s.is_granted());
+        f.wait_grant(s, Duration::ZERO).unwrap();
+        assert_eq!(f.holders(p).len(), 2);
     }
 
     #[test]
