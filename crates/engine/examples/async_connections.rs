@@ -18,7 +18,9 @@
 //! whole row (warm-up, window and final drain) — parks, run-queue hand-offs
 //! and deadline-timer fires per commit, and inline runs as a count (the
 //! final drain `wait()`s once per connection; a polling client adds none).
-//! Exits 1 if 64 connections never had more than one transaction open.
+//! Exits 1 if 64 connections never had more than one transaction open, or
+//! if they took more than 0.05 timer fires per commit — a deadline that
+//! outlives its wait must be dropped, not delivered as a wake.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -29,6 +31,8 @@ use pmp_engine::{AsyncSession, NodeEngine, RowValue, Shared};
 
 const CONNECTIONS: [usize; 3] = [1, 64, 256];
 const WARMUP: Duration = Duration::from_millis(500);
+/// Ceiling on deadline-timer fires per commit at 64 connections.
+const TIMER_FIRES_PER_COMMIT_MAX: f64 = 0.05;
 
 struct Row {
     conns: usize,
@@ -189,6 +193,7 @@ fn main() -> ExitCode {
         "timer_fires/commit"
     );
     let mut overlapped = true;
+    let mut stale_timers = None;
     for conns in CONNECTIONS {
         let r = run(conns, Duration::from_secs_f64(seconds));
         let per_commit = |n: u64| n as f64 / r.commits_total.max(1) as f64;
@@ -206,6 +211,16 @@ fn main() -> ExitCode {
         if r.conns == 64 && r.open_txns_hwm <= 1 {
             overlapped = false;
         }
+        if r.conns == 64 && per_commit(r.timer_fires) > TIMER_FIRES_PER_COMMIT_MAX {
+            stale_timers = Some(per_commit(r.timer_fires));
+        }
+    }
+    if let Some(fires) = stale_timers {
+        eprintln!(
+            "FAIL: {fires:.3} timer fires per commit at 64 connections \
+             (limit {TIMER_FIRES_PER_COMMIT_MAX}): stale deadlines are being delivered as wakes"
+        );
+        return ExitCode::from(1);
     }
     if !overlapped {
         eprintln!("FAIL: 64 connections never had more than one transaction open");

@@ -31,6 +31,7 @@ use crate::node::NodeEngine;
 use crate::page::{LeafPage, Page, PageKind};
 use crate::redo::{RedoOp, RedoRecord};
 use crate::row::IndexKey;
+use crate::scheduler::with_parking_disabled;
 
 /// What a modify closure decided, given the write-latched leaf.
 pub enum ModifyVerdict<R> {
@@ -350,7 +351,8 @@ fn split_page(
         frame.mark_dirty(end, page.llsn);
         // WAL rule: the new page's image must be durable before the page
         // is pushed anywhere (install_new_page registers it in the DBP).
-        if engine.wal.force(end) < end {
+        // (Mid-split the statement cannot unwind: wait as a thread.)
+        if with_parking_disabled(|| engine.wal.force(end, &mut None))? < end {
             return Err(PmpError::NodeUnavailable { node: engine.node });
         }
         let parent_level = page.level + 1;
@@ -504,7 +506,7 @@ fn root_split(
     frame.mark_dirty(end, page.llsn);
     // WAL rule, as in the non-root split: no DBP install without durable
     // images.
-    if engine.wal.force(end) < end {
+    if with_parking_disabled(|| engine.wal.force(end, &mut None))? < end {
         return Err(PmpError::NodeUnavailable { node: engine.node });
     }
     engine.install_new_page(left);

@@ -31,9 +31,10 @@
 //! * [`btree`] — the multi-node B-tree built on PLocked pages.
 //! * [`txn`] — transactions: read views, visibility (Algorithm 1), row
 //!   locking, commit/rollback.
-//! * [`scheduler`] — the parkable transaction scheduler: txn state machines
-//!   park on page loads, PLock grants and group commit instead of blocking
-//!   a thread each.
+//! * [`scheduler`] — the parkable transaction scheduler and the engine's one
+//!   wait primitive: every wait (page load, PLock grant, row lock, CTS
+//!   lease, group commit) is written once and suspends its waiter — a task
+//!   parks, a thread blocks.
 //! * [`session`] — the async `Session` surface over the scheduler:
 //!   `begin/get/put/scan/commit` return engine-driven futures, with a
 //!   blocking shim for synchronous callers.

@@ -21,7 +21,7 @@ const NODE_FINISHED: LockClass = LockClass::new("engine.node.finished");
 const NODE_ROOT_HINTS: LockClass = LockClass::new("engine.node.root_hints");
 /// Background-thread join handles (lifecycle only).
 const NODE_BG: LockClass = LockClass::new("engine.node.bg");
-use pmp_io::{Completion, CompletionToken, Cqe, CqePayload, IoRing, SqeOp};
+use pmp_io::{CompletionToken, Cqe, CqePayload, IoRing, SqeOp};
 use pmp_pmfs::{PLockMode, PageSource, TitRegion};
 use pmp_rdma::Locality;
 
@@ -29,6 +29,7 @@ use crate::cts_cache::{CtsCache, MinActiveTable};
 use crate::lbp::{Frame, Lbp, LoadTicket, Lookup};
 use crate::page::Page;
 use crate::plock_local::{LocalPLocks, NegotiationHandler, PLockGuard, ReleaseHook};
+use crate::scheduler::{self, Waiter};
 use crate::shared::Shared;
 use crate::tso_client::TsoClient;
 use crate::txn::Txn;
@@ -104,8 +105,8 @@ pub struct NodeEngine {
     pub tit: Arc<TitRegion>,
     pub tso: TsoClient,
     /// Per-node async transaction scheduler: parked statements release
-    /// their worker thread on page-load / PLock / group-commit waits and
-    /// are re-queued on wake (DESIGN.md §13).
+    /// their worker thread on page-load / PLock / row-lock / commit waits
+    /// and are re-queued on wake (DESIGN.md §13).
     pub sched: Arc<crate::scheduler::Scheduler>,
     pub stats: NodeStats,
     next_trx: AtomicU64,
@@ -329,8 +330,9 @@ impl NodeEngine {
 
     /// Load a page we have no frame for: DBP RPC first, then shared
     /// storage through the io ring + DBP registration (§4.2 "page
-    /// access"). The appointed loader submits an SQE and blocks on its
-    /// completion *without* holding the LBP shard lock, so an LBP shard
+    /// access"). The appointed loader submits an SQE whose continuation
+    /// installs the frame and wakes it, and suspends *without* holding the
+    /// LBP shard lock — a task parks, a thread blocks — so an LBP shard
     /// sustains as many in-flight storage loads as the ring allows.
     fn start_load(&self, page_id: PageId, ticket: LoadTicket) -> Result<Arc<Frame>> {
         let flag = Arc::new(AtomicBool::new(true));
@@ -344,42 +346,31 @@ impl NodeEngine {
             self.version_store.invalidate_page(page_id);
             return Ok(self.lbp.finish_load(page_id, ticket, (*page).clone(), flag));
         }
-        // On a scheduler worker: don't block on the CQE — install the
-        // parker as the continuation and park the statement. The re-run
-        // finds the frame resident (Hit) or the load's error in the parker.
-        if let Some(parker) = crate::scheduler::async_parker() {
-            let weak = self.self_ref();
-            if let Err(e) = self.io.submit_with(
-                SqeOp::ReadPage(page_id),
-                page_id.0,
-                Box::new(move |cqe| {
-                    if let Err(e) = Self::complete_storage_load(&weak, page_id, ticket, flag, cqe) {
-                        parker.set_error(e);
-                    }
-                    parker.wake();
-                }),
-            ) {
-                self.lbp.abort_load(page_id, ticket);
-                return Err(e);
-            }
-            return Err(PmpError::WouldBlock);
-        }
+        let was_alive = self.is_alive();
+        let waiter = Waiter::current();
+        let waker = waiter.waker();
         let weak = self.self_ref();
-        let completion: Completion<Result<Arc<Frame>>> = Completion::new();
-        let done = completion.clone();
         if let Err(e) = self.io.submit_with(
             SqeOp::ReadPage(page_id),
             page_id.0,
             Box::new(move |cqe| {
-                done.complete(Self::complete_storage_load(
-                    &weak, page_id, ticket, flag, cqe,
-                ));
+                match Self::complete_storage_load(&weak, page_id, ticket, flag, cqe) {
+                    Ok(_) => waker.wake(),
+                    Err(e) => waker.fail(e),
+                }
             }),
         ) {
             self.lbp.abort_load(page_id, ticket);
             return Err(e);
         }
-        completion.wait()
+        waiter.suspend(None)?;
+        // Start over, as a re-run statement does: the page is resident now —
+        // unless the node crashed under the load and wiped the pool, and
+        // then this thread must not go on to reload, modify and log it.
+        if was_alive {
+            self.check_alive()?;
+        }
+        self.frame(page_id)
     }
 
     /// Resolve a storage-read completion into the LBP sentinel the loader
@@ -592,7 +583,11 @@ impl NodeEngine {
             }
             (Arc::new(page.clone()), seen)
         };
-        if self.wal.force(seen.newest_lsn) < seen.newest_lsn {
+        // Flushes run from release hooks, guard drops and the background
+        // flusher, none of which can unwind: the force waits as a thread.
+        let forced =
+            scheduler::with_parking_disabled(|| self.wal.force(seen.newest_lsn, &mut None));
+        if !forced.is_ok_and(|lsn| lsn >= seen.newest_lsn) {
             // Crash truncated the log under the flush: the image is no
             // longer covered by durable redo, so pushing it to the DBP
             // would violate the WAL rule. The dead node's dirty state
@@ -941,7 +936,7 @@ impl NodeEngine {
         }
         drop(fin);
         self.shared.pmfs.txn.unregister_region(self.node);
-        self.wal.force(self.wal.stream().end_lsn());
+        self.wal.force(self.wal.stream().end_lsn(), &mut None)?;
         Ok(())
     }
 
@@ -954,9 +949,9 @@ impl NodeEngine {
         self.stop_background();
         self.shared.pmfs.plock.unregister_node(self.node);
         self.wal.stream().crash();
-        // Transactions parked in the group-commit window must learn the log
-        // tail is gone: fire their force callbacks with the truncated
-        // watermark so their re-run observes forced < end and aborts.
+        // Committers suspended in the group-commit window must learn the log
+        // tail is gone: wake them, so their re-check observes forced < end
+        // and aborts.
         self.wal.drain_pending_on_crash();
         // Queued SQEs complete as Cancelled, which aborts their LBP
         // sentinels before the wipe below; loads a worker already claimed

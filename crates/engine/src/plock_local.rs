@@ -13,16 +13,21 @@
 //! its internal transactions") and the lock is handed back — after pushing
 //! the page to the DBP if dirty, which the engine performs through the
 //! [`ReleaseHook`] — as soon as the reference count drains.
+//!
+//! Waiting is the scheduler's one wait path ([`Waiter`]): an acquirer that
+//! must wait registers its waker on the shard under the shard lock and
+//! suspends — a task parks, a thread blocks — and every state change fires
+//! the shard's wakers. There is one `acquire`, and one wake channel.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use pmp_common::sync::{sched_point, LockClass, TrackedCondvar, TrackedMutex, TrackedMutexGuard};
+use pmp_common::sync::{sched_point, LockClass, TrackedMutex, TrackedMutexGuard};
 use pmp_common::{Counter, NodeId, PageId, PmpError, Result};
-use pmp_pmfs::{PLockFusion, PLockMode, PendingGrant, ReleaseRequester};
+use pmp_pmfs::{PLockFusion, PLockMode, ReleaseRequester};
 
-use crate::scheduler::{self, Parker};
+use crate::scheduler::{self, Waiter, Waker};
 
 /// One shard of the node's local PLock table. All fusion traffic
 /// (acquire/release, both RPC-priced) happens with the shard lock dropped,
@@ -45,34 +50,26 @@ fn shard_index(page: PageId) -> usize {
     (page.0.wrapping_mul(HASH_MULT) >> 32) as usize & (SHARD_COUNT - 1)
 }
 
-/// One shard: its own entry map and negotiation/drain condvar, so waiters
-/// for one page never contend with or get woken by unrelated pages that
-/// hash elsewhere.
-struct LockShard {
-    state: TrackedMutex<ShardState>,
-    cv: TrackedCondvar,
-}
+/// One shard: its own entry map and waker list, so waiters for one page
+/// never contend with or get woken by unrelated pages that hash elsewhere.
+type LockShard = TrackedMutex<ShardState>;
 
-/// A parked async transaction's wake hook (re-enqueues its continuation).
-type ShardWaker = Box<dyn FnOnce() + Send>;
-
+#[derive(Default)]
 struct ShardState {
     entries: HashMap<PageId, Entry>,
-    /// Parked async acquirers; drained and fired at every state change the
-    /// condvar waiters are notified of. Spurious wakes are fine — a woken
-    /// transaction just re-runs its acquire.
-    wakers: Vec<ShardWaker>,
+    /// Acquirers suspended on this shard; drained and fired at every state
+    /// change. Spurious wakes are fine — a woken acquirer re-checks.
+    wakers: Vec<Waker>,
 }
 
-/// Wake everything parked on the shard. The async wakers must fire with
-/// the shard lock *dropped*: a stopped scheduler runs woken continuations
+/// Wake everything suspended on the shard. The wakers must fire with the
+/// shard lock *dropped*: a stopped scheduler runs woken continuations
 /// inline, and the re-run statement may take this same shard lock.
-fn notify_shard(mut st: TrackedMutexGuard<'_, ShardState>, shard: &LockShard) {
+fn notify_shard(mut st: TrackedMutexGuard<'_, ShardState>) {
     let wakers = std::mem::take(&mut st.wakers);
     drop(st);
-    shard.cv.notify_all();
     for w in wakers {
-        w();
+        w.wake();
     }
 }
 
@@ -145,16 +142,7 @@ impl Drop for PLockGuard<'_> {
 impl LocalPLocks {
     pub fn new(node: NodeId, fusion: Arc<PLockFusion>, lazy: bool, timeout: Duration) -> Arc<Self> {
         let shards = (0..SHARD_COUNT)
-            .map(|_| LockShard {
-                state: TrackedMutex::new(
-                    LOCAL_ENTRIES,
-                    ShardState {
-                        entries: HashMap::new(),
-                        wakers: Vec::new(),
-                    },
-                ),
-                cv: TrackedCondvar::new(),
-            })
+            .map(|_| TrackedMutex::new(LOCAL_ENTRIES, ShardState::default()))
             .collect();
         Arc::new(LocalPLocks {
             node,
@@ -183,24 +171,42 @@ impl LocalPLocks {
     /// Acquire `mode` on `page`. Returns a guard whose drop decrements the
     /// reference count.
     ///
-    /// Inside a scheduler task (lazy mode only) the wait points *park* the
-    /// calling transaction instead of blocking: the call returns
-    /// [`PmpError::WouldBlock`] and the statement is re-run when the shard
-    /// changes state. Everywhere else this blocks as before.
+    /// An acquirer that has to wait — for another local acquirer's fusion
+    /// call, or for references on a hold it cannot share to drain —
+    /// registers its waker on the shard and suspends: a task returns
+    /// [`PmpError::WouldBlock`] and its statement is re-run by the wake.
+    /// Registration happens under the shard lock and every state change
+    /// fires the wakers taken under that same lock, so a wake can't be
+    /// missed: whatever changes after we registered wakes us, and whatever
+    /// changed before is visible to the re-check. The lock-wait deadline is
+    /// fixed at the first suspend — a thread keeps it on its stack, a task's
+    /// parker keeps it across statement re-runs — and a task's suspend arms
+    /// it as a timer, which backstops wakes lost to crashes.
+    ///
+    /// Eager release (the §4.3.1 ablation) always suspends as a thread: it
+    /// keeps no hold at zero references for a re-run to pick up.
     pub fn acquire(self: &Arc<Self>, page: PageId, mode: PLockMode) -> Result<PLockGuard<'_>> {
-        if self.lazy {
-            if let Some(parker) = scheduler::async_parker() {
-                return self.acquire_async(page, mode, &parker);
-            }
+        let waiter = if self.lazy {
+            Waiter::current()
+        } else {
+            Waiter::Thread
+        };
+        let res = self.acquire_as(&waiter, page, mode);
+        if !matches!(res, Err(PmpError::WouldBlock)) {
+            waiter.lock_wait_over(page.0);
         }
-        self.acquire_blocking(page, mode)
+        res
     }
 
-    fn acquire_blocking(&self, page: PageId, mode: PLockMode) -> Result<PLockGuard<'_>> {
-        // lint: allow(raw-instant): condvar deadline for the lock-wait timeout
-        let deadline = Instant::now() + self.timeout;
+    fn acquire_as(
+        self: &Arc<Self>,
+        waiter: &Waiter,
+        page: PageId,
+        mode: PLockMode,
+    ) -> Result<PLockGuard<'_>> {
         let shard = self.shard(page);
-        let mut st = shard.state.lock();
+        let mut st = shard.lock();
+        let mut deadline = None; // asked for at the first wait
         loop {
             match st.entries.get_mut(&page) {
                 None => {
@@ -215,67 +221,110 @@ impl LocalPLocks {
                         },
                     );
                     drop(st);
-
                     self.stats.fusion_acquires.inc();
-                    let res = self.fusion.acquire(self.node, page, mode, self.timeout);
-                    return self.install_grant(page, mode, res);
+                    return self.ask_fusion(waiter, page, mode);
                 }
-                Some(entry) => match entry.state {
-                    EntryState::Acquiring => {
-                        // Someone is talking to fusion; wait for the verdict.
-                        if shard.cv.wait_until(&mut st, deadline).timed_out() {
-                            return Err(PmpError::LockWaitTimeout);
-                        }
+                Some(entry) if entry.state == EntryState::Held => {
+                    let can_local = entry.mode.covers(mode)
+                        && !entry.negotiation_pending
+                        && (self.lazy || entry.refcount > 0);
+                    if can_local {
+                        entry.refcount += 1;
+                        self.stats.local_grants.inc();
+                        return Ok(PLockGuard {
+                            owner: self.as_ref(),
+                            page,
+                            mode,
+                        });
                     }
-                    EntryState::Held => {
-                        let can_local = entry.mode.covers(mode)
-                            && !entry.negotiation_pending
-                            && (self.lazy || entry.refcount > 0);
-                        if can_local {
-                            entry.refcount += 1;
-                            self.stats.local_grants.inc();
-                            return Ok(PLockGuard {
-                                owner: self,
-                                page,
-                                mode,
-                            });
-                        }
-                        // Either a negotiation forbids local grants, or we
-                        // need a stronger mode. Wait for the entry to drain
-                        // and be released, then retry through fusion (FIFO
-                        // fairness, §4.3.1).
-                        if entry.refcount == 0 {
-                            // Drain it ourselves.
-                            let mode_held = entry.mode;
-                            entry.state = EntryState::Acquiring; // block others
-                            drop(st);
-                            self.hand_back(page, mode_held);
-                            st = shard.state.lock();
-                            // hand_back removed the entry; retry the loop.
-                            shard.cv.notify_all();
-                        } else if shard.cv.wait_until(&mut st, deadline).timed_out() {
-                            return Err(PmpError::LockWaitTimeout);
-                        }
+                    // Either a negotiation forbids local grants, or we need
+                    // a stronger mode: the entry has to drain and go back,
+                    // then we retry through fusion (FIFO fairness, §4.3.1).
+                    if entry.refcount == 0 {
+                        // Drain it ourselves: the hook force and the
+                        // release RPC are bounded (no peer waits).
+                        entry.state = EntryState::Acquiring; // block others
+                        drop(st);
+                        self.hand_back(page);
+                        st = shard.lock();
+                        continue;
                     }
-                },
+                }
+                // Someone is talking to fusion; wait for the verdict.
+                Some(_) => {}
             }
+            let deadline =
+                *deadline.get_or_insert_with(|| waiter.lock_wait_deadline(page.0, self.timeout));
+            if scheduler::passed(deadline) {
+                return Err(PmpError::LockWaitTimeout);
+            }
+            st.wakers.push(waiter.waker());
+            sched_point("plock.wait.registered");
+            drop(st);
+            waiter.suspend(deadline)?;
+            st = shard.lock();
         }
     }
 
-    /// The acquirer's last step, on the thread that asked: turn Lock
-    /// Fusion's verdict for the `Acquiring` entry into a guard (`Held`, one
-    /// reference) or remove the entry, and wake the shard either way.
+    /// Ask Lock Fusion for the `Acquiring` entry's lock and install the
+    /// verdict. The RPC and the negotiation are bounded, and the usual
+    /// answer is a grant — at once, or handed back by an idle holder inside
+    /// the negotiation. Only a holder with the page pinned makes the wait
+    /// last as long as a peer likes, and Lock Fusion's grant cell takes no
+    /// waker: the one place the two waiters differ. A thread waits for the
+    /// cell in place; a task leaves that to the scheduler's helper pool,
+    /// which installs the verdict as a lazily retained hold (the woken
+    /// statement re-grants locally) or fails the task's wait.
+    fn ask_fusion(
+        self: &Arc<Self>,
+        waiter: &Waiter,
+        page: PageId,
+        mode: PLockMode,
+    ) -> Result<PLockGuard<'_>> {
+        // Parking is disabled around the request: a negotiated holder runs
+        // its release hook (log force, DBP push) on this thread, and that
+        // must not suspend *our* task.
+        let pending =
+            scheduler::with_parking_disabled(|| self.fusion.request(self.node, page, mode));
+        let verdict = match (pending, waiter) {
+            (None, _) => Ok(()),
+            (Some(p), Waiter::Task(parker)) if !p.is_granted() => {
+                let this = Arc::clone(self);
+                let waker = waiter.waker();
+                parker.spawn_blocking(Box::new(move || {
+                    let res = this.fusion.wait_grant(p, this.timeout);
+                    match this.install_grant(page, mode, res) {
+                        Ok(retained) => {
+                            drop(retained);
+                            waker.wake()
+                        }
+                        Err(e) => waker.fail(e),
+                    }
+                }));
+                // Guaranteed wake from the pool job (`wait_grant` has its
+                // own timeout) — no deadline needed.
+                return Err(PmpError::WouldBlock);
+            }
+            // Landed inside the negotiation (`wait_grant` only does the
+            // bookkeeping), or ours to wait out.
+            (Some(p), _) => self.fusion.wait_grant(p, self.timeout),
+        };
+        self.install_grant(page, mode, verdict)
+    }
+
+    /// The acquirer's last step: turn Lock Fusion's verdict for the
+    /// `Acquiring` entry into a guard (`Held`, one reference) or remove the
+    /// entry, and wake the shard either way.
     fn install_grant(
         &self,
         page: PageId,
         mode: PLockMode,
         res: Result<()>,
     ) -> Result<PLockGuard<'_>> {
-        let shard = self.shard(page);
-        let mut st = shard.state.lock();
+        let mut st = self.shard(page).lock();
         if let Err(e) = res {
             st.entries.remove(&page);
-            notify_shard(st, shard);
+            notify_shard(st);
             return Err(e);
         }
         let Some(e) = st.entries.get_mut(&page) else {
@@ -291,7 +340,7 @@ impl LocalPLocks {
         e.state = EntryState::Held;
         e.mode = mode;
         e.refcount = 1;
-        notify_shard(st, shard);
+        notify_shard(st);
         Ok(PLockGuard {
             owner: self,
             page,
@@ -299,196 +348,10 @@ impl LocalPLocks {
         })
     }
 
-    /// The parking variant of [`acquire`](Self::acquire): every wait the
-    /// blocking path spends on the shard condvar instead registers a waker
-    /// and returns [`PmpError::WouldBlock`]. Lock Fusion is asked on this
-    /// thread — the RPC and the negotiation are bounded, and the usual
-    /// answer is a grant (at once, or handed back by an idle holder inside
-    /// the negotiation), which returns the guard without parking. Only a
-    /// grant that is really outstanding (the holder has the page pinned)
-    /// parks the transaction, with the wait on the scheduler's blocking
-    /// pool.
-    ///
-    /// Waker registration happens under the shard lock and every state
-    /// change notifies under that same lock, so a wake can't be missed:
-    /// whatever changes after we registered fires our waker, and whatever
-    /// changed before is visible to the re-run. The lock-wait deadline
-    /// survives park/wake cycles in the parker's `plock_wait` slot; a
-    /// deadline timer backstops wakes lost to node crashes.
-    fn acquire_async(
-        self: &Arc<Self>,
-        page: PageId,
-        mode: PLockMode,
-        parker: &Arc<Parker>,
-    ) -> Result<PLockGuard<'_>> {
-        let shard = self.shard(page);
-        let mut st = shard.state.lock();
-        loop {
-            match st.entries.get_mut(&page) {
-                None => {
-                    st.entries.insert(
-                        page,
-                        Entry {
-                            state: EntryState::Acquiring,
-                            mode,
-                            refcount: 0,
-                            negotiation_pending: false,
-                        },
-                    );
-                    drop(st);
-                    self.stats.fusion_acquires.inc();
-                    // Parking is disabled around the request: a negotiated
-                    // holder runs its release hook (log force, DBP push) on
-                    // this thread, and that must not park *our* task.
-                    let pending = scheduler::with_parking_disabled(|| {
-                        self.fusion.request(self.node, page, mode)
-                    });
-                    let res = match pending {
-                        None => Ok(()),
-                        // Landed inside the negotiation: `wait_grant` only
-                        // does the bookkeeping, it cannot block.
-                        Some(p) if p.is_granted() => self.fusion.wait_grant(p, self.timeout),
-                        Some(p) => {
-                            self.wait_grant_on_pool(p, page, mode, parker);
-                            // Guaranteed wake from the pool job (`wait_grant`
-                            // has its own timeout) — no deadline timer needed.
-                            return Err(PmpError::WouldBlock);
-                        }
-                    };
-                    parker.clear_plock_wait(Some(page));
-                    return self.install_grant(page, mode, res);
-                }
-                Some(entry) => match entry.state {
-                    EntryState::Acquiring => {
-                        self.park_on_shard(&mut st, parker, page)?;
-                        return Err(PmpError::WouldBlock);
-                    }
-                    EntryState::Held => {
-                        let can_local = entry.mode.covers(mode)
-                            && !entry.negotiation_pending
-                            && (self.lazy || entry.refcount > 0);
-                        if can_local {
-                            entry.refcount += 1;
-                            self.stats.local_grants.inc();
-                            // Only this page's wait is over: a re-run
-                            // statement re-takes its uncontended PLocks
-                            // first, and those must not wipe the deadline
-                            // saved for the contended one.
-                            parker.clear_plock_wait(Some(page));
-                            return Ok(PLockGuard {
-                                owner: self.as_ref(),
-                                page,
-                                mode,
-                            });
-                        }
-                        if entry.refcount == 0 {
-                            // Drain it ourselves, inline: the hook force and
-                            // the release RPC are bounded (no peer waits).
-                            let mode_held = entry.mode;
-                            entry.state = EntryState::Acquiring;
-                            drop(st);
-                            self.hand_back(page, mode_held);
-                            st = shard.state.lock();
-                            shard.cv.notify_all();
-                        } else {
-                            self.park_on_shard(&mut st, parker, page)?;
-                            return Err(PmpError::WouldBlock);
-                        }
-                    }
-                },
-            }
-        }
-    }
-
-    /// A grant that is really outstanding: wait for it on the scheduler's
-    /// blocking pool, install the verdict for the `Acquiring` entry as a
-    /// lazily retained hold (the woken transaction re-grants locally) and
-    /// wake `parker`; a failure is left on the parker for the re-run.
-    fn wait_grant_on_pool(
-        self: &Arc<Self>,
-        pending: PendingGrant,
-        page: PageId,
-        mode: PLockMode,
-        parker: &Arc<Parker>,
-    ) {
-        let this = Arc::clone(self);
-        let wake = Arc::clone(parker);
-        parker.spawn_blocking(Box::new(move || {
-            let res = this.fusion.wait_grant(pending, this.timeout);
-            let shard = this.shard(page);
-            let mut st = shard.state.lock();
-            let mut surprise_grant = false;
-            match res {
-                Ok(()) => match st.entries.get_mut(&page) {
-                    Some(e) => {
-                        e.state = EntryState::Held;
-                        e.mode = mode;
-                    }
-                    // crash_clear raced the fusion call (see
-                    // `install_grant`): hand the grant back.
-                    None => surprise_grant = true,
-                },
-                Err(e) => {
-                    st.entries.remove(&page);
-                    wake.set_error(e);
-                }
-            }
-            notify_shard(st, shard);
-            if surprise_grant {
-                this.fusion.release(this.node, page);
-                wake.set_error(PmpError::NodeUnavailable { node: this.node });
-            }
-            wake.wake();
-        }));
-    }
-
-    /// Register `parker` on the shard's waker list, keeping the lock-wait
-    /// deadline across park/wake cycles. Fails with `LockWaitTimeout` once
-    /// the deadline has passed (the waker is then *not* registered).
-    ///
-    /// The backstop timer is armed once, when the wait is first recorded:
-    /// that heap entry fires at the deadline however often the statement
-    /// is woken and re-parks before it.
-    fn park_on_shard(
-        &self,
-        st: &mut TrackedMutexGuard<'_, ShardState>,
-        parker: &Arc<Parker>,
-        page: PageId,
-    ) -> Result<()> {
-        // lint: allow(raw-instant): lock-wait timeout deadline
-        let now = Instant::now();
-        let first_deadline = match parker.plock_wait() {
-            Some((p, dl)) if p == page => {
-                if now >= dl {
-                    parker.clear_plock_wait(Some(page));
-                    return Err(PmpError::LockWaitTimeout);
-                }
-                None
-            }
-            _ => {
-                let dl = now + self.timeout;
-                parker.set_plock_wait(page, dl);
-                Some(dl)
-            }
-        };
-        let w = Arc::clone(parker);
-        st.wakers.push(Box::new(move || w.wake()));
-        sched_point("plock.wait.register-backstop");
-        if let Some(deadline) = first_deadline {
-            // Safety net: peers' notify sites cover every grant/release,
-            // but a crashed peer's `crash_clear` could race our
-            // registration; the timer turns a lost wake into a timeout
-            // instead of a hang.
-            parker.park_deadline(deadline);
-        }
-        Ok(())
-    }
-
     /// Drop one reference; if it was the last and a negotiation is pending
     /// (or lazy release is disabled), hand the lock back to Lock Fusion.
     fn unref(&self, page: PageId) {
-        let shard = self.shard(page);
-        let mut st = shard.state.lock();
+        let mut st = self.shard(page).lock();
         let Some(entry) = st.entries.get_mut(&page) else {
             return;
         };
@@ -504,46 +367,42 @@ impl LocalPLocks {
             // a *stronger* mode than the held one waits for exactly this
             // refcount-to-zero edge so it can hand the entry back and retry
             // through fusion. Without a notify here that waiter sleeps until
-            // its lock-wait deadline (condvar waiter) or backstop timer
-            // (parked transaction) and surfaces a spurious timeout.
-            notify_shard(st, shard);
+            // its lock-wait deadline and surfaces a spurious timeout.
+            notify_shard(st);
             return;
         }
         if !self.lazy {
             self.stats.eager_releases.inc();
         }
-        let mode = entry.mode;
         entry.state = EntryState::Acquiring; // block local grants while we release
         drop(st);
-        self.hand_back(page, mode);
-        shard.cv.notify_all();
+        self.hand_back(page);
     }
 
     /// Push-then-release: run the engine hook (log force + DBP push for
     /// dirty pages), tell fusion, drop the local entry. Wakes the shard —
-    /// a removed entry is exactly what parked acquirers wait for.
-    fn hand_back(&self, page: PageId, _mode: PLockMode) {
+    /// a removed entry is exactly what suspended acquirers wait for.
+    ///
+    /// Runs from guard drops and negotiation handlers, which cannot unwind
+    /// and be re-run: the hook's log force suspends as a thread.
+    fn hand_back(&self, page: PageId) {
         let hook = self.hook.lock().clone();
         if let Some(hook) = &hook {
-            hook.before_release(page);
+            scheduler::with_parking_disabled(|| hook.before_release(page));
         }
         self.fusion.release(self.node, page);
-        let shard = self.shard(page);
-        let mut st = shard.state.lock();
+        let mut st = self.shard(page).lock();
         st.entries.remove(&page);
-        notify_shard(st, shard);
+        notify_shard(st);
     }
 
     /// Number of pages currently held/retained (diagnostics).
     pub fn held_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.state.lock().entries.len())
-            .sum()
+        self.shards.iter().map(|s| s.lock().entries.len()).sum()
     }
 
     pub fn is_retained(&self, page: PageId) -> bool {
-        self.shard(page).state.lock().entries.contains_key(&page)
+        self.shard(page).lock().entries.contains_key(&page)
     }
 
     /// Hand back every idle (refcount-zero) lock to Lock Fusion — used to
@@ -558,7 +417,7 @@ impl LocalPLocks {
             // racing the marked entries is safe: fusion's release tolerates
             // missing state and the entry remove below no-ops if gone.
             let victims: Vec<PageId> = {
-                let mut st = shard.state.lock();
+                let mut st = shard.lock();
                 st.entries
                     .iter_mut()
                     .filter(|(_, e)| e.state == EntryState::Held && e.refcount == 0)
@@ -578,11 +437,11 @@ impl LocalPLocks {
                 }
             }
             self.fusion.release_batch(self.node, &victims);
-            let mut st = shard.state.lock();
+            let mut st = shard.lock();
             for page in victims {
                 st.entries.remove(&page);
             }
-            notify_shard(st, shard);
+            notify_shard(st);
         }
     }
 
@@ -591,9 +450,9 @@ impl LocalPLocks {
     /// `PLockFusion::release_all`.
     pub fn crash_clear(&self) {
         for shard in self.shards.iter() {
-            let mut st = shard.state.lock();
+            let mut st = shard.lock();
             st.entries.clear();
-            notify_shard(st, shard);
+            notify_shard(st);
         }
     }
 }
@@ -613,29 +472,20 @@ impl NegotiationHandler {
 impl ReleaseRequester for NegotiationHandler {
     fn request_release(&self, page: PageId, _wanted: PLockMode) {
         let locks = &self.locks;
-        let shard = locks.shard(page);
-        let mut st = shard.state.lock();
+        let mut st = locks.shard(page).lock();
         let Some(entry) = st.entries.get_mut(&page) else {
             return; // already gone
         };
-        match entry.state {
-            EntryState::Acquiring => {
-                // We don't actually hold it yet; fusion races are benign.
-                entry.negotiation_pending = true;
-            }
-            EntryState::Held => {
-                entry.negotiation_pending = true;
-                if entry.refcount == 0 {
-                    locks.stats.negotiated_releases.inc();
-                    let mode = entry.mode;
-                    entry.state = EntryState::Acquiring;
-                    drop(st);
-                    locks.hand_back(page, mode);
-                    shard.cv.notify_all();
-                }
-                // refcount > 0: the final unref will hand it back.
-            }
+        // While `Acquiring` we don't actually hold it yet; fusion races are
+        // benign.
+        entry.negotiation_pending = true;
+        if entry.state == EntryState::Held && entry.refcount == 0 {
+            locks.stats.negotiated_releases.inc();
+            entry.state = EntryState::Acquiring;
+            drop(st);
+            locks.hand_back(page);
         }
+        // refcount > 0: the final unref will hand it back.
     }
 }
 
@@ -831,9 +681,10 @@ mod tests {
         assert_eq!(a.stats().local_grants.get(), 8 * 50 - 1);
     }
 
-    // ---- the parking path (`acquire_async`) --------------------------------
+    // ---- `acquire` as a task (the waiter parks) -----------------------------
 
-    use crate::scheduler::{current_parker, eventually, Scheduler, StepResult};
+    use crate::scheduler::{eventually, Parker, Scheduler, StepResult};
+    use std::time::Instant;
 
     /// One `acquire` driven as a scheduler task, the way the session actor
     /// drives a statement: `WouldBlock` parks the step, a wake re-runs it
@@ -856,9 +707,14 @@ mod tests {
             let runs = Arc::new(AtomicUsize::new(0));
             let outcome = Arc::new(TrackedMutex::new(LOCAL_HOOK, None));
             let (locks, r, o) = (Arc::clone(locks), Arc::clone(&runs), Arc::clone(&outcome));
+            // The step's own parker, known once `spawn` returns — before any
+            // wait source can have failed a wait on it.
+            let me = Arc::new(TrackedMutex::new(LOCAL_HOOK, None::<Arc<Parker>>));
+            let own = Arc::clone(&me);
             let parker = sched.spawn(Box::new(move || {
                 r.fetch_add(1, Ordering::SeqCst);
-                let wait_err = current_parker().and_then(|p| p.take_error());
+                let own = own.lock().clone();
+                let wait_err = own.and_then(|p| p.take_error());
                 let res = match wait_err {
                     Some(e) => Err(e),
                     None => {
@@ -874,6 +730,7 @@ mod tests {
                 *o.lock() = Some(res);
                 StepResult::Done
             }));
+            *me.lock() = Some(Arc::clone(&parker));
             AcquireTask {
                 parker,
                 runs,
@@ -1023,8 +880,8 @@ mod tests {
         let armed = Instant::now();
         let t = AcquireTask::spawn(&sched, &a, Some(root), leaf, PLockMode::X);
         t.wait_parked_after(1);
-        let recorded = t.parker.plock_wait().expect("wait recorded");
-        assert_eq!(recorded.0, leaf);
+        let recorded = t.parker.recorded_wait().expect("wait recorded");
+        assert_eq!(recorded.0, leaf.0);
         assert_eq!(sched.pending_timers(), 1);
 
         // Every re-run re-takes the root PLock first (a local grant for
@@ -1033,7 +890,7 @@ mod tests {
             t.parker.wake();
             t.wait_parked_after(1 + rerun);
             assert_eq!(
-                t.parker.plock_wait(),
+                t.parker.recorded_wait(),
                 Some(recorded),
                 "re-run {rerun} moved the deadline"
             );
@@ -1044,6 +901,6 @@ mod tests {
         assert_eq!(t.wait_outcome(), Err(PmpError::LockWaitTimeout));
         assert!(armed.elapsed() >= timeout, "timed out before the deadline");
         assert_eq!(sched.stats().timer_fires.get(), 1);
-        assert!(t.parker.plock_wait().is_none());
+        assert!(t.parker.recorded_wait().is_none());
     }
 }

@@ -152,7 +152,7 @@ pub fn recover_node(
         shared.pmfs.rlock.notify_finished(gid);
         stats.rolled_back += 1;
     }
-    engine.wal.force(engine.wal.stream().end_lsn());
+    engine.wal.force(engine.wal.stream().end_lsn(), &mut None)?;
 
     // Push every page recovery touched to the DBP *before* the frozen
     // PLocks are released — peers must never observe pre-rollback state.

@@ -1,13 +1,35 @@
-//! Parkable transaction scheduler (the async engine core).
+//! Parkable transaction scheduler (the async engine core), and the engine's
+//! one wait primitive.
 //!
 //! Transactions become state machines that **park** on their wait classes —
-//! page-load completion (`pmp-io` CQE), PLock grant, CTS lease refill and
-//! `wal_force` group commit — releasing their worker thread instead of
-//! blocking on a condvar, and are re-queued on wake. A handful of workers
-//! therefore multiplexes hundreds of open transactions, which is what lets
-//! a 2-worker node keep the fabric and the storage ring full (the
-//! disaggregated-memory argument of arXiv 2207.03027 §1: with sub-100µs
-//! remote waits the CPU must overlap many in-flight txns per core).
+//! page-load completion (`pmp-io` CQE), PLock grant, row lock, CTS lease
+//! refill and `wal_force` group commit — releasing their worker thread, and
+//! are re-queued on wake. A handful of workers therefore multiplexes
+//! hundreds of open transactions, which is what lets a 2-worker node keep
+//! the fabric and the storage ring full (the disaggregated-memory argument
+//! of arXiv 2207.03027 §1: with sub-100µs remote waits the CPU must overlap
+//! many in-flight txns per core).
+//!
+//! ## One wait path
+//!
+//! Every wait in the engine is written once, against a [`Waiter`] — what
+//! the current thread suspends as: the running task's [`Parker`], or the
+//! thread itself — in the shape
+//!
+//! ```text
+//! loop { lock; if satisfied { return }; register waiter.waker() under the
+//!        same lock; unlock; waiter.suspend(deadline)? }
+//! ```
+//!
+//! [`Waiter::suspend`] is the single branch between the parking and the
+//! blocking engine. A task's returns [`PmpError::WouldBlock`]: the
+//! statement unwinds to its session actor, the step parks, and the wake
+//! re-runs it from the top. A thread's blocks on its own condvar until the
+//! waker fires or the deadline passes and returns `Ok(())`, so the caller
+//! loops. Either way the wait is re-checked, and its source never asks
+//! which of the two it is serving. Code that cannot unwind runs under
+//! [`with_parking_disabled`] — "suspend as a thread here" — and a stopped
+//! scheduler means the same.
 //!
 //! ## The park/wake protocol (why wakes can't miss)
 //!
@@ -44,37 +66,38 @@
 //!   futex round trip each way for no overlap. A step that meets a real
 //!   wait parks as usual and is resumed on a worker by its wait source.
 //! * Any wake after [`Scheduler::stop`] (node shutdown or crash).
-//!   [`Parker::can_park`] turns false so every park point falls back to its
-//!   bounded blocking path; combined with stop firing all pending deadline
-//!   timers, every outstanding future resolves — usually with
-//!   `NodeUnavailable` from the dead node.
+//!   [`Waiter::current`] then makes every wait suspend as a thread;
+//!   combined with stop firing all pending deadline timers, every
+//!   outstanding future resolves — usually with `NodeUnavailable` from the
+//!   dead node.
 
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 // lint: allow(raw-instant): deadline timers are scheduler infrastructure, not modelled latency
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pmp_common::sync::{sched_point, LockClass, TrackedCondvar, TrackedMutex};
-use pmp_common::{Counter, Gauge, PageId, PmpError};
+use pmp_common::{Counter, Gauge, PmpError, Result};
 
 /// Run-queue of ready continuations.
 const SCHED_QUEUE: LockClass = LockClass::new("sched.queue");
 /// Per-task parker slot (step + error + wait bookkeeping).
 const SCHED_PARKER: LockClass = LockClass::new("sched.parker");
-/// Deadline-timer heap.
+/// Armed deadline timers.
 const SCHED_TIMER: LockClass = LockClass::new("sched.timer");
 /// Helper pool for unbounded blocking waits (outstanding PLock grants).
 const SCHED_BLOCKING: LockClass = LockClass::new("sched.blocking");
+/// A blocked thread's wake flag (leaf: nothing is acquired under it).
+const SCHED_WAITER: LockClass = LockClass::new("sched.waiter");
 
 const RUNNING: u8 = 0;
 const PARKED: u8 = 1;
 const NOTIFIED: u8 = 2;
 
-/// Upper bound on lazily-spawned helper threads for [`Scheduler::spawn_blocking`].
+/// Upper bound on lazily-spawned helper threads for [`Parker::spawn_blocking`].
 const BLOCKING_POOL_CAP: usize = 8;
 
 /// Outcome of one step of a task's state machine.
@@ -95,29 +118,21 @@ thread_local! {
     static CURRENT_PARKER: RefCell<Option<Arc<Parker>>> = const { RefCell::new(None) };
 }
 
-/// The parker of the task currently running on this thread, if any. Park
-/// points deep in the engine use this to discover they are inside a
-/// scheduler task — on a worker, or on a client thread running the task
-/// inline — and may register a waker instead of blocking.
+/// The parker of the task currently running on this thread, if any — on a
+/// worker, or on a client thread running the task inline. Wait sources do
+/// not call this: they take [`Waiter::current`].
 pub fn current_parker() -> Option<Arc<Parker>> {
     CURRENT_PARKER.with(|c| c.borrow().clone())
-}
-
-/// Like [`current_parker`], but only when the owning scheduler is still
-/// running — on a stopped scheduler park points must use their blocking
-/// fallback so inline re-runs terminate.
-pub fn async_parker() -> Option<Arc<Parker>> {
-    current_parker().filter(|p| p.can_park())
 }
 
 fn set_current(parker: Option<Arc<Parker>>) -> Option<Arc<Parker>> {
     CURRENT_PARKER.with(|c| c.replace(parker))
 }
 
-/// Run `f` with this thread's parker hidden, so every park point inside
-/// takes its bounded blocking fallback. Rollback runs under this: undo
-/// replay is not safe to interleave with a statement re-run, so it must
-/// complete synchronously even on a scheduler worker.
+/// Run `f` with this thread's parker hidden, so every wait inside suspends
+/// as a thread. For code that cannot unwind and be re-run: rollback (undo
+/// replay must not interleave with a statement re-run), release hooks, the
+/// log force inside a B-tree split.
 pub(crate) fn with_parking_disabled<R>(f: impl FnOnce() -> R) -> R {
     let _restore = CurrentParker::enter(None);
     f()
@@ -137,6 +152,197 @@ impl CurrentParker {
 impl Drop for CurrentParker {
     fn drop(&mut self) {
         set_current(self.0.take());
+    }
+}
+
+// ---- the wait primitive -----------------------------------------------------
+
+/// The real clock: lock-wait deadlines, backstops and the timer thread run
+/// on real time, not modelled latency.
+fn now() -> Instant {
+    // lint: allow(raw-instant): deadlines are scheduler infrastructure, not modelled latency
+    Instant::now()
+}
+
+/// `timeout` from now; `None` when that is past the end of time (a wait
+/// with no deadline).
+pub(crate) fn deadline_in(timeout: Duration) -> Option<Instant> {
+    now().checked_add(timeout)
+}
+
+/// The deadline of a wait whose wake its source's protocol guarantees (a
+/// group-commit follower, a committer behind a CTS lease round). It turns a
+/// wake that is lost anyway — the waiter woken to take over crashed instead
+/// — into a re-check rather than a hang, and it is the timer
+/// [`Scheduler::stop`] fires when the node goes down.
+pub(crate) fn backstop() -> Option<Instant> {
+    deadline_in(Duration::from_millis(100))
+}
+
+/// Whether `deadline` has passed (`None` never does).
+pub(crate) fn passed(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|at| now() >= at)
+}
+
+/// A plain thread's wake flag. Wakers are tagged with the generation of the
+/// wait they were made for, so one that fires late cannot disturb the next.
+#[derive(Debug, Default)]
+struct ThreadWait {
+    gen: u64,
+    woken: bool,
+    error: Option<PmpError>,
+}
+
+#[derive(Debug)]
+pub(crate) struct ThreadWaiter {
+    state: TrackedMutex<ThreadWait>,
+    cv: TrackedCondvar,
+}
+
+thread_local! {
+    static THREAD_WAITER: Arc<ThreadWaiter> = Arc::new(ThreadWaiter {
+        state: TrackedMutex::new(SCHED_WAITER, ThreadWait::default()),
+        cv: TrackedCondvar::new(),
+    });
+}
+
+/// What the current thread suspends as (module docs, "One wait path").
+pub(crate) enum Waiter {
+    /// A scheduler task: suspending parks it.
+    Task(Arc<Parker>),
+    /// The thread itself — a plain thread, a task under
+    /// [`with_parking_disabled`], or any task once its scheduler stopped.
+    Thread,
+}
+
+/// Wakes the waiter it was made by. Safe to fire late or after the wait is
+/// over: a task absorbs the extra wake, a thread ignores a waker of an
+/// earlier wait (the generation it carries).
+#[derive(Debug)]
+pub(crate) enum Waker {
+    Task(Arc<Parker>),
+    Thread(Arc<ThreadWaiter>, u64),
+}
+
+impl Waker {
+    pub(crate) fn wake(self) {
+        self.deliver(None);
+    }
+
+    /// The wait failed: the waiter's suspend (a thread) or its re-run (a
+    /// task, through the session actor) ends with `e`.
+    pub(crate) fn fail(self, e: PmpError) {
+        self.deliver(Some(e));
+    }
+
+    fn deliver(self, error: Option<PmpError>) {
+        match self {
+            Waker::Task(parker) => {
+                if let Some(e) = error {
+                    parker.set_error(e);
+                }
+                parker.wake();
+            }
+            Waker::Thread(thread, gen) => {
+                let mut st = thread.state.lock();
+                if st.gen == gen {
+                    st.woken = true;
+                    if error.is_some() {
+                        st.error = error;
+                    }
+                    drop(st);
+                    thread.cv.notify_one();
+                }
+            }
+        }
+    }
+}
+
+impl Waiter {
+    pub(crate) fn current() -> Waiter {
+        let running = |s: Arc<SchedInner>| !s.stopped.load(Ordering::Acquire);
+        match current_parker() {
+            // A task parks only while its scheduler runs.
+            Some(p) if p.sched.upgrade().is_some_and(running) => Waiter::Task(p),
+            _ => Waiter::Thread,
+        }
+    }
+
+    /// A waker for the wait about to begin; register it with the wait
+    /// source under the lock the wait condition is checked under. Every
+    /// [`suspend`](Self::suspend) needs a fresh one, and nothing that may
+    /// itself wait runs on this thread between the two (making a thread's
+    /// next waker retires this one).
+    pub(crate) fn waker(&self) -> Waker {
+        match self {
+            Waiter::Task(parker) => Waker::Task(Arc::clone(parker)),
+            Waiter::Thread => THREAD_WAITER.with(|thread| {
+                let mut st = thread.state.lock();
+                *st = ThreadWait {
+                    gen: st.gen + 1,
+                    ..ThreadWait::default()
+                };
+                Waker::Thread(Arc::clone(thread), st.gen)
+            }),
+        }
+    }
+
+    /// Give up the CPU until the waker fires or `deadline` passes (module
+    /// docs). An `Err` other than `WouldBlock` is the wait source failing
+    /// the wait ([`Waker::fail`]).
+    pub(crate) fn suspend(&self, deadline: Option<Instant>) -> Result<()> {
+        match self {
+            Waiter::Task(parker) => {
+                if let Some(at) = deadline {
+                    parker.park_deadline(at);
+                }
+                Err(PmpError::WouldBlock)
+            }
+            Waiter::Thread => THREAD_WAITER.with(|thread| {
+                let mut st = thread.state.lock();
+                while !st.woken {
+                    match deadline {
+                        // lint: allow(blocking-wait-in-scheduler): a thread waiter is by definition the thread that blocks; tasks take the arm above
+                        Some(at) if thread.cv.wait_until(&mut st, at).timed_out() => break,
+                        Some(_) => {}
+                        // lint: allow(blocking-wait-in-scheduler): as above, for a wait with no deadline
+                        None => thread.cv.wait(&mut st),
+                    }
+                }
+                st.woken = false;
+                st.error.take().map_or(Ok(()), Err)
+            }),
+        }
+    }
+
+    /// When this waiter's lock wait on `key` (a page id) gives up. Every
+    /// wake re-runs a task's statement from the top, so its parker keeps the
+    /// wait in progress and a re-run gets the deadline recorded when the
+    /// wait began; a thread never leaves its wait loop — it asks once and
+    /// keeps the answer on its stack.
+    pub(crate) fn lock_wait_deadline(&self, key: u64, timeout: Duration) -> Option<Instant> {
+        let Waiter::Task(parker) = self else {
+            return deadline_in(timeout);
+        };
+        let mut slot = parker.slot.lock();
+        match slot.wait {
+            Some((k, deadline)) if k == key => deadline,
+            _ => {
+                let deadline = deadline_in(timeout);
+                slot.wait = Some((key, deadline));
+                deadline
+            }
+        }
+    }
+
+    /// The lock wait on `key` is over (satisfied, timed out or failed).
+    pub(crate) fn lock_wait_over(&self, key: u64) {
+        if let Waiter::Task(parker) = self {
+            let mut slot = parker.slot.lock();
+            if slot.wait.is_some_and(|(k, _)| k == key) {
+                slot.wait = None;
+            }
+        }
     }
 }
 
@@ -168,39 +374,22 @@ struct ReadyTask {
     step: Step,
 }
 
+/// How one run of a step ended.
+enum Ran {
+    Done,
+    Parked,
+    /// A wake landed while the step ran: it is to run again.
+    Woken(Step),
+}
+
 #[derive(Default)]
 struct RunQueue {
     tasks: VecDeque<ReadyTask>,
 }
 
-struct TimerEntry {
-    at: Instant,
-    seq: u64,
-    parker: Arc<Parker>,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-#[derive(Default)]
-struct TimerState {
-    heap: BinaryHeap<Reverse<TimerEntry>>,
-    seq: u64,
-}
+/// Armed deadlines, earliest first. The key is the instant and the task's
+/// address: re-arming a task's deadline for the same instant is a no-op.
+type Timers = BTreeMap<(Instant, usize), Arc<Parker>>;
 
 type Job = Box<dyn FnOnce() + Send>;
 
@@ -214,7 +403,7 @@ struct BlockingPool {
 struct SchedInner {
     queue: TrackedMutex<RunQueue>,
     cv: TrackedCondvar,
-    timers: TrackedMutex<TimerState>,
+    timers: TrackedMutex<Timers>,
     timer_cv: TrackedCondvar,
     blocking: TrackedMutex<BlockingPool>,
     blocking_cv: TrackedCondvar,
@@ -235,9 +424,13 @@ struct ParkerSlot {
     /// A wait source that failed delivers its error here before waking; the
     /// session actor turns it into the statement's outcome.
     error: Option<PmpError>,
-    /// PLock wait bookkeeping: the page waited on and the absolute deadline,
-    /// persisted across re-runs so repeated park/wake cycles still time out.
-    plock_wait: Option<(PageId, Instant)>,
+    /// The lock wait in progress, page id and deadline
+    /// ([`Waiter::lock_wait_deadline`]): persisted across re-runs so
+    /// repeated park/wake cycles still time out.
+    wait: Option<(u64, Option<Instant>)>,
+    /// Deadline of the suspend the task is in; cleared whenever its step is
+    /// taken to run. A timer entry for any other instant is stale.
+    deadline: Option<Instant>,
 }
 
 impl std::fmt::Debug for Parker {
@@ -279,23 +472,21 @@ impl Parker {
         }
         // Only the single waker that observed PARKED reaches here, and
         // PARKED is set strictly after the step was published to the slot.
-        self.slot.lock().step.take()
+        self.take_step()
+    }
+
+    /// Take the published step to run it: whatever suspend it was in is
+    /// over, so its deadline no longer stands.
+    fn take_step(&self) -> Option<Step> {
+        let mut slot = self.slot.lock();
+        slot.deadline = None;
+        slot.step.take()
     }
 
     /// Whether the task is parked (its step published, no wake pending).
     #[cfg(test)]
     pub(crate) fn is_parked(&self) -> bool {
         self.state.load(Ordering::Acquire) == PARKED
-    }
-
-    /// Whether the owning scheduler still accepts parks. False after stop
-    /// (or if the scheduler was dropped): park points must fall back to
-    /// their bounded blocking paths.
-    pub fn can_park(&self) -> bool {
-        self.sched
-            .upgrade()
-            .map(|s| !s.stopped.load(Ordering::Acquire))
-            .unwrap_or(false)
     }
 
     /// Record a failure for the parked step; pair with [`Parker::wake`].
@@ -307,50 +498,40 @@ impl Parker {
         self.slot.lock().error.take()
     }
 
-    pub fn plock_wait(&self) -> Option<(PageId, Instant)> {
-        self.slot.lock().plock_wait
+    /// Forget the lock wait an abandoned statement left behind.
+    pub(crate) fn forget_wait(&self) {
+        self.slot.lock().wait = None;
     }
 
-    pub fn set_plock_wait(&self, page: PageId, deadline: Instant) {
-        self.slot.lock().plock_wait = Some((page, deadline));
+    #[cfg(test)]
+    pub(crate) fn recorded_wait(&self) -> Option<(u64, Option<Instant>)> {
+        self.slot.lock().wait
     }
 
-    /// Forget the recorded PLock wait if it is for `page` (granted, or
-    /// timed out); `None` forgets whatever is there (a new statement).
-    pub fn clear_plock_wait(&self, page: Option<PageId>) {
-        let mut slot = self.slot.lock();
-        if page.is_none() || slot.plock_wait.map(|(p, _)| p) == page {
-            slot.plock_wait = None;
-        }
-    }
-
-    /// Arm a deadline: the task is woken (possibly spuriously) at `at`.
-    /// Every park that is not otherwise guaranteed a wake arms one of
-    /// these, which is also what makes `Scheduler::stop` hang-free — stop
-    /// fires all pending timers.
+    /// Arm a deadline: the task is woken at `at` if it is still in the
+    /// suspend that asked for it — once its step has been taken to run, the
+    /// entry is stale and dropped unfired. Every park that is not otherwise
+    /// guaranteed a wake arms one of these, which is also what makes
+    /// `Scheduler::stop` hang-free — stop fires all pending timers.
     pub fn park_deadline(self: &Arc<Self>, at: Instant) {
+        self.slot.lock().deadline = Some(at);
         if let Some(s) = self.sched.upgrade() {
             if !s.stopped.load(Ordering::Acquire) {
                 sched_point("sched.park-deadline.stop-window");
                 let mut t = s.timers.lock();
-                // Re-check under the heap lock: `stop` may have flagged,
+                // Re-check under the timer lock: `stop` may have flagged,
                 // woken the timer thread, and joined it between the load
                 // above and this acquisition. An entry pushed now would
-                // land in a heap nobody drains and the backstop would
-                // never fire (modelled by crates/model/tests/parker_timer.rs).
-                // `stop` also drains the heap after the join, so an entry
+                // land in a map nobody drains and the backstop would never
+                // fire (modelled by crates/model/tests/parker_timer.rs).
+                // `stop` also drains the map after the join, so an entry
                 // pushed before its drain is still fired.
                 if !s.stopped.load(Ordering::Acquire) {
-                    t.seq += 1;
-                    let seq = t.seq;
-                    t.heap.push(Reverse(TimerEntry {
-                        at,
-                        seq,
-                        parker: Arc::clone(self),
-                    }));
+                    let key = (at, Arc::as_ptr(self) as usize);
+                    let armed = t.insert(key, Arc::clone(self)).is_none();
                     // The timer thread sleeps to the earliest deadline; it
                     // needs a nudge only when this entry became that.
-                    let earliest = t.heap.peek().map(|Reverse(e)| e.seq) == Some(seq);
+                    let earliest = armed && t.keys().next() == Some(&key);
                     drop(t);
                     if earliest {
                         s.timer_cv.notify_all();
@@ -359,10 +540,15 @@ impl Parker {
                 }
             }
         }
-        // Stopped or gone: wake immediately. The re-run sees `can_park()
-        // == false` and completes on the blocking path, so this cannot
-        // loop.
+        // Stopped or gone: wake immediately. The re-run suspends as a
+        // thread, so this cannot loop.
         self.wake();
+    }
+
+    /// The timer thread popped this task's entry for `at`: is that still
+    /// the deadline the task is suspended on?
+    fn deadline_due(&self, at: Instant) -> bool {
+        self.slot.lock().deadline == Some(at)
     }
 
     /// Route a wait that may last as long as a peer keeps a page pinned (an
@@ -398,51 +584,49 @@ impl SchedInner {
         Self::run_inline(s.as_deref(), &parker, step);
     }
 
-    /// Run a claimed step on the calling thread and account for it (`sched`
-    /// is `None` once the scheduler was dropped entirely: nothing left to
-    /// account against).
-    fn run_inline(sched: Option<&SchedInner>, parker: &Arc<Parker>, step: Step) {
+    /// Run a claimed task on the calling thread until it parks or finishes,
+    /// and account for it (`sched` is `None` once the scheduler was dropped
+    /// entirely: nothing left to account against).
+    fn run_inline(sched: Option<&SchedInner>, parker: &Arc<Parker>, mut step: Step) {
         if let Some(s) = sched {
             s.stats.inline_runs.inc();
         }
-        if Self::run_task_on_current_thread(parker, step) {
-            if let Some(s) = sched {
-                s.stats.tasks.dec();
+        loop {
+            match Self::run_step(parker, step) {
+                Ran::Woken(again) => step = again,
+                Ran::Parked => return,
+                Ran::Done => {
+                    if let Some(s) = sched {
+                        s.stats.tasks.dec();
+                    }
+                    return;
+                }
             }
         }
     }
 
-    /// Run one task on the current thread using the same park protocol as a
-    /// worker. Returns true when the task finished (`Done`).
-    fn run_task_on_current_thread(parker: &Arc<Parker>, mut step: Step) -> bool {
-        loop {
-            parker.state.store(RUNNING, Ordering::Release);
-            let res = {
-                let _current = CurrentParker::enter(Some(Arc::clone(parker)));
-                step()
-            };
-            match res {
-                StepResult::Done => return true,
-                StepResult::Parked => {
-                    parker.slot.lock().step = Some(step);
-                    match parker.state.compare_exchange(
-                        RUNNING,
-                        PARKED,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => return false,
-                        Err(_) => {
-                            // A wake raced in while the step ran: reclaim
-                            // and run again.
-                            match parker.slot.lock().step.take() {
-                                Some(s) => step = s,
-                                None => return false,
-                            }
-                        }
-                    }
-                }
-            }
+    /// Run one step under the park protocol (module docs): publish the step,
+    /// then CAS `RUNNING → PARKED`.
+    fn run_step(parker: &Arc<Parker>, mut step: Step) -> Ran {
+        parker.state.store(RUNNING, Ordering::Release);
+        let res = {
+            let _current = CurrentParker::enter(Some(Arc::clone(parker)));
+            step()
+        };
+        if let StepResult::Done = res {
+            return Ran::Done;
+        }
+        parker.slot.lock().step = Some(step);
+        sched_point("sched.park.publish-window");
+        let parked =
+            parker
+                .state
+                .compare_exchange(RUNNING, PARKED, Ordering::AcqRel, Ordering::Acquire);
+        match parked {
+            Ok(_) => Ran::Parked,
+            // NOTIFIED landed mid-step; the waker did not touch the slot (it
+            // never saw PARKED), so the step is still the caller's to run.
+            Err(_) => parker.take_step().map_or(Ran::Parked, Ran::Woken),
         }
     }
 
@@ -461,35 +645,15 @@ impl SchedInner {
                     self.cv.wait(&mut q);
                 }
             };
-            let Some(ReadyTask { parker, mut step }) = task else {
+            let Some(ReadyTask { parker, step }) = task else {
                 return;
             };
-            parker.state.store(RUNNING, Ordering::Release);
-            let res = {
-                let _current = CurrentParker::enter(Some(Arc::clone(&parker)));
-                step()
-            };
-            match res {
-                StepResult::Done => {
-                    self.stats.tasks.dec();
-                }
-                StepResult::Parked => {
+            match Self::run_step(&parker, step) {
+                Ran::Done => self.stats.tasks.dec(),
+                Ran::Parked => self.stats.parks.inc(),
+                Ran::Woken(step) => {
                     self.stats.parks.inc();
-                    parker.slot.lock().step = Some(step);
-                    sched_point("sched.park.publish-window");
-                    if parker
-                        .state
-                        .compare_exchange(RUNNING, PARKED, Ordering::AcqRel, Ordering::Acquire)
-                        .is_err()
-                    {
-                        // NOTIFIED landed mid-step; the waker did not touch
-                        // the slot (it never saw PARKED), so the step is
-                        // still ours to re-queue.
-                        let step = parker.slot.lock().step.take();
-                        if let Some(step) = step {
-                            Self::enqueue(&Arc::downgrade(self), parker, step);
-                        }
-                    }
+                    Self::enqueue(&Arc::downgrade(self), parker, step);
                 }
             }
         }
@@ -497,27 +661,28 @@ impl SchedInner {
 
     fn timer_loop(self: &Arc<Self>) {
         loop {
-            let mut due: Vec<Arc<Parker>> = Vec::new();
+            let mut due = Vec::new();
             {
                 let mut t = self.timers.lock();
                 loop {
                     if self.stopped.load(Ordering::Acquire) {
                         // Fire everything outstanding so no park outlives
                         // the scheduler.
-                        due.extend(t.heap.drain().map(|Reverse(e)| e.parker));
+                        due.extend(std::mem::take(&mut *t));
                         break;
                     }
-                    // lint: allow(raw-instant): timer infrastructure
-                    let now = Instant::now();
-                    while t.heap.peek().map(|Reverse(e)| e.at <= now).unwrap_or(false) {
-                        let Reverse(e) = t.heap.pop().expect("peeked entry");
-                        due.push(e.parker);
+                    let now = now();
+                    while let Some(e) = t.first_entry() {
+                        if e.key().0 > now {
+                            break;
+                        }
+                        due.push(e.remove_entry());
                     }
                     if !due.is_empty() {
                         break;
                     }
-                    match t.heap.peek().map(|Reverse(e)| e.at) {
-                        Some(at) => {
+                    match t.keys().next() {
+                        Some(&(at, _)) => {
                             // lint: allow(blocking-wait-in-scheduler): the timer thread is infrastructure, not a task worker
                             let _ = self.timer_cv.wait_until(&mut t, at);
                         }
@@ -527,9 +692,12 @@ impl SchedInner {
                 }
             }
             let stopping = self.stopped.load(Ordering::Acquire);
-            for p in due {
-                self.stats.timer_fires.inc();
-                p.wake();
+            for ((at, _), parker) in due {
+                // A deadline whose wait already ended is not a wake.
+                if stopping || parker.deadline_due(at) {
+                    self.stats.timer_fires.inc();
+                    parker.wake();
+                }
             }
             if stopping {
                 return;
@@ -610,7 +778,7 @@ impl Scheduler {
         let inner = Arc::new(SchedInner {
             queue: TrackedMutex::new(SCHED_QUEUE, RunQueue::default()),
             cv: TrackedCondvar::new(),
-            timers: TrackedMutex::new(SCHED_TIMER, TimerState::default()),
+            timers: TrackedMutex::new(SCHED_TIMER, Timers::new()),
             timer_cv: TrackedCondvar::new(),
             blocking: TrackedMutex::new(SCHED_BLOCKING, BlockingPool::default()),
             blocking_cv: TrackedCondvar::new(),
@@ -650,12 +818,7 @@ impl Scheduler {
     /// Deadline timers armed and not yet fired.
     #[cfg(test)]
     pub(crate) fn pending_timers(&self) -> usize {
-        self.inner.timers.lock().heap.len()
-    }
-
-    /// Route a blocking job to the helper pool (see [`Parker::spawn_blocking`]).
-    pub fn spawn_blocking(&self, job: Job) {
-        self.inner.spawn_blocking(job);
+        self.inner.timers.lock().len()
     }
 
     /// Stop the scheduler: workers exit, pending deadline timers fire, and
@@ -682,14 +845,11 @@ impl Scheduler {
         // Fire deadlines that raced in after the timer thread's final
         // drain: `park_deadline` can pass its pre-lock `stopped` check,
         // lose the CPU across this whole join, and push into the dead
-        // heap. Draining here (after the join, under the same lock the
-        // push takes) closes that window — the parker's re-run sees
-        // `can_park() == false` and completes on the blocking path.
-        let straggling_timers: Vec<Arc<Parker>> = {
-            let mut t = self.inner.timers.lock();
-            t.heap.drain().map(|Reverse(e)| e.parker).collect()
-        };
-        for p in straggling_timers {
+        // map. Draining here (after the join, under the same lock the
+        // push takes) closes that window — the parker's re-run suspends
+        // as a thread and completes.
+        let straggling_timers = std::mem::take(&mut *self.inner.timers.lock());
+        for p in straggling_timers.into_values() {
             self.inner.stats.timer_fires.inc();
             p.wake();
         }
@@ -752,7 +912,8 @@ mod tests {
             assert!(Instant::now() < deadline, "task never ran");
             std::thread::yield_now();
         }
-        assert_eq!(sched.stats().tasks.get(), 0, "done tasks are dropped");
+        // The worker retires the task after the step returns.
+        eventually("done tasks are dropped", || sched.stats().tasks.get() == 0);
         assert_eq!(sched.stats().tasks.hwm(), 1);
     }
 
@@ -951,7 +1112,7 @@ mod tests {
         let done = Arc::new(AtomicUsize::new(0));
         for _ in 0..16 {
             let d = Arc::clone(&done);
-            sched.spawn_blocking(Box::new(move || {
+            sched.inner.spawn_blocking(Box::new(move || {
                 d.fetch_add(1, Ordering::SeqCst);
             }));
         }
@@ -963,7 +1124,7 @@ mod tests {
         sched.stop();
         // After stop, jobs run inline on the caller.
         let d = Arc::clone(&done);
-        sched.spawn_blocking(Box::new(move || {
+        sched.inner.spawn_blocking(Box::new(move || {
             d.fetch_add(1, Ordering::SeqCst);
         }));
         assert_eq!(done.load(Ordering::SeqCst), 17);
@@ -1059,7 +1220,7 @@ mod tests {
                 let sched = Scheduler::new(1);
                 if round % 3 == 0 {
                     // Bring a helper thread into the race too.
-                    sched.spawn_blocking(Box::new(|| {}));
+                    sched.inner.spawn_blocking(Box::new(|| {}));
                 }
                 // 0–200 µs, scattered: a prime stride walks the whole range.
                 let delay = Duration::from_nanos(round * 7_919 % 200_000);

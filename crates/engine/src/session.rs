@@ -14,9 +14,9 @@
 //! the actor is idle it runs *on the waiting thread*, so a statement that
 //! meets no wait resolves with no thread hand-off at all. Either way, when
 //! a statement does hit a wait — a page load in flight, a PLock a peer has
-//! pinned, a CTS lease refill, the group-commit window — it returns
-//! [`PmpError::WouldBlock`] up to the actor, which parks (holding no
-//! thread) and is re-run on a worker by the wake. This is what lets a
+//! pinned, a locked row, a CTS lease refill, the group-commit window — it
+//! returns [`PmpError::WouldBlock`] up to the actor, which parks (holding
+//! no thread) and is re-run on a worker by the wake. This is what lets a
 //! 2-worker node keep hundreds of transactions open at once.
 //!
 //! Ordering is the queue's, not the starter's: operations of one session
@@ -25,8 +25,8 @@
 //! freely.
 //!
 //! `pmp_core::Session` does not go through this module: it drives a `Txn`
-//! directly on the caller's thread, where every park point takes its
-//! blocking fallback.
+//! directly on the caller's thread, where the same waits suspend the
+//! thread.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -110,20 +110,22 @@ impl<T> Drop for DbFuture<T> {
     }
 }
 
+/// A statement with its future folded in: run against the open
+/// transaction it resolves the future and returns true, unless the
+/// statement suspended (`WouldBlock`) and has to be run again; given an
+/// error it resolves the future with that.
+type Stmt = Box<dyn FnMut(Result<&mut Txn>) -> bool + Send>;
+
 /// One queued session operation, carrying its result slot.
 enum Op {
     Begin(Completion<Result<()>>),
-    Get(TableId, u64, Completion<Result<Option<RowValue>>>),
-    GetForUpdate(TableId, u64, Completion<Result<Option<RowValue>>>),
-    Insert(TableId, u64, RowValue, Completion<Result<()>>),
-    Update(TableId, u64, RowValue, Completion<Result<()>>),
-    Delete(TableId, u64, Completion<Result<()>>),
-    Scan(
-        TableId,
-        u64,
-        usize,
-        Completion<Result<Vec<(u64, RowValue)>>>,
-    ),
+    /// Write-class statements follow `write_row`'s fatal-error semantics: a
+    /// failed wait aborts the whole transaction. Reads only fail the
+    /// statement.
+    Stmt {
+        write: bool,
+        run: Stmt,
+    },
     Commit(Completion<Result<Cts>>),
     Rollback(Completion<Result<()>>),
     Close(Completion<Result<()>>),
@@ -133,27 +135,17 @@ impl Op {
     /// Resolve the op's future with an error (session closed, wait failed).
     fn fail(self, e: PmpError) {
         match self {
-            Op::Begin(d) => d.complete(Err(e)),
-            Op::Get(_, _, d) => d.complete(Err(e)),
-            Op::GetForUpdate(_, _, d) => d.complete(Err(e)),
-            Op::Insert(_, _, _, d) => d.complete(Err(e)),
-            Op::Update(_, _, _, d) => d.complete(Err(e)),
-            Op::Delete(_, _, d) => d.complete(Err(e)),
-            Op::Scan(_, _, _, d) => d.complete(Err(e)),
+            Op::Stmt { mut run, .. } => {
+                run(Err(e));
+            }
             Op::Commit(d) => d.complete(Err(e)),
-            Op::Rollback(d) => d.complete(Err(e)),
-            Op::Close(d) => d.complete(Err(e)),
+            Op::Begin(d) | Op::Rollback(d) | Op::Close(d) => d.complete(Err(e)),
         }
     }
 
-    /// Whether a failed wait aborts the whole transaction (write-class ops
-    /// follow `write_row`'s fatal-error semantics; reads only fail the
-    /// statement).
+    /// Whether a failed wait aborts the whole transaction.
     fn is_write(&self) -> bool {
-        matches!(
-            self,
-            Op::GetForUpdate(..) | Op::Insert(..) | Op::Update(..) | Op::Delete(..) | Op::Commit(_)
-        )
+        matches!(self, Op::Stmt { write: true, .. } | Op::Commit(_))
     }
 }
 
@@ -212,7 +204,7 @@ impl AsyncSession {
                     Some(p) if resumed => p.take_error(),
                     Some(p) => {
                         let _ = p.take_error();
-                        p.clear_plock_wait(None);
+                        p.forget_wait();
                         None
                     }
                     None => None,
@@ -257,32 +249,52 @@ impl AsyncSession {
         }
     }
 
+    /// Queue a statement: `stmt` runs against the open transaction, again
+    /// from the top after every park.
+    fn statement<T: Send + 'static>(
+        &self,
+        write: bool,
+        mut stmt: impl FnMut(&mut Txn) -> Result<T> + Send + 'static,
+    ) -> DbFuture<T> {
+        self.submit(|done| Op::Stmt {
+            write,
+            run: Box::new(move |txn| {
+                let res = txn.and_then(&mut stmt);
+                if matches!(res, Err(PmpError::WouldBlock)) {
+                    return false;
+                }
+                done.complete(res);
+                true
+            }),
+        })
+    }
+
     pub fn begin(&self) -> DbFuture<()> {
         self.submit(Op::Begin)
     }
 
     pub fn get(&self, table: TableId, key: u64) -> DbFuture<Option<RowValue>> {
-        self.submit(|done| Op::Get(table, key, done))
+        self.statement(false, move |t| t.get(table, key))
     }
 
     pub fn get_for_update(&self, table: TableId, key: u64) -> DbFuture<Option<RowValue>> {
-        self.submit(|done| Op::GetForUpdate(table, key, done))
+        self.statement(true, move |t| t.get_for_update(table, key))
     }
 
     pub fn insert(&self, table: TableId, key: u64, value: RowValue) -> DbFuture<()> {
-        self.submit(|done| Op::Insert(table, key, value, done))
+        self.statement(true, move |t| t.insert(table, key, value.clone()))
     }
 
     pub fn update(&self, table: TableId, key: u64, value: RowValue) -> DbFuture<()> {
-        self.submit(|done| Op::Update(table, key, value, done))
+        self.statement(true, move |t| t.update(table, key, value.clone()))
     }
 
     pub fn delete(&self, table: TableId, key: u64) -> DbFuture<()> {
-        self.submit(|done| Op::Delete(table, key, done))
+        self.statement(true, move |t| t.delete(table, key))
     }
 
     pub fn scan(&self, table: TableId, from: u64, limit: usize) -> DbFuture<Vec<(u64, RowValue)>> {
-        self.submit(|done| Op::Scan(table, from, limit, done))
+        self.statement(false, move |t| t.scan(table, from, limit))
     }
 
     pub fn commit(&self) -> DbFuture<Cts> {
@@ -352,83 +364,22 @@ fn run_op(
             }
             OpOutcome::Completed
         }
-        Op::Get(table, key, done) => {
+        Op::Stmt { write, mut run } => {
             let Some(t) = txn.as_mut() else {
-                done.complete(Err(no_txn()));
+                run(Err(no_txn()));
                 return OpOutcome::Completed;
             };
-            match t.get(table, key) {
-                Err(PmpError::WouldBlock) => {
-                    t.set_retry_resume();
-                    OpOutcome::Parked(Op::Get(table, key, done))
-                }
-                r => finish_stmt(txn, done, r),
+            if !run(Ok(&mut *t)) {
+                t.set_retry_resume();
+                return OpOutcome::Parked(Op::Stmt { write, run });
             }
-        }
-        Op::GetForUpdate(table, key, done) => {
-            let Some(t) = txn.as_mut() else {
-                done.complete(Err(no_txn()));
-                return OpOutcome::Completed;
-            };
-            match t.get_for_update(table, key) {
-                Err(PmpError::WouldBlock) => {
-                    t.set_retry_resume();
-                    OpOutcome::Parked(Op::GetForUpdate(table, key, done))
-                }
-                r => finish_stmt(txn, done, r),
+            // If the statement ended the transaction (fatal errors roll
+            // back inside `write_row`), drop the `Txn` so later ops see "no
+            // open transaction" instead of "transaction already finished".
+            if t.status() != TxnStatus::Active {
+                *txn = None;
             }
-        }
-        Op::Insert(table, key, value, done) => {
-            let Some(t) = txn.as_mut() else {
-                done.complete(Err(no_txn()));
-                return OpOutcome::Completed;
-            };
-            match t.insert(table, key, value.clone()) {
-                Err(PmpError::WouldBlock) => {
-                    t.set_retry_resume();
-                    OpOutcome::Parked(Op::Insert(table, key, value, done))
-                }
-                r => finish_stmt(txn, done, r),
-            }
-        }
-        Op::Update(table, key, value, done) => {
-            let Some(t) = txn.as_mut() else {
-                done.complete(Err(no_txn()));
-                return OpOutcome::Completed;
-            };
-            match t.update(table, key, value.clone()) {
-                Err(PmpError::WouldBlock) => {
-                    t.set_retry_resume();
-                    OpOutcome::Parked(Op::Update(table, key, value, done))
-                }
-                r => finish_stmt(txn, done, r),
-            }
-        }
-        Op::Delete(table, key, done) => {
-            let Some(t) = txn.as_mut() else {
-                done.complete(Err(no_txn()));
-                return OpOutcome::Completed;
-            };
-            match t.delete(table, key) {
-                Err(PmpError::WouldBlock) => {
-                    t.set_retry_resume();
-                    OpOutcome::Parked(Op::Delete(table, key, done))
-                }
-                r => finish_stmt(txn, done, r),
-            }
-        }
-        Op::Scan(table, from, limit, done) => {
-            let Some(t) = txn.as_mut() else {
-                done.complete(Err(no_txn()));
-                return OpOutcome::Completed;
-            };
-            match t.scan(table, from, limit) {
-                Err(PmpError::WouldBlock) => {
-                    t.set_retry_resume();
-                    OpOutcome::Parked(Op::Scan(table, from, limit, done))
-                }
-                r => finish_stmt(txn, done, r),
-            }
+            OpOutcome::Completed
         }
         Op::Commit(done) => {
             let Some(t) = txn.as_mut() else {
@@ -440,16 +391,12 @@ fn run_op(
                 // re-run resumes (no statement retry flag: commit is not a
                 // statement).
                 Err(PmpError::WouldBlock) => OpOutcome::Parked(Op::Commit(done)),
-                Ok(cts) => {
+                // On an error, dropping the still-active txn runs the
+                // best-effort RAII rollback, same as the consuming
+                // blocking commit.
+                res => {
                     *txn = None;
-                    done.complete(Ok(cts));
-                    OpOutcome::Completed
-                }
-                Err(e) => {
-                    // Dropping the still-active txn runs the best-effort
-                    // RAII rollback, same as the consuming blocking commit.
-                    *txn = None;
-                    done.complete(Err(e));
+                    done.complete(res);
                     OpOutcome::Completed
                 }
             }
@@ -471,21 +418,6 @@ fn run_op(
             OpOutcome::Closed
         }
     }
-}
-
-/// Resolve a finished statement: if it ended the transaction (fatal errors
-/// roll back inside `write_row`), drop the `Txn` so later ops see "no open
-/// transaction" instead of "transaction already finished".
-fn finish_stmt<T: Clone>(
-    txn: &mut Option<Txn>,
-    done: Completion<Result<T>>,
-    r: Result<T>,
-) -> OpOutcome {
-    if txn.as_ref().map(|t| t.status() != TxnStatus::Active) == Some(true) {
-        *txn = None;
-    }
-    done.complete(r);
-    OpOutcome::Completed
 }
 
 #[cfg(test)]
@@ -626,6 +558,64 @@ mod tests {
         assert_eq!(b.wait().unwrap(), Some(v(2)));
         assert_eq!(a.try_take().expect("a ran before b").unwrap(), Some(v(1)));
         s.commit().wait().unwrap();
+    }
+
+    #[test]
+    fn commit_stage_histograms_include_parked_time() {
+        let (_shared, engine, t) = node();
+        let s = idle_session(&engine);
+        s.begin().wait().unwrap();
+        s.insert(t, 1, v(1)).wait().unwrap();
+        let samples = engine.stats.commit_wal_force_ns.count();
+        let cts_samples = engine.stats.commit_cts_ns.count();
+        // The commit reaches its force behind a leader holding the sync
+        // mutex, parks, and is handed the lead when the mutex is released.
+        let (commit, held) = engine.wal.while_leading(|| {
+            let commit = s.commit();
+            assert!(!commit.is_ready(), "committed through a held sync mutex");
+            eventually("commit never parked", || s.parker.is_parked());
+            let parked_at = Instant::now();
+            std::thread::sleep(Duration::from_millis(20));
+            (commit, parked_at.elapsed())
+        });
+        eventually("commit never resolved", || commit.is_ready());
+        commit.try_take().unwrap().unwrap();
+        let force = &engine.stats.commit_wal_force_ns;
+        assert_eq!(force.count(), samples + 1, "one sample per commit");
+        assert!(
+            Duration::from_nanos(force.quantile_ns(1.0)) >= held,
+            "the force stage was parked for {held:?} but recorded {} ns",
+            force.quantile_ns(1.0)
+        );
+        assert_eq!(engine.stats.commit_cts_ns.count(), cts_samples + 1);
+    }
+
+    #[test]
+    fn crash_resolves_every_commit_parked_behind_a_lease_round() {
+        let (_shared, engine, t) = node();
+        let sessions = [idle_session(&engine), idle_session(&engine)];
+        for (k, s) in sessions.iter().enumerate() {
+            s.begin().wait().unwrap();
+            s.insert(t, k as u64 + 1, v(1)).wait().unwrap();
+        }
+        // Both commits park behind a CTS lease round in flight, and the node
+        // crashes under it. The round's hand-off wakes one of them, which
+        // fails on the dead node before it can lead the next round; the
+        // other must not be left waiting for that round.
+        let commits = engine.tso.while_refilling(|| {
+            let commits = sessions.each_ref().map(|s| s.commit());
+            assert!(commits.iter().all(|c| !c.is_ready()));
+            eventually("commits never parked", || {
+                engine.tso.suspended() == 2 && sessions.iter().all(|s| s.parker.is_parked())
+            });
+            engine.crash();
+            commits
+        });
+        for commit in commits {
+            eventually("a parked commit was stranded", || commit.is_ready());
+            let res = commit.try_take().unwrap();
+            assert_eq!(res, Err(PmpError::NodeUnavailable { node: NodeId(0) }));
+        }
     }
 
     #[test]

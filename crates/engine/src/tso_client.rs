@@ -7,15 +7,21 @@
 //! the Linear Lamport scheme lets a request reuse a timestamp whose fetch
 //! completed after the request arrived: concurrent snapshot requests
 //! coalesce onto a single in-flight TSO read.
+//!
+//! *Commit* timestamps coalesce too ([`TsoClient::commit_cts`]): committers
+//! that arrive while a fetch-and-add is in flight register a waker and
+//! suspend on the scheduler's wait path ([`Waiter`]) — a task parks, a
+//! thread blocks — and the next FAA reserves a range sized to them.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use pmp_common::sync::{LockClass, TrackedCondvar, TrackedMutex, TrackedMutexGuard};
-use pmp_common::{Counter, Cts};
+use pmp_common::{Counter, Cts, Result};
 
-use pmp_io::Completion;
 use pmp_pmfs::TxnFusion;
+
+use crate::scheduler::{backstop, Waiter, Waker};
 
 /// Linear-Lamport coalescing state. The TSO fetch itself (one-sided read,
 /// RDMA-priced) always runs with this lock dropped.
@@ -45,8 +51,9 @@ struct State {
 /// FAA, and a remainder orphaned by a racing round becomes a permanent
 /// *gap* — safe, because a timestamp no row ever carries reads as
 /// "nothing committed here".
+#[derive(Debug, Default)]
 struct LeaseState {
-    /// A leader's FAA is in flight; arrivals queue for the next round.
+    /// A leader's FAA is in flight; arrivals wait for the next round.
     refilling: bool,
     /// Id of the next round to issue. A requester is eligible for a
     /// round's range iff it arrived before that round's FAA was issued,
@@ -57,46 +64,21 @@ struct LeaseState {
     /// Undistributed remainder of the distributed round.
     next: u64,
     end: u64,
-    /// Requesters parked on the lease condvar (sizes the next grant).
-    waiters: u64,
-    /// Async committers parked on an in-flight round: arrival round plus
-    /// the callback that hands them their timestamp. The same eligibility
-    /// rule as condvar waiters applies (arrival round ≤ distributed
-    /// round); the distributing leader serves them directly and fires the
-    /// callbacks with the lease lock dropped.
-    callbacks: Vec<(u64, GrantCallback)>,
+    /// Committers suspended on an in-flight round, oldest first, one entry
+    /// each. They size the next round's FAA; a distributing leader wakes
+    /// the eligible ones to pull their timestamps.
+    waiters: Vec<(LeaseTicket, Waker)>,
+    tickets: u64,
 }
 
-/// Fired with a parked async committer's timestamp once a lease round
-/// eligible to serve it is distributed.
-type GrantCallback = Box<dyn FnOnce(Cts) + Send>;
-
-impl std::fmt::Debug for LeaseState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LeaseState")
-            .field("refilling", &self.refilling)
-            .field("round_id", &self.round_id)
-            .field("dist_round", &self.dist_round)
-            .field("next", &self.next)
-            .field("end", &self.end)
-            .field("waiters", &self.waiters)
-            .field("callbacks", &self.callbacks.len())
-            .finish()
-    }
-}
-
-/// Result of a non-blocking commit-timestamp request.
-#[derive(Debug)]
-pub enum CtsGrant {
-    /// The timestamp was available without waiting (lease hit, or this
-    /// caller led a refill round inline — one bounded remote FAA).
-    Ready(Cts),
-    /// A refill FAA led by another committer is in flight; the completion
-    /// delivers this caller's timestamp when an eligible round is
-    /// distributed. Never blocks indefinitely: every in-flight round is
-    /// followed by a distribution, and distributing leaders keep leading
-    /// follow-up rounds while parked callbacks remain.
-    Pending(Completion<Cts>),
+/// A commit's place in the lease order, kept by the caller across the
+/// suspends of one [`TsoClient::commit_cts`] wait: the round it arrived in
+/// (eligibility) and the identity of its entry among the waiters, so a
+/// re-run replaces that entry instead of adding one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LeaseTicket {
+    round: u64,
+    id: u64,
 }
 
 /// Per-node TSO client.
@@ -108,7 +90,6 @@ pub struct TsoClient {
     /// Maximum CTS lease size; 0 or 1 disables leasing.
     lease_max: u64,
     lease: TrackedMutex<LeaseState>,
-    lease_cv: TrackedCondvar,
     pub fetches: Counter,
     pub reuses: Counter,
     /// Remote FAAs issued for commit timestamps (lease refills included).
@@ -144,19 +125,7 @@ impl TsoClient {
             cv: TrackedCondvar::new(),
             enabled: linear_lamport,
             lease_max,
-            lease: TrackedMutex::new(
-                TSO_LEASE,
-                LeaseState {
-                    refilling: false,
-                    round_id: 0,
-                    dist_round: 0,
-                    next: 0,
-                    end: 0,
-                    waiters: 0,
-                    callbacks: Vec::new(),
-                },
-            ),
-            lease_cv: TrackedCondvar::new(),
+            lease: TrackedMutex::new(TSO_LEASE, LeaseState::default()),
             fetches: Counter::new(),
             reuses: Counter::new(),
             lease_grants: Counter::new(),
@@ -212,135 +181,114 @@ impl TsoClient {
     /// With range leasing enabled (`lease_max > 1`), concurrent commit
     /// requests coalesce onto one remote FAA: the first requester leads a
     /// *round*, sizing its FAA to itself plus every requester already
-    /// parked (capped at `lease_max`), and the returned range is handed
+    /// suspended (capped at `lease_max`), and the returned range is handed
     /// out locally in order. Demand adapts the round size 1 → `lease_max`
     /// automatically — a lone committer issues a plain FAA of 1; a commit
     /// storm piles waiters onto each in-flight round. Nothing is ever held
     /// across rounds, so an idle node reserves nothing and `current_cts`
     /// never covers a timestamp whose commit had not yet *started* (see
     /// [`LeaseState`] for why holding a range would break SI).
-    pub fn commit_cts(&self) -> Cts {
+    ///
+    /// `ticket` is the caller's place in that order, filled in by the first
+    /// call. A committer that has to wait for an in-flight round suspends;
+    /// a task among them gets
+    /// [`PmpError::WouldBlock`](pmp_common::PmpError::WouldBlock) and calls
+    /// again, with the same `ticket`, when woken.
+    pub fn commit_cts(&self, ticket: &mut Option<LeaseTicket>) -> Result<Cts> {
         if self.lease_max <= 1 {
-            return self.fusion.next_cts();
+            return Ok(self.fusion.next_cts());
         }
         let mut st = self.lease.lock();
         // Eligibility: only rounds whose FAA was issued after our arrival
         // may serve us — a range reserved before we arrived could sit
         // below a snapshot boundary some reader has already taken.
-        let my_round = st.round_id;
+        let mut registered = ticket.is_some(); // a re-run may have left its entry
+        let me = *ticket.get_or_insert_with(|| {
+            st.tickets += 1;
+            LeaseTicket {
+                round: st.round_id,
+                id: st.tickets,
+            }
+        });
         loop {
-            if my_round <= st.dist_round && st.next < st.end {
+            let served = me.round <= st.dist_round && st.next < st.end;
+            if served || !st.refilling {
+                if registered {
+                    st.waiters.retain(|(t, _)| t.id != me.id);
+                }
+                if !served {
+                    // Lead the next round on behalf of everyone suspended.
+                    return Ok(self.lead_round(st));
+                }
                 let cts = Cts(st.next);
                 st.next += 1;
                 self.lease_hits.inc();
-                return cts;
+                return Ok(cts);
             }
-            if !st.refilling {
-                // Lead the next round on behalf of everyone parked.
-                return self.lead_rounds(st);
+            // One entry per committer, in arrival order: a re-check after a
+            // wake that was not a distribution's replaces the waker in place.
+            let waiter = Waiter::current();
+            let waker = waiter.waker();
+            match st.waiters.iter_mut().find(|(t, _)| t.id == me.id) {
+                Some(entry) => entry.1 = waker,
+                None => st.waiters.push((me, waker)),
             }
-            st.waiters += 1;
-            self.lease_cv.wait(&mut st);
-            st.waiters -= 1;
+            registered = true;
+            drop(st);
+            // The round's distribution wakes us, or wakes a left-over
+            // committer to lead the next one.
+            waiter.suspend(backstop())?;
+            st = self.lease.lock();
         }
     }
 
-    /// Non-blocking commit-timestamp allocation for the async scheduler.
+    /// Lead one lease round. Called with the lease lock held and no refill
+    /// in flight; returns the range's first value — the leader's own
+    /// timestamp — with the lock released.
     ///
-    /// Same protocol as [`commit_cts`](Self::commit_cts), minus the condvar
-    /// park: a lease hit or an uncontended inline lead returns
-    /// [`CtsGrant::Ready`] (the lead is one bounded remote FAA — acceptable
-    /// on a scheduler worker); if a refill is already in flight the caller
-    /// is registered as a parked callback and gets [`CtsGrant::Pending`],
-    /// whose completion the distributing leader fulfils.
-    pub fn commit_cts_deferred(&self) -> CtsGrant {
-        if self.lease_max <= 1 {
-            return CtsGrant::Ready(self.fusion.next_cts());
-        }
+    /// The FAA is sized to current demand (the leader plus everyone
+    /// suspended, capped at `lease_max`). After it, the eligible waiters
+    /// (arrival round ≤ this round, oldest first) are woken, one per
+    /// remaining value, to pull their timestamps; the wakers fire with the
+    /// lease lock dropped. Leadership is bounded to this one round: if
+    /// waiters are left over — range exhausted, or they arrived while the
+    /// FAA was in flight — the oldest is woken as well, finds no refill in
+    /// flight and leads the next round, sized to the rest. Should that wake
+    /// not end in a `commit_cts` call (the woken task's node crashed), the
+    /// rest lead on their backstop.
+    fn lead_round(&self, mut st: TrackedMutexGuard<'_, LeaseState>) -> Cts {
+        let round = st.round_id;
+        let grant = (1 + st.waiters.len() as u64).min(self.lease_max);
+        st.round_id += 1;
+        st.refilling = true;
+        drop(st);
+        // The FAA is a charge point: lease lock dropped.
+        let first = self.fusion.lease_cts(grant);
+        self.lease_grants.inc();
         let mut st = self.lease.lock();
-        let my_round = st.round_id;
-        if my_round <= st.dist_round && st.next < st.end {
-            let cts = Cts(st.next);
-            st.next += 1;
-            self.lease_hits.inc();
-            return CtsGrant::Ready(cts);
+        st.refilling = false;
+        st.dist_round = round;
+        // A remainder orphaned by the next round's overwrite is a
+        // permanent gap — safe (see [`LeaseState`]).
+        st.next = first.0 + 1;
+        st.end = first.0 + grant;
+        let mut values = st.end - st.next;
+        let mut wake: Vec<(LeaseTicket, Waker)> = st
+            .waiters
+            .extract_if(.., |(ticket, _)| {
+                let pulls = ticket.round <= round && values > 0;
+                values -= pulls as u64;
+                pulls
+            })
+            .collect();
+        if !st.waiters.is_empty() {
+            wake.push(st.waiters.remove(0));
         }
-        if st.refilling {
-            let completion = Completion::new();
-            let done = completion.clone();
-            st.callbacks
-                .push((my_round, Box::new(move |cts| done.complete(cts))));
-            return CtsGrant::Pending(completion);
+        drop(st);
+        for (_, waker) in wake {
+            waker.wake();
         }
-        CtsGrant::Ready(self.lead_rounds(st))
-    }
-
-    /// Lead lease refill rounds until every parked async callback has been
-    /// served. Called with the lease lock held and no refill in flight;
-    /// returns the first round's first value — the leader's own timestamp —
-    /// with the lock released.
-    ///
-    /// Each round's FAA is sized to current demand (leader + condvar
-    /// waiters + eligible callbacks, capped at `lease_max`). Distribution
-    /// order: leader first, then eligible callbacks (arrival round ≤ the
-    /// distributed round, FIFO), then the condvar waiters are woken to pull
-    /// the remainder themselves. Callbacks fire with the lease lock
-    /// dropped. Callbacks left over — range exhausted, or registered while
-    /// this round's FAA was in flight — make the leader loop and lead a
-    /// follow-up round, unless a woken waiter already took over leading.
-    fn lead_rounds<'a>(&'a self, mut st: TrackedMutexGuard<'a, LeaseState>) -> Cts {
-        let mut own: Option<Cts> = None;
-        loop {
-            let round = st.round_id;
-            let eligible = st.callbacks.iter().filter(|(r, _)| *r <= round).count() as u64;
-            let demand = own.is_none() as u64 + st.waiters + eligible;
-            let grant = demand.min(self.lease_max).max(1);
-            st.round_id += 1;
-            st.refilling = true;
-            drop(st);
-            // The FAA is a charge point: lease lock dropped.
-            let first = self.fusion.lease_cts(grant);
-            self.lease_grants.inc();
-            let mut fire: Vec<(GrantCallback, Cts)> = Vec::new();
-            st = self.lease.lock();
-            st.refilling = false;
-            st.dist_round = round;
-            // A remainder orphaned by the next round's overwrite is a
-            // permanent gap — safe (see [`LeaseState`]).
-            st.next = first.0;
-            st.end = first.0 + grant;
-            if own.is_none() {
-                // Leader takes the range's first value.
-                own = Some(Cts(st.next));
-                st.next += 1;
-            }
-            let mut i = 0;
-            while i < st.callbacks.len() && st.next < st.end {
-                if st.callbacks[i].0 <= round {
-                    let (_, cb) = st.callbacks.remove(i);
-                    fire.push((cb, Cts(st.next)));
-                    st.next += 1;
-                    self.lease_hits.inc();
-                } else {
-                    i += 1;
-                }
-            }
-            self.lease_cv.notify_all();
-            let done = st.callbacks.is_empty();
-            drop(st);
-            for (cb, cts) in fire {
-                cb(cts);
-            }
-            if done {
-                return own.expect("first round always serves the leader");
-            }
-            st = self.lease.lock();
-            if st.refilling || st.callbacks.is_empty() {
-                // A woken waiter became the next leader (its round will
-                // serve the remaining callbacks), or they are gone.
-                return own.expect("first round always serves the leader");
-            }
-        }
+        first
     }
 }
 
@@ -350,6 +298,34 @@ mod tests {
     use pmp_common::LatencyConfig;
     use pmp_rdma::Fabric;
     use pmp_repl::ReplicatedFabric;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    impl TsoClient {
+        /// Test support: run `f` as it would see a lease round in flight. The
+        /// round then ends the way a leader's does when it served nobody: the
+        /// oldest committer left over is woken to lead the next one.
+        pub(crate) fn while_refilling<R>(&self, f: impl FnOnce() -> R) -> R {
+            {
+                let mut st = self.lease.lock();
+                st.refilling = true;
+                st.round_id += 1;
+            }
+            let out = f();
+            let mut st = self.lease.lock();
+            st.refilling = false;
+            let next = (!st.waiters.is_empty()).then(|| st.waiters.remove(0));
+            drop(st);
+            if let Some((_, waker)) = next {
+                waker.wake();
+            }
+            out
+        }
+
+        /// Committers suspended behind the round in flight.
+        pub(crate) fn suspended(&self) -> usize {
+            self.lease.lock().waiters.len()
+        }
+    }
 
     fn fusion_on(latency: LatencyConfig) -> Arc<TxnFusion> {
         Arc::new(TxnFusion::new(Arc::new(ReplicatedFabric::single(
@@ -367,6 +343,11 @@ mod tests {
         let fusion = fusion_on(LatencyConfig::disabled());
         let c = TsoClient::new(Arc::clone(&fusion), true, lease_max);
         (fusion, c)
+    }
+
+    /// One commit timestamp for a plain thread (which never sees `Err`).
+    fn commit(c: &TsoClient) -> Cts {
+        c.commit_cts(&mut None).expect("a thread waits in place")
     }
 
     #[test]
@@ -436,7 +417,7 @@ mod tests {
         let atomics_before = fusion.repl().fabric_stats().atomics.get();
         let mut last = Cts(0);
         for _ in 0..10 {
-            let cts = c.commit_cts();
+            let cts = commit(&c);
             assert!(cts > last, "single-threaded hand-out stays ordered");
             last = cts;
         }
@@ -455,15 +436,15 @@ mod tests {
     fn lease_disabled_pays_one_faa_per_commit() {
         let (fusion, c) = leasing_client(1);
         let before = fusion.repl().fabric_stats().atomics.get();
-        c.commit_cts();
-        c.commit_cts();
+        commit(&c);
+        commit(&c);
         assert_eq!(fusion.repl().fabric_stats().atomics.get(), before + 2);
         assert_eq!(c.lease_grants.get(), 0);
     }
 
     #[test]
     fn commit_after_snapshot_always_exceeds_it() {
-        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::atomic::AtomicBool;
         use std::thread;
         // The SI-safety invariant leasing must preserve: a commit_cts call
         // issued *after* a current_cts read always returns a larger value.
@@ -478,14 +459,14 @@ mod tests {
                 let stop = Arc::clone(&stop);
                 thread::spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
-                        c.commit_cts();
+                        commit(&c);
                     }
                 })
             })
             .collect();
         for _ in 0..2_000 {
             let snapshot = fusion.current_cts();
-            let cts = c.commit_cts();
+            let cts = commit(&c);
             assert!(
                 cts > snapshot,
                 "commit started after snapshot {snapshot} got visible CTS {cts}"
@@ -498,53 +479,163 @@ mod tests {
     }
 
     #[test]
-    fn deferred_commit_is_ready_when_uncontended() {
-        let (fusion, c) = leasing_client(8);
-        let mut last = Cts(0);
-        for _ in 0..5 {
-            match c.commit_cts_deferred() {
-                CtsGrant::Ready(cts) => {
-                    assert!(cts > last, "inline leads stay ordered");
-                    last = cts;
+    fn committer_suspended_behind_a_refill_is_served_by_the_next_leader() {
+        let (_, c) = leasing_client(8);
+        let c = Arc::new(c);
+        hold_refill(&c);
+        let follower = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || commit(&c))
+        };
+        crate::scheduler::eventually("follower never registered", || {
+            c.lease.lock().waiters.len() == 1
+        });
+        // The simulated leader vanishes (crash-style); the next committer
+        // leads round 1, sized for both, and wakes the follower to pull.
+        c.lease.lock().refilling = false;
+        let leader_cts = commit(&c);
+        let follower_cts = follower.join().unwrap();
+        assert_eq!(follower_cts, Cts(leader_cts.0 + 1), "one FAA of two");
+        assert_eq!(c.lease_grants.get(), 1);
+        assert_eq!(c.lease_hits.get(), 1, "a pulled value is a lease hit");
+        assert!(c.lease.lock().waiters.is_empty());
+    }
+
+    /// Simulate a round-0 FAA in flight: arrivals must wait for round 1.
+    fn hold_refill(c: &TsoClient) {
+        let mut st = c.lease.lock();
+        st.refilling = true;
+        st.round_id = 1;
+    }
+
+    /// A scheduler task that commits once: its step count, and the
+    /// timestamp and ticket it ended with.
+    type Committed = Arc<TrackedMutex<Option<(Cts, LeaseTicket)>>>;
+    fn commit_task(
+        sched: &crate::scheduler::Scheduler,
+        c: &Arc<TsoClient>,
+    ) -> (Arc<crate::scheduler::Parker>, Arc<AtomicUsize>, Committed) {
+        use crate::scheduler::StepResult;
+        let runs = Arc::new(AtomicUsize::new(0));
+        let got: Committed = Arc::new(TrackedMutex::new(TSO_STATE, None));
+        let (c2, runs2, got2) = (Arc::clone(c), Arc::clone(&runs), Arc::clone(&got));
+        let mut ticket = None;
+        let parker = sched.spawn(Box::new(move || {
+            runs2.fetch_add(1, Ordering::SeqCst);
+            match c2.commit_cts(&mut ticket) {
+                Ok(cts) => {
+                    *got2.lock() = Some((cts, ticket.expect("filled by the first call")));
+                    StepResult::Done
                 }
-                CtsGrant::Pending(_) => panic!("no refill in flight → must be Ready"),
+                Err(_) => StepResult::Parked,
             }
-        }
-        // Uncontended: every call led its own size-1 round inline.
-        assert_eq!(c.lease_grants.get(), 5);
-        assert_eq!(c.lease_hits.get(), 0);
-        assert_eq!(fusion.current_cts(), last, "no timestamps left reserved");
+        }));
+        (parker, runs, got)
     }
 
     #[test]
-    fn deferred_commit_parked_behind_refill_is_served_by_next_leader() {
+    fn a_task_behind_a_refill_parks_and_keeps_its_arrival_round() {
+        use crate::scheduler::{eventually, Scheduler};
         let (_, c) = leasing_client(8);
-        // Simulate a round-0 FAA in flight: arrivals must park for round 1.
-        {
-            let mut st = c.lease.lock();
-            st.refilling = true;
-            st.round_id = 1;
+        let c = Arc::new(c);
+        hold_refill(&c);
+        let sched = Scheduler::new(1);
+        let (parker, runs, got) = commit_task(&sched, &c);
+        eventually("task never parked", || parker.is_parked());
+        assert_eq!(c.lease.lock().waiters.len(), 1);
+        // Wakes that are not a distribution's (a stale timer, another wait
+        // source's late waker) re-run the wait: it keeps its one entry.
+        for rerun in 2..=4 {
+            parker.wake();
+            eventually("task never re-parked", || {
+                runs.load(Ordering::SeqCst) == rerun && parker.is_parked()
+            });
+            assert_eq!(c.lease.lock().waiters.len(), 1, "re-run {rerun}");
         }
-        let pending = match c.commit_cts_deferred() {
-            CtsGrant::Pending(p) => p,
-            CtsGrant::Ready(_) => panic!("refill in flight → must park"),
-        };
-        assert!(!pending.is_ready());
-        // The simulated leader vanishes (crash-style); the next blocking
-        // committer leads round 1 and must serve the parked callback.
+        // The next committer leads round 1, sized for both. The re-run task
+        // pulls from it although round 2 is current by then: eligibility is
+        // judged by the round it *arrived* in, which the caller keeps.
         c.lease.lock().refilling = false;
-        let leader_cts = c.commit_cts();
-        let cb_cts = pending
-            .try_take()
-            .expect("leader distribution serves callbacks");
-        assert_ne!(cb_cts, leader_cts);
-        assert!(cb_cts > Cts(0));
-        assert_eq!(
-            c.lease_hits.get(),
-            1,
-            "callback grant counts as a lease hit"
-        );
-        assert!(c.lease.lock().callbacks.is_empty());
+        let first = commit(&c);
+        eventually("task never served", || got.lock().is_some());
+        let (cts, ticket) = got.lock().take().unwrap();
+        assert_eq!(ticket.round, 1);
+        assert_eq!(cts, Cts(first.0 + 1));
+        assert_eq!(c.lease_grants.get(), 1, "one FAA of two");
+        assert!(c.lease.lock().waiters.is_empty());
+        assert_eq!(sched.stats().timer_fires.get(), 0);
+    }
+
+    #[test]
+    fn committers_behind_a_lost_hand_off_lead_on_their_backstop() {
+        use crate::scheduler::{eventually, Scheduler};
+        // Two tasks and a thread wait out a round whose leader's hand-off
+        // never produces the next one: the woken committer's node crashed,
+        // so it returned `NodeUnavailable` before reaching `commit_cts`.
+        // Nobody else will ever call; each must still get a timestamp.
+        let (_, c) = leasing_client(8);
+        let c = Arc::new(c);
+        hold_refill(&c);
+        let sched = Scheduler::new(2);
+        let tasks = [commit_task(&sched, &c), commit_task(&sched, &c)];
+        let thread = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || commit(&c))
+        };
+        eventually("never all suspended", || {
+            c.lease.lock().waiters.len() == 3 && tasks.iter().all(|(p, ..)| p.is_parked())
+        });
+        c.lease.lock().refilling = false; // the round ends; no wake reaches a leader
+        let mut all = vec![thread.join().unwrap()];
+        for (_, _, got) in &tasks {
+            eventually("a parked committer was stranded", || got.lock().is_some());
+            all.push(got.lock().unwrap().0);
+        }
+        all.sort();
+        all.dedup();
+        assert_eq!(all.len(), 3, "unique timestamps");
+        assert!(c.lease.lock().waiters.is_empty());
+        assert!(sched.stats().timer_fires.get() >= 1, "the backstop fired");
+    }
+
+    #[test]
+    fn lease_leadership_is_one_round_per_call() {
+        use std::collections::HashSet;
+        use std::thread;
+        // 8 committers x 200 on a visible FAA latency: every call returns a
+        // unique timestamp above any snapshot taken before it, and a call
+        // leads at most one round — each timestamp is either the first of a
+        // round its caller led or a pull.
+        let fusion = fusion_on(LatencyConfig {
+            atomic_ns: 20_000,
+            ..LatencyConfig::realistic()
+        });
+        let c = Arc::new(TsoClient::new(Arc::clone(&fusion), true, 16));
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let (c, fusion) = (Arc::clone(&c), Arc::clone(&fusion));
+                thread::spawn(move || {
+                    (0..200)
+                        .map(|_| {
+                            let snapshot = fusion.current_cts();
+                            let cts = commit(&c);
+                            assert!(cts > snapshot, "{cts} dipped under snapshot {snapshot}");
+                            cts
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut all = HashSet::new();
+        for h in handles {
+            for cts in h.join().unwrap() {
+                assert!(all.insert(cts), "duplicate leased CTS {cts}");
+            }
+        }
+        assert_eq!(all.len(), 1_600);
+        assert_eq!(c.lease_grants.get() + c.lease_hits.get(), 1_600);
+        assert!(c.lease_grants.get() < 1_600, "rounds must coalesce");
+        assert!(c.lease.lock().waiters.is_empty());
     }
 
     #[test]
@@ -562,7 +653,7 @@ mod tests {
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let c = Arc::clone(&c);
-                thread::spawn(move || (0..50).map(|_| c.commit_cts()).collect::<Vec<_>>())
+                thread::spawn(move || (0..50).map(|_| commit(&c)).collect::<Vec<_>>())
             })
             .collect();
         let mut all = HashSet::new();

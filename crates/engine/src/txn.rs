@@ -3,13 +3,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pmp_common::{
     Cts, GlobalTrxId, Lsn, PageId, PmpError, Result, TableId, CSN_INIT, CSN_MAX, CSN_MIN,
 };
-use pmp_io::Completion;
-use pmp_pmfs::WaitOutcome;
+use pmp_pmfs::{WaitCell, WaitOutcome};
 use pmp_rdma::Locality;
 
 use crate::btree::{self, ModifyVerdict, WriteResult};
@@ -17,17 +16,11 @@ use crate::node::{NodeEngine, LEAF_CAPACITY};
 use crate::page::Page;
 use crate::redo::{RedoOp, RedoRecord};
 use crate::row::{index_key, IndexKey, Row, RowHeader, RowValue};
-use crate::scheduler;
+use crate::scheduler::{self, Waiter};
 use crate::shared::{TableKind, TableMeta};
-use crate::tso_client::CtsGrant;
+use crate::tso_client::LeaseTicket;
 use crate::undo::{UndoPtr, UndoRecord};
 use crate::version_store::{PrevLink, Resolved, StoredVersion};
-use crate::wal::ForceOutcome;
-
-/// Safety-net deadline for a commit parked on the WAL group-commit window:
-/// the durable callback (or the crash drain) always wakes us, but a lost
-/// wake must surface as a re-check rather than a hang.
-const WAL_PARK_BACKSTOP: Duration = Duration::from_millis(100);
 
 /// Transaction lifecycle state.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -69,21 +62,46 @@ pub struct Txn {
     stmt_results: Vec<Option<RowValue>>,
     /// How many of `stmt_results` the current (re-)run has consumed.
     stmt_replay: usize,
-    /// Where an in-flight commit parked, so the re-run resumes mid-pipeline.
+    /// Where an in-flight commit is, so a re-run resumes mid-pipeline.
     commit_stage: CommitStage,
-    /// A deferred CTS grant the commit is parked on.
-    cts_waiter: Option<Completion<Cts>>,
+    /// The row-lock wait this transaction is registered for, so a re-run
+    /// resumes it instead of registering (FAA + RPC) again.
+    row_wait: Option<RowWait>,
 }
 
-/// Commit pipeline position (crossed only forward; each park resumes here).
+/// Commit pipeline position (crossed only forward; a suspended commit
+/// resumes here). The two stages that can wait carry their entry time, so
+/// the stage histograms see the whole stage whoever ran it, parked time
+/// included.
 #[derive(Clone, Copy, Debug)]
 enum CommitStage {
-    /// Nothing done yet: the CTS must be allocated.
+    /// Commit not begun.
     Start,
+    /// Allocating the CTS; `ticket` is this commit's place in the lease
+    /// order ([`TsoClient::commit_cts`](crate::tso_client::TsoClient::commit_cts)).
+    Cts {
+        since: Instant,
+        ticket: Option<LeaseTicket>,
+    },
     /// CTS allocated; the commit record still has to be logged.
-    HaveCts(Cts),
+    Log(Cts),
     /// Commit record logged; waiting for it to become durable.
-    Logged { cts: Cts, end: Lsn },
+    /// `registration` is this commit's entry among the group-commit
+    /// followers ([`Wal::force`](crate::wal::Wal::force)).
+    Force {
+        cts: Cts,
+        end: Lsn,
+        since: Instant,
+        registration: Option<u64>,
+    },
+}
+
+/// A registered row-lock wait (Figure 6): who holds the row, the cell Lock
+/// Fusion signals, and when the wait gives up.
+struct RowWait {
+    holder: GlobalTrxId,
+    cell: Arc<WaitCell>,
+    deadline: Option<Instant>,
 }
 
 impl std::fmt::Debug for Txn {
@@ -122,7 +140,7 @@ impl Txn {
             stmt_results: Vec::new(),
             stmt_replay: 0,
             commit_stage: CommitStage::Start,
-            cts_waiter: None,
+            row_wait: None,
         }
     }
 
@@ -464,12 +482,9 @@ impl Txn {
                     }
                     return Ok(row_result);
                 }
-                Ok(WriteResult::Conflict(holder)) => {
-                    self.engine.stats.lock_waits.inc();
-                    self.wait_for(holder)?;
-                }
-                // A park is not a failure: the scheduler re-runs the
-                // statement once the wait source fires. No rollback.
+                Ok(WriteResult::Conflict(holder)) => self.wait_for(holder)?,
+                // A suspended task is not a failure: the scheduler re-runs
+                // the statement once the wait source fires. No rollback.
                 Err(PmpError::WouldBlock) => return Err(PmpError::WouldBlock),
                 Err(e) => {
                     // Lock timeouts and engine failures abort the whole
@@ -600,44 +615,74 @@ impl Txn {
 
     /// The Figure 6 wait protocol: raise the holder's TIT ref flag with a
     /// one-sided FAA, register the wait with Lock Fusion, double-check the
-    /// holder is still active, then block.
+    /// holder is still active, then suspend until Lock Fusion signals the
+    /// cell or the lock-wait deadline passes.
+    ///
+    /// `Ok` means retry the row. A task suspends with `WouldBlock`; the
+    /// registration stays on the transaction, so the re-run — which meets
+    /// the same conflict — resumes this wait without a second FAA or RPC.
     fn wait_for(&mut self, holder: GlobalTrxId) -> Result<()> {
-        let engine = &self.engine;
-        let fusion = &engine.shared.pmfs.txn;
-        let Some(region) = fusion.region(holder.node) else {
-            return Ok(()); // holder's node left; its recovery freed the row
+        if self.row_wait.as_ref().is_none_or(|w| w.holder != holder) {
+            // (A wait on an earlier holder ended when that holder did.)
+            self.row_wait = self.register_wait(holder);
+        }
+        let Some(wait) = &self.row_wait else {
+            return Ok(());
         };
+        let (cell, deadline) = (Arc::clone(&wait.cell), wait.deadline);
+        let waiter = Waiter::current();
+        loop {
+            let waker = waiter.waker();
+            match cell.poll(Box::new(move || waker.wake())) {
+                Some(WaitOutcome::Granted) => {
+                    self.row_wait = None;
+                    return Ok(());
+                }
+                Some(WaitOutcome::Victim) => {
+                    self.engine.stats.deadlock_aborts.inc();
+                    self.rollback_internal()?;
+                    return Err(PmpError::Deadlock { victim: self.gid });
+                }
+                None => {}
+            }
+            if scheduler::passed(deadline) {
+                // (Rolling back takes the wait out of the wait-for graph.)
+                self.rollback_internal()?;
+                return Err(PmpError::LockWaitTimeout);
+            }
+            waiter.suspend(deadline)?;
+        }
+    }
+
+    /// Register `self waits-for holder`; `None` when the holder turns out
+    /// to have finished already (retry the row at once).
+    fn register_wait(&self, holder: GlobalTrxId) -> Option<RowWait> {
+        let engine = &self.engine;
+        engine.stats.lock_waits.inc();
+        // Holder's node left ⇒ its recovery freed the row.
+        let region = engine.shared.pmfs.txn.region(holder.node)?;
         let locality = if holder.node == engine.node {
             Locality::Local
         } else {
             Locality::Remote
         };
-        let version = region.add_ref(holder.slot, locality);
-        if version != holder.version {
-            return Ok(()); // slot reused ⇒ holder finished ⇒ retry now
+        if region.add_ref(holder.slot, locality) != holder.version {
+            return None; // slot reused ⇒ holder finished
         }
-
         let rlock = &engine.shared.pmfs.rlock;
         let cell = rlock.register_wait(self.gid, holder);
         // Close the race with a commit that checked its ref flag before our
         // FAA landed.
         if engine.trx_cts(holder) != CSN_MAX {
             rlock.cancel_wait(self.gid, holder);
-            return Ok(());
+            return None;
         }
-        match cell.wait(Duration::from_millis(engine.cfg.lock_wait_timeout_ms)) {
-            WaitOutcome::Granted => Ok(()),
-            WaitOutcome::Victim => {
-                self.engine.stats.deadlock_aborts.inc();
-                self.rollback_internal()?;
-                Err(PmpError::Deadlock { victim: self.gid })
-            }
-            WaitOutcome::TimedOut => {
-                rlock.cancel_wait(self.gid, holder);
-                self.rollback_internal()?;
-                Err(PmpError::LockWaitTimeout)
-            }
-        }
+        let timeout = Duration::from_millis(engine.cfg.lock_wait_timeout_ms);
+        Some(RowWait {
+            holder,
+            cell,
+            deadline: scheduler::deadline_in(timeout),
+        })
     }
 
     // ---- commit / rollback ---------------------------------------------------
@@ -645,20 +690,15 @@ impl Txn {
     /// Commit: CTS from the TSO, durable commit record (group commit), TIT
     /// publication, CTS backfill, waiter notification (§4.1, Figure 6).
     pub fn commit(mut self) -> Result<Cts> {
-        // Off the scheduler every park point falls back to blocking, so a
-        // single step runs the whole pipeline.
+        // A thread waits in place, so one step runs the whole pipeline.
         self.commit_step()
     }
 
-    /// One commit attempt, resumable. On a scheduler worker the two waits —
-    /// the deferred CTS grant and the group-commit wal force — park the
-    /// transaction ([`PmpError::WouldBlock`]) instead of blocking a thread;
-    /// `commit_stage` records where the re-run resumes. Off the scheduler
-    /// the same code runs the pipeline synchronously in one call.
-    ///
-    /// Stage latency histograms only see stages that completed without
-    /// parking (a parked stage's wait happens off-thread); the async
-    /// connection sweep in EXPERIMENTS.md reads tps, not stage means.
+    /// One commit attempt, resumable. The two waits — a CTS lease round in
+    /// flight and the group-commit wal force — suspend the caller: a task
+    /// unwinds with [`PmpError::WouldBlock`] and `commit_stage` records
+    /// where the re-run resumes; a thread blocks and the same code runs
+    /// the pipeline in one call.
     pub(crate) fn commit_step(&mut self) -> Result<Cts> {
         self.ensure_active()?;
         if self.writes.is_empty() {
@@ -669,47 +709,20 @@ impl Txn {
         let engine = Arc::clone(&self.engine);
         let gid = self.gid;
         loop {
-            match self.commit_stage {
+            match &mut self.commit_stage {
                 CommitStage::Start => {
-                    // lint: allow(raw-instant): commit-stage latency metering (histograms)
-                    let t0 = std::time::Instant::now();
-                    let cts = if let Some(w) = self.cts_waiter.take() {
-                        match w.try_take() {
-                            Some(cts) => cts, // the parked grant arrived
-                            None => match scheduler::async_parker() {
-                                Some(parker) => {
-                                    // Spurious wake: re-arm and park again.
-                                    let wk = Arc::clone(&parker);
-                                    w.set_notify(Box::new(move || wk.wake()));
-                                    self.cts_waiter = Some(w);
-                                    return Err(PmpError::WouldBlock);
-                                }
-                                // Scheduler stopped mid-wait: the lease
-                                // leader still fires the grant — block on it.
-                                None => w.wait(),
-                            },
-                        }
-                    } else if let Some(parker) = scheduler::async_parker() {
-                        match engine.tso.commit_cts_deferred() {
-                            CtsGrant::Ready(cts) => {
-                                engine.stats.commit_cts_ns.record(t0.elapsed());
-                                cts
-                            }
-                            CtsGrant::Pending(w) => {
-                                let wk = Arc::clone(&parker);
-                                w.set_notify(Box::new(move || wk.wake()));
-                                self.cts_waiter = Some(w);
-                                return Err(PmpError::WouldBlock);
-                            }
-                        }
-                    } else {
-                        let cts = engine.tso.commit_cts();
-                        engine.stats.commit_cts_ns.record(t0.elapsed());
-                        cts
+                    self.commit_stage = CommitStage::Cts {
+                        // lint: allow(raw-instant): commit-stage latency metering (histograms)
+                        since: Instant::now(),
+                        ticket: None,
                     };
-                    self.commit_stage = CommitStage::HaveCts(cts);
                 }
-                CommitStage::HaveCts(cts) => {
+                CommitStage::Cts { since, ticket } => {
+                    let cts = engine.tso.commit_cts(ticket)?;
+                    engine.stats.commit_cts_ns.record(since.elapsed());
+                    self.commit_stage = CommitStage::Log(cts);
+                }
+                &mut CommitStage::Log(cts) => {
                     let end = engine.wal.log_atomic(|_| {
                         vec![RedoRecord {
                             llsn: pmp_common::Llsn::ZERO,
@@ -718,32 +731,23 @@ impl Txn {
                             op: RedoOp::Commit { trx: gid, cts },
                         }]
                     });
-                    self.commit_stage = CommitStage::Logged { cts, end };
-                }
-                CommitStage::Logged { cts, end } => {
-                    // lint: allow(raw-instant): commit-stage latency metering (histograms)
-                    let t1 = std::time::Instant::now();
-                    let forced = if let Some(parker) = scheduler::async_parker() {
-                        let wk = Arc::clone(&parker);
-                        match engine.wal.force_async(end, Box::new(move |_| wk.wake())) {
-                            ForceOutcome::Durable(achieved) => {
-                                engine.stats.commit_wal_force_ns.record(t1.elapsed());
-                                achieved
-                            }
-                            ForceOutcome::Pending => {
-                                // The durable callback (or the crash drain)
-                                // wakes us; the timer only covers lost wakes.
-                                // lint: allow(raw-instant): park backstop deadline
-                                let at = std::time::Instant::now() + WAL_PARK_BACKSTOP;
-                                parker.park_deadline(at);
-                                return Err(PmpError::WouldBlock);
-                            }
-                        }
-                    } else {
-                        let forced = engine.wal.force(end);
-                        engine.stats.commit_wal_force_ns.record(t1.elapsed());
-                        forced
+                    self.commit_stage = CommitStage::Force {
+                        cts,
+                        end,
+                        // lint: allow(raw-instant): commit-stage latency metering (histograms)
+                        since: Instant::now(),
+                        registration: None,
                     };
+                }
+                CommitStage::Force {
+                    cts,
+                    end,
+                    since,
+                    registration,
+                } => {
+                    let (cts, end) = (*cts, *end);
+                    let forced = engine.wal.force(end, registration)?;
+                    engine.stats.commit_wal_force_ns.record(since.elapsed());
                     if forced < end {
                         // A crash truncated the stream beneath the commit
                         // record: it can never become durable, so the commit
@@ -852,7 +856,7 @@ impl Txn {
         // half-applied undo replay through the statement retry machinery
         // would interleave it with fresh statement state. Undo touches pages
         // this transaction just wrote (PLocks lazily retained, frames warm),
-        // so the blocking fallbacks are short and bounded.
+        // so waiting as a thread is short and bounded.
         scheduler::with_parking_disabled(|| self.rollback_body())
     }
 
@@ -862,6 +866,10 @@ impl Txn {
         }
         let engine = Arc::clone(&self.engine);
         let gid = self.gid;
+        if let Some(wait) = self.row_wait.take() {
+            // Abandoned mid-wait: take the edge out of the wait-for graph.
+            engine.shared.pmfs.rlock.cancel_wait(gid, wait.holder);
+        }
         for &ptr in self.undo_all.iter().rev() {
             let Some(rec) = engine
                 .shared

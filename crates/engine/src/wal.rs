@@ -14,12 +14,18 @@
 //!    `LogStream` reservation, and the stream's durability watermark never
 //!    advances into an unfilled reservation: a crash either persists the
 //!    whole group or none of it.
+//!
+//! Group commit ([`Wal::force`]) is written once against the scheduler's
+//! wait path ([`Waiter`]): whoever finds the sync mutex free leads one
+//! fsync for everything announced; everyone else registers a waker and
+//! suspends — a task parks, a thread blocks — until a leader's fsync covers
+//! it or hands it the lead.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pmp_common::sync::{sched_point, LockClass, TrackedMutex};
-use pmp_common::{CompressionConfig, Counter, Llsn, Lsn};
+use pmp_common::sync::{sched_point, LockClass, TrackedMutex, TrackedMutexGuard};
+use pmp_common::{CompressionConfig, Counter, Llsn, Lsn, Result};
 use pmp_rdma::precise_wait_ns;
 use pmp_storage::{Codec, LogStream};
 
@@ -37,6 +43,7 @@ const WAL_SYNC: LockClass = LockClass::charge_exempt(
 
 use crate::llsn::LlsnClock;
 use crate::redo::{LogFrame, RedoRecord};
+use crate::scheduler::{backstop, Waiter, Waker};
 
 /// Consecutive empty collect windows after which the leader stops waiting.
 /// Any follower that rides a later fsync re-arms the window, so a lone
@@ -49,8 +56,8 @@ const EMPTY_WINDOW_LIMIT: u64 = 3;
 pub struct WalGroupStats {
     /// Fsync batches led (each charged exactly one storage sync).
     pub batches: Counter,
-    /// Committers whose target was already durable when they got the sync
-    /// mutex — they rode another leader's fsync for free.
+    /// Committers that announced a target and found it durable without
+    /// leading — they rode another leader's fsync for free.
     pub riders: Counter,
     /// Collect windows the leader actually waited out.
     pub windows_waited: Counter,
@@ -58,41 +65,8 @@ pub struct WalGroupStats {
     pub empty_windows: Counter,
 }
 
-/// Callback fired (with the achieved durable LSN) by whichever fsync batch
-/// covers an async committer's target — the group-commit wait class of the
-/// transaction scheduler.
-pub type ForceCallback = Box<dyn FnOnce(Lsn) + Send>;
-
-/// Waker registered by the async force path. The sync-mutex pending-list
-/// callback registry.
+/// The followers' registry.
 const WAL_PENDING: LockClass = LockClass::new("engine.wal.pending");
-
-struct PendingForce {
-    id: u64,
-    target: Lsn,
-    cb: ForceCallback,
-}
-
-impl std::fmt::Debug for PendingForce {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PendingForce")
-            .field("id", &self.id)
-            .field("target", &self.target)
-            .finish_non_exhaustive()
-    }
-}
-
-/// The outcome of [`Wal::force_async`].
-#[derive(Debug)]
-pub enum ForceOutcome {
-    /// The stream is durable at the returned LSN. A value short of the
-    /// requested target means a crash truncated the stream — same contract
-    /// as [`Wal::force`].
-    Durable(Lsn),
-    /// A leader holds the sync mutex; the registered callback fires once a
-    /// covering fsync completes (or the crash drain runs).
-    Pending,
-}
 
 /// The node WAL front-end.
 #[derive(Debug)]
@@ -114,13 +88,11 @@ pub struct Wal {
     arrivals: AtomicU64,
     /// Consecutive windows that closed empty (adaptivity state).
     empty_streak: AtomicU64,
-    /// Async committers parked on this group-commit round. Every entry is
-    /// guaranteed a fire: a leader never releases the sync mutex while an
-    /// unsatisfied entry exists (it loops, re-syncing to the grown
-    /// `pending_max`), and `drain_pending_on_crash` fires the rest with the
-    /// truncated watermark.
-    pending_cbs: TrackedMutex<Vec<PendingForce>>,
-    next_cb_id: AtomicU64,
+    /// Committers suspended behind a leader, by registration id. Every
+    /// entry is guaranteed a wake: whoever releases the sync mutex then
+    /// wakes them all, and so does `drain_pending_on_crash`.
+    pending: TrackedMutex<Vec<(u64, Waker)>>,
+    next_id: AtomicU64,
     group: WalGroupStats,
     /// With log compression on, every group is wrapped in a [`LogFrame`] and
     /// compressed at fill time (outside the log mutex); the saved tail of
@@ -150,8 +122,8 @@ impl Wal {
             pending_max: AtomicU64::new(0),
             arrivals: AtomicU64::new(0),
             empty_streak: AtomicU64::new(0),
-            pending_cbs: TrackedMutex::new(WAL_PENDING, Vec::new()),
-            next_cb_id: AtomicU64::new(0),
+            pending: TrackedMutex::new(WAL_PENDING, Vec::new()),
+            next_id: AtomicU64::new(0),
             group: WalGroupStats::default(),
             framed: comp.log_enabled(),
             codec: Codec::new(comp.compression),
@@ -229,93 +201,97 @@ impl Wal {
     /// Returns the achieved durable LSN. A return short of `target` means
     /// a crash truncated the stream underneath us — the caller's records
     /// can never become durable and anything gated on them (a commit
-    /// acknowledgement, a DBP push) must not proceed.
-    pub fn force(&self, target: Lsn) -> Lsn {
+    /// acknowledgement, a DBP push) must not proceed. `Err` is only ever
+    /// [`PmpError::WouldBlock`](pmp_common::PmpError::WouldBlock), for a
+    /// task that suspended behind a leader; a thread always gets `Ok`.
+    ///
+    /// `registration` is the caller's entry in the followers' registry,
+    /// `None` before the first call. A task keeps it across its suspends and
+    /// calls again with it when woken, so one wait announces itself once,
+    /// holds one entry and counts as one rider however often it is re-run.
+    pub fn force(&self, target: Lsn, registration: &mut Option<u64>) -> Result<Lsn> {
         let durable = self.stream.durable_lsn();
         if durable >= target {
-            return durable;
+            if let Some(id) = registration.take() {
+                // Re-run of a wait some leader's fsync covered.
+                self.unregister(id);
+                self.rode();
+            }
+            return Ok(durable);
         }
-        // Announce our target before queueing on the sync mutex: the fill is
-        // already complete (`force` runs after `log_atomic`), so the current
-        // leader may fold us into its fsync even though we never reach the
-        // mutex while it holds it.
-        self.pending_max.fetch_max(target.0, Ordering::Release);
-        self.arrivals.fetch_add(1, Ordering::Release);
-        sched_point("wal.force.announce-window");
-        let _g = self.sync_mutex.lock();
-        let durable = self.stream.durable_lsn();
-        if durable >= target {
-            // A leader's batch covered us; concurrency is live, so re-arm
-            // the collect window if emptiness had disabled it.
-            self.group.riders.inc();
-            self.empty_streak.store(0, Ordering::Relaxed); // lint: allow(relaxed-atomic): adaptive group-commit heuristic; a stale read costs one extra empty window
-            drop(_g);
-            self.rescue_orphans();
-            return durable;
-        }
-        // We are the leader.
-        let (achieved, fire) = self.lead_sync(target);
-        drop(_g);
-        for (cb, lsn) in fire {
-            cb(lsn);
-        }
-        self.rescue_orphans();
-        achieved
-    }
-
-    /// Serve async entries that slipped past a leader's final pending-scan
-    /// (registered after the scan, before the mutex release). Every path
-    /// that held the sync mutex calls this after releasing it, so a
-    /// registrant whose `try_lock` failed is always reached: the holder it
-    /// lost to rescans here after releasing.
-    fn rescue_orphans(&self) {
+        let id = *registration.get_or_insert_with(|| {
+            // Announce our target before anything else: the fill is already
+            // complete (`force` runs after `log_atomic`), so the current
+            // leader may fold us into its fsync without ever seeing us.
+            self.pending_max.fetch_max(target.0, Ordering::Release);
+            self.arrivals.fetch_add(1, Ordering::Release);
+            sched_point("wal.force.announce-window");
+            self.next_id.fetch_add(1, Ordering::Relaxed) // lint: allow(relaxed-atomic): monotonic registration-id allocator
+        });
+        let waiter = Waiter::current();
         loop {
-            if self.pending_cbs.lock().is_empty() {
-                return;
+            // Register *before* probing the sync mutex: whoever holds it
+            // scans the registry after releasing it, so once we are
+            // registered either that scan wakes us or our own try_lock
+            // succeeds and we lead.
+            self.register(id, waiter.waker());
+            if let Some(sync) = self.sync_mutex.try_lock() {
+                self.unregister(id);
+                *registration = None;
+                return Ok(self.lead(target, sync));
             }
-            let Some(_g) = self.sync_mutex.try_lock() else {
-                // An active leader owns the list now (its own rescue pass
-                // runs after it releases).
-                return;
-            };
-            let target = {
-                let cbs = self.pending_cbs.lock();
-                match cbs.iter().map(|c| c.target).max() {
-                    Some(t) => t,
-                    None => return,
-                }
-            };
+            // Publish-then-check: the leader may have covered `target`
+            // before our registration, and then its scan owes us nothing.
             let durable = self.stream.durable_lsn();
-            let (_achieved, fire) = if durable >= target {
-                let mut fire: Vec<(ForceCallback, Lsn)> = Vec::new();
-                let mut cbs = self.pending_cbs.lock();
-                let mut i = 0;
-                while i < cbs.len() {
-                    if cbs[i].target <= durable {
-                        let e = cbs.remove(i);
-                        fire.push((e.cb, durable));
-                    } else {
-                        i += 1;
-                    }
-                }
-                drop(cbs);
-                (durable, fire)
-            } else {
-                self.lead_sync(target)
-            };
-            drop(_g);
-            for (cb, lsn) in fire {
-                cb(lsn);
+            if durable >= target {
+                self.unregister(id);
+                *registration = None;
+                self.rode();
+                return Ok(durable);
             }
+            sched_point("wal.force.follow");
+            // A covering fsync, a hand-off of the lead or the crash drain
+            // wakes us.
+            waiter.suspend(backstop())?;
         }
     }
 
-    /// Leader body shared by [`Wal::force`] and [`Wal::force_async`]. Must
-    /// be called with the sync mutex held and `target` not yet durable.
-    /// Returns the achieved watermark plus the satisfied async callbacks,
-    /// which the caller fires *after* releasing the sync mutex (they wake
-    /// parked committers, which may immediately re-enter `force`).
-    fn lead_sync(&self, target: Lsn) -> (Lsn, Vec<(ForceCallback, Lsn)>) {
+    /// Enter the registry, or — a re-check after a wake that was not a
+    /// leader's scan — replace the waker of the entry still there.
+    fn register(&self, id: u64, waker: Waker) {
+        let mut pending = self.pending.lock();
+        match pending.iter_mut().find(|e| e.0 == id) {
+            Some(entry) => entry.1 = waker,
+            None => pending.push((id, waker)),
+        }
+    }
+
+    fn unregister(&self, id: u64) {
+        self.pending.lock().retain(|e| e.0 != id);
+    }
+
+    /// A leader's batch covered this committer: concurrency is live, so
+    /// re-arm the collect window if emptiness had disabled it.
+    fn rode(&self) {
+        self.group.riders.inc();
+        self.empty_streak.store(0, Ordering::Relaxed); // lint: allow(relaxed-atomic): adaptive group-commit heuristic; a stale read costs one extra empty window
+    }
+
+    /// With the sync mutex ours: lead one batch — the collect window and a
+    /// single fsync of everything announced — unless the previous leader
+    /// already covered `target`; release the mutex; wake the followers.
+    ///
+    /// Leadership is bounded: one fsync per call. A follower the fsync did
+    /// not cover is not served by looping here — woken with the rest, it
+    /// finds the mutex free and leads the next batch.
+    fn lead(&self, target: Lsn, sync: TrackedMutexGuard<'_, ()>) -> Lsn {
+        let durable = self.stream.durable_lsn();
+        if durable >= target {
+            drop(sync);
+            self.rode();
+            self.wake_followers();
+            return durable;
+        }
         // Hold the door open for a bounded window so followers arriving
         // right behind us share this fsync instead of each paying their
         // own. The wait happens under the (charge-exempt) sync mutex by
@@ -346,120 +322,45 @@ impl Wal {
                 self.empty_streak.store(0, Ordering::Relaxed); // lint: allow(relaxed-atomic): adaptive group-commit heuristic; a stale read costs one extra empty window
             }
         }
-        let mut fire: Vec<(ForceCallback, Lsn)> = Vec::new();
-        loop {
-            // Sync the whole announced batch, not just our own target. A
-            // pending announcement past the end of a crash-truncated stream
-            // is harmless: `sync_to` bounds its fill wait through
-            // `data.len()` and returns the achieved watermark, and each
-            // caller judges that against its *own* target.
-            let group_target = Lsn(target.0.max(self.pending_max.load(Ordering::Acquire)));
-            self.group.batches.inc();
-            // One covered sync suffices: `sync_to` waits out fills below
-            // the target, so it returns short only when a crash truncated
-            // the stream underneath us — durability can then never reach
-            // `target`, and retrying would spin (charging an fsync per lap)
-            // forever.
-            sched_point("wal.lead-sync.window");
-            let achieved = self.stream.sync_to(group_target);
-            let unsatisfied = {
-                let mut cbs = self.pending_cbs.lock();
-                let mut i = 0;
-                while i < cbs.len() {
-                    if cbs[i].target <= achieved {
-                        let e = cbs.remove(i);
-                        fire.push((e.cb, achieved));
-                    } else {
-                        i += 1;
-                    }
-                }
-                !cbs.is_empty()
-            };
-            if achieved < group_target {
-                // Crash truncation: the stream can never reach the
-                // remaining targets, so fire everything left with the
-                // truncated watermark — each caller judges it against its
-                // own target and fails the commit.
-                let rest: Vec<PendingForce> = std::mem::take(&mut *self.pending_cbs.lock());
-                for e in rest {
-                    fire.push((e.cb, achieved));
-                }
-                return (achieved, fire);
-            }
-            if !unsatisfied {
-                return (achieved, fire);
-            }
-            // Async committers announced (and registered) after our
-            // `pending_max` read: their announce preceded their
-            // registration, so looping with a fresh read strictly grows the
-            // group target and this terminates.
+        // Sync the whole announced batch, not just our own target. A
+        // pending announcement past the end of a crash-truncated stream is
+        // harmless: `sync_to` bounds its fill wait through `data.len()` and
+        // returns the achieved watermark, and each caller judges that
+        // against its *own* target.
+        let group_target = Lsn(target.0.max(self.pending_max.load(Ordering::Acquire)));
+        self.group.batches.inc();
+        sched_point("wal.lead-sync.window");
+        // One covered sync suffices: `sync_to` waits out fills below the
+        // target, so it returns short only when a crash truncated the
+        // stream underneath us — durability can then never reach `target`,
+        // and retrying would spin (charging an fsync per lap) forever.
+        let achieved = self.stream.sync_to(group_target);
+        drop(sync);
+        self.wake_followers();
+        achieved
+    }
+
+    /// Wake the registered followers to re-check: the covered ones return,
+    /// and of the rest (they announced after the leader sized its batch, or
+    /// a crash truncated the stream) whoever gets the sync mutex leads next.
+    /// Runs *after* the mutex is released, with no lock held while the
+    /// wakers fire (a woken committer may immediately re-enter `force`): a
+    /// follower that registers after this scan finds the mutex free and
+    /// leads itself, and one that registered before it is seen here.
+    fn wake_followers(&self) {
+        let wake = std::mem::take(&mut *self.pending.lock());
+        for (_, waker) in wake {
+            waker.wake();
         }
     }
 
-    /// Async group commit: like [`Wal::force`], but instead of blocking
-    /// behind an active leader the caller registers `on_durable` and parks.
-    /// Returns [`ForceOutcome::Durable`] when the target is already covered
-    /// or this thread led the batch itself (bounded inline work), and
-    /// [`ForceOutcome::Pending`] when an active leader adopted the
-    /// callback.
-    pub fn force_async(&self, target: Lsn, on_durable: ForceCallback) -> ForceOutcome {
-        let durable = self.stream.durable_lsn();
-        if durable >= target {
-            return ForceOutcome::Durable(durable);
-        }
-        self.pending_max.fetch_max(target.0, Ordering::Release);
-        self.arrivals.fetch_add(1, Ordering::Release);
-        // Register *before* probing the sync mutex: a leader never releases
-        // the mutex with unsatisfied entries on the list, so once we are
-        // registered either some leader fires us or our own try_lock below
-        // succeeds and we lead.
-        let id = self.next_cb_id.fetch_add(1, Ordering::Relaxed); // lint: allow(relaxed-atomic): monotonic callback-id allocator
-        self.pending_cbs.lock().push(PendingForce {
-            id,
-            target,
-            cb: on_durable,
-        });
-        // Publish-then-check: a leader may have finished covering `target`
-        // between the first durable check and our registration.
-        let durable = self.stream.durable_lsn();
-        if durable >= target {
-            let mut cbs = self.pending_cbs.lock();
-            if let Some(pos) = cbs.iter().position(|c| c.id == id) {
-                cbs.remove(pos);
-                return ForceOutcome::Durable(durable);
-            }
-            // A leader already claimed the callback; the wake is imminent
-            // and the parked re-run will see the durable watermark.
-            return ForceOutcome::Pending;
-        }
-        match self.sync_mutex.try_lock() {
-            Some(_g) => {
-                // Lead the batch inline (bounded: window + one or a few
-                // covered fsyncs). Our own callback fires as part of it —
-                // a harmless self-wake the parker absorbs.
-                let (achieved, fire) = self.lead_sync(target);
-                drop(_g);
-                for (cb, lsn) in fire {
-                    cb(lsn);
-                }
-                self.rescue_orphans();
-                ForceOutcome::Durable(achieved)
-            }
-            None => ForceOutcome::Pending,
-        }
-    }
-
-    /// Crash path: fire every pending async committer with the truncated
-    /// durable watermark. Their targets can never be reached, so the parked
-    /// commits wake, observe `forced < end` (or the epoch bump) and fail
-    /// with `NodeUnavailable` — the "never acked" guarantee the
+    /// Crash path: wake every suspended committer. Their targets can never
+    /// be reached, so they re-check, lead a sync that returns the truncated
+    /// watermark, observe `forced < end` (or the epoch bump) and fail with
+    /// `NodeUnavailable` — the "never acked" guarantee the
     /// failure-injection tests assert.
     pub fn drain_pending_on_crash(&self) {
-        let durable = self.stream.durable_lsn();
-        let cbs: Vec<PendingForce> = std::mem::take(&mut *self.pending_cbs.lock());
-        for e in cbs {
-            (e.cb)(durable);
-        }
+        self.wake_followers();
     }
 
     /// Rule 2 of §4.4: observing a fetched page advances the LLSN clock.
@@ -474,6 +375,18 @@ mod tests {
     use crate::redo::RedoOp;
     use pmp_common::{GlobalTrxId, PageId, StorageLatencyConfig, TableId};
 
+    impl Wal {
+        /// Test support: run `f` as a leader stuck mid-batch would see it — the
+        /// sync mutex held — then release it the way a leader does.
+        pub(crate) fn while_leading<R>(&self, f: impl FnOnce() -> R) -> R {
+            let sync = self.sync_mutex.lock();
+            let out = f();
+            drop(sync);
+            self.wake_followers();
+            out
+        }
+    }
+
     fn wal() -> Wal {
         wal_with_window(0)
     }
@@ -483,6 +396,11 @@ mod tests {
             Arc::new(LogStream::new(StorageLatencyConfig::disabled())),
             window_us,
         )
+    }
+
+    /// One force for a plain thread (which never sees `Err`).
+    fn force(w: &Wal, target: Lsn) -> Lsn {
+        w.force(target, &mut None).expect("a thread waits in place")
     }
 
     fn commit_rec() -> RedoRecord {
@@ -519,9 +437,9 @@ mod tests {
     fn force_is_batched() {
         let w = wal();
         let end = w.log_atomic(|_| vec![commit_rec()]);
-        w.force(end);
+        force(&w, end);
         let syncs = w.stream().sync_count();
-        w.force(end); // already durable → no new fsync
+        force(&w, end); // already durable → no new fsync
         assert_eq!(w.stream().sync_count(), syncs);
     }
 
@@ -531,7 +449,7 @@ mod tests {
         w.log_atomic(|c| vec![remove_rec(c.next(), 1), remove_rec(c.next(), 2)]);
         w.log_atomic(|c| vec![remove_rec(c.next(), 3)]);
         let end = w.stream().end_lsn();
-        w.force(end);
+        force(&w, end);
 
         let chunk = w.stream().read_chunk(Lsn::ZERO, usize::MAX);
         let mut pos = 0;
@@ -560,7 +478,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        w.force(w.stream().end_lsn());
+        force(&w, w.stream().end_lsn());
         let chunk = w.stream().read_chunk(Lsn::ZERO, usize::MAX);
         let mut pos = 0;
         let mut last = Llsn::ZERO;
@@ -584,7 +502,7 @@ mod tests {
         let w = wal_with_window(100);
         for _ in 0..10 {
             let end = w.log_atomic(|_| vec![commit_rec()]);
-            w.force(end);
+            force(&w, end);
         }
         let g = w.group_stats();
         assert_eq!(g.windows_waited.get(), EMPTY_WINDOW_LIMIT);
@@ -601,14 +519,14 @@ mod tests {
         let end1 = w.log_atomic(|_| vec![commit_rec()]);
         let leader = {
             let w = Arc::clone(&w);
-            thread::spawn(move || w.force(end1))
+            thread::spawn(move || force(&w, end1))
         };
         // Wait until the leader is inside its collect window, then arrive.
         while w.group_stats().windows_waited.get() == 0 {
             thread::yield_now();
         }
         let end2 = w.log_atomic(|_| vec![commit_rec()]);
-        let achieved = w.force(end2);
+        let achieved = force(&w, end2);
         assert!(leader.join().unwrap() >= end1);
         assert!(achieved >= end2, "follower covered by the leader's batch");
         assert_eq!(w.stream().sync_count(), 1, "one fsync for both commits");
@@ -628,7 +546,7 @@ mod tests {
         // Trip the adaptive streak with lone commits.
         for _ in 0..5 {
             let end = w.log_atomic(|_| vec![commit_rec()]);
-            w.force(end);
+            force(&w, end);
         }
         assert_eq!(w.group_stats().windows_waited.get(), EMPTY_WINDOW_LIMIT);
         // A burst of concurrent committers produces riders, re-arming the
@@ -639,7 +557,7 @@ mod tests {
                 thread::spawn(move || {
                     for _ in 0..50 {
                         let end = w.log_atomic(|_| vec![commit_rec()]);
-                        w.force(end);
+                        force(&w, end);
                     }
                 })
             })
@@ -662,7 +580,7 @@ mod tests {
         }
         let waited_before = w.group_stats().windows_waited.get();
         let end = w.log_atomic(|_| vec![commit_rec()]);
-        w.force(end);
+        force(&w, end);
         assert!(
             w.group_stats().windows_waited.get() > waited_before,
             "a rider must reset the empty streak and re-enable the window"
@@ -681,7 +599,7 @@ mod tests {
                 thread::spawn(move || {
                     for _ in 0..per {
                         let end = w.log_atomic(|_| vec![commit_rec()]);
-                        assert!(w.force(end) >= end);
+                        assert!(force(&w, end) >= end);
                     }
                 })
             })
@@ -702,92 +620,135 @@ mod tests {
     }
 
     #[test]
-    fn force_async_leads_inline_when_uncontended() {
-        use std::sync::atomic::AtomicBool;
-        let w = wal();
+    fn task_behind_a_leader_parks_and_the_leaders_scan_wakes_it() {
+        use crate::scheduler::{eventually, Scheduler, StepResult};
+        let w = Arc::new(wal());
         let end = w.log_atomic(|_| vec![commit_rec()]);
-        let fired = Arc::new(AtomicBool::new(false));
-        let f = Arc::clone(&fired);
-        match w.force_async(
-            end,
-            Box::new(move |_| {
-                f.store(true, Ordering::SeqCst);
-            }),
-        ) {
-            ForceOutcome::Durable(achieved) => assert!(achieved >= end),
-            ForceOutcome::Pending => panic!("no leader was active"),
-        }
-        assert!(
-            fired.load(Ordering::SeqCst),
-            "the inline lead fires the caller's own callback (self-wake)"
-        );
-        assert_eq!(w.stream().sync_count(), 1);
-        // Already durable: pure fast path, callback dropped unfired.
-        match w.force_async(end, Box::new(|_| panic!("must not fire"))) {
-            ForceOutcome::Durable(achieved) => assert!(achieved >= end),
-            ForceOutcome::Pending => panic!("already durable"),
-        }
-        assert_eq!(w.stream().sync_count(), 1, "no extra fsync when covered");
-    }
-
-    #[test]
-    fn force_async_behind_leader_is_fired_by_the_leader() {
-        use std::sync::mpsc;
-        use std::thread;
-        let w = Arc::new(wal_with_window(50_000)); // hold the leader in its window
-        let end1 = w.log_atomic(|_| vec![commit_rec()]);
-        let leader = {
-            let w = Arc::clone(&w);
-            thread::spawn(move || w.force(end1))
-        };
-        while w.group_stats().windows_waited.get() == 0 {
-            thread::yield_now();
-        }
-        // Leader is mid-window holding the sync mutex: an async committer
-        // must go Pending and be fired by the leader's batch.
-        let end2 = w.log_atomic(|_| vec![commit_rec()]);
-        let (tx, rx) = mpsc::channel::<Lsn>();
-        match w.force_async(
-            end2,
-            Box::new(move |achieved| {
-                let _ = tx.send(achieved);
-            }),
-        ) {
-            ForceOutcome::Pending => {
-                let achieved = rx
-                    .recv_timeout(std::time::Duration::from_secs(10))
-                    .expect("leader must fire the pending callback");
-                assert!(achieved >= end2, "the group sync covers the late target");
-            }
-            // The leader finished its window before we probed the mutex —
-            // scheduling race, the inline path is exercised elsewhere.
-            ForceOutcome::Durable(achieved) => assert!(achieved >= end2),
-        }
-        assert!(leader.join().unwrap() >= end1);
-    }
-
-    #[test]
-    fn drain_pending_on_crash_fires_with_truncated_watermark() {
-        use std::sync::mpsc;
-        let w = wal();
-        let end = w.log_atomic(|_| vec![commit_rec()]);
-        // Simulate a committer that registered and parked (no leader runs).
-        let (tx, rx) = mpsc::channel::<Lsn>();
-        w.pending_cbs.lock().push(PendingForce {
-            id: 999,
-            target: end,
-            cb: Box::new(move |achieved| {
-                let _ = tx.send(achieved);
-            }),
+        let sched = Scheduler::new(1);
+        let forced = Arc::new(TrackedMutex::new(WAL_PENDING, None));
+        let (w2, f2) = (Arc::clone(&w), Arc::clone(&forced));
+        // Behind a leader whose fsync does not cover it: once the leader
+        // releases the mutex, its scan hands the task the lead.
+        let mut registration = None;
+        w.while_leading(|| {
+            let parker = sched.spawn(Box::new(move || match w2.force(end, &mut registration) {
+                Ok(lsn) => {
+                    *f2.lock() = Some(lsn);
+                    StepResult::Done
+                }
+                Err(e) => {
+                    assert_eq!(e, pmp_common::PmpError::WouldBlock);
+                    StepResult::Parked
+                }
+            }));
+            eventually("task never parked", || parker.is_parked());
+            assert_eq!(w.pending.lock().len(), 1, "registered before it parked");
+            assert_eq!(w.stream().sync_count(), 0);
         });
+        eventually("task never led", || forced.lock().is_some());
+        assert!(forced.lock().unwrap() >= end);
+        assert_eq!(w.stream().sync_count(), 1);
+        assert!(w.pending.lock().is_empty());
+        assert_eq!(sched.stats().timer_fires.get(), 0, "woken, not timed out");
+    }
+
+    #[test]
+    fn a_rerun_task_holds_one_registration_and_counts_one_ride() {
+        use crate::scheduler::{eventually, Scheduler, StepResult};
+        use std::sync::atomic::AtomicUsize;
+        let w = Arc::new(wal());
+        let end = w.log_atomic(|_| vec![commit_rec()]);
+        let sched = Scheduler::new(1);
+        let runs = Arc::new(AtomicUsize::new(0));
+        let (w2, r2) = (Arc::clone(&w), Arc::clone(&runs));
+        let mut registration = None;
+        w.while_leading(|| {
+            let parker = sched.spawn(Box::new(move || {
+                r2.fetch_add(1, Ordering::SeqCst);
+                match w2.force(end, &mut registration) {
+                    Ok(_) => StepResult::Done,
+                    Err(_) => StepResult::Parked,
+                }
+            }));
+            eventually("task never parked", || parker.is_parked());
+            // Wakes that are not a leader's scan (a stale timer, another
+            // source's late waker) re-run the wait: still one entry, one
+            // announcement.
+            for rerun in 2..=4 {
+                parker.wake();
+                eventually("task never re-parked", || {
+                    runs.load(Ordering::SeqCst) == rerun && parker.is_parked()
+                });
+                assert_eq!(w.pending.lock().len(), 1, "re-run {rerun} registered again");
+                assert_eq!(w.arrivals.load(Ordering::Acquire), 1);
+            }
+            // The leader's fsync covers it.
+            w.stream().sync_to(end);
+        });
+        eventually("task never finished", || sched.stats().tasks.get() == 0);
+        let g = w.group_stats();
+        assert_eq!((g.riders.get(), g.batches.get()), (1, 0), "it rode");
+        assert!(w.pending.lock().is_empty());
+    }
+
+    #[test]
+    fn crash_drain_wakes_followers_to_a_truncated_watermark() {
+        use crate::scheduler::eventually;
+        let w = Arc::new(wal());
+        let end = w.log_atomic(|_| vec![commit_rec()]);
+        let leader = w.sync_mutex.lock();
+        let follower = {
+            let w = Arc::clone(&w);
+            std::thread::spawn(move || force(&w, end))
+        };
+        eventually("follower never registered", || w.pending.lock().len() == 1);
         w.stream().crash();
+        drop(leader);
         w.drain_pending_on_crash();
-        let achieved = rx.try_recv().expect("drain fires synchronously");
+        let achieved = follower.join().unwrap();
         assert!(
             achieved < end,
             "the truncated watermark can never satisfy the lost record"
         );
-        assert!(w.pending_cbs.lock().is_empty());
+        assert!(w.pending.lock().is_empty());
+    }
+
+    #[test]
+    fn group_commit_leadership_is_one_fsync_per_call() {
+        use std::thread;
+        // 8 blocking committers x 200 commits on a 20 us window and a 50 us
+        // fsync: every call returns covered, fsyncs amortize, and no call
+        // leads more than one batch — each slow-path call either rode or
+        // led exactly once.
+        let w = Arc::new(Wal::new(
+            Arc::new(LogStream::new(StorageLatencyConfig::realistic())),
+            20,
+        ));
+        let (committers, per) = (8u64, 200u64);
+        let handles: Vec<_> = (0..committers)
+            .map(|_| {
+                let w = Arc::clone(&w);
+                thread::spawn(move || {
+                    for _ in 0..per {
+                        let end = w.log_atomic(|_| vec![commit_rec()]);
+                        assert!(force(&w, end) >= end);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let g = w.group_stats();
+        let slow_path_calls = w.arrivals.load(Ordering::Acquire);
+        assert_eq!(g.batches.get() + g.riders.get(), slow_path_calls);
+        assert!(
+            g.batches.get() < committers * per,
+            "8 committers behind a 50 us fsync must share some ({} batches)",
+            g.batches.get()
+        );
+        assert_eq!(w.stream().sync_count(), g.batches.get());
+        assert!(w.pending.lock().is_empty(), "nobody left suspended");
     }
 
     fn framed_wal() -> Wal {
@@ -810,7 +771,7 @@ mod tests {
             });
         }
         let end = w.stream().end_lsn();
-        assert!(w.force(end) >= end, "force target is the reservation end");
+        assert!(force(&w, end) >= end, "force target is the reservation end");
         assert!(
             w.stream().physical_byte_count() < w.stream().logical_byte_count(),
             "repetitive groups must compress: {} physical vs {} logical",
@@ -851,7 +812,7 @@ mod tests {
                     for _ in 0..100 {
                         let end = w
                             .log_atomic(|c| vec![remove_rec(c.next(), 0), remove_rec(c.next(), 1)]);
-                        assert!(w.force(end) >= end);
+                        assert!(force(&w, end) >= end);
                     }
                 })
             })
@@ -882,7 +843,7 @@ mod tests {
         let w = wal();
         w.observe_llsn(Llsn(41));
         let end = w.log_atomic(|c| vec![remove_rec(c.next(), 9)]);
-        w.force(end);
+        force(&w, end);
         let chunk = w.stream().read_chunk(Lsn::ZERO, usize::MAX);
         let (rec, _) = RedoRecord::decode_from(&chunk.data).unwrap().unwrap();
         assert_eq!(rec.llsn, Llsn(42));

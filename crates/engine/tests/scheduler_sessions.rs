@@ -6,10 +6,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use pmp_common::{ClusterConfig, NodeId};
+use pmp_common::{ClusterConfig, NodeId, PmpError, Result};
 use pmp_engine::row::RowValue;
 use pmp_engine::shared::Shared;
-use pmp_engine::{AsyncSession, NodeEngine};
+use pmp_engine::{AsyncSession, DbFuture, NodeEngine};
 use pmp_pmfs::PLockMode;
 
 fn cluster_with(config: ClusterConfig) -> (Arc<Shared>, Vec<Arc<NodeEngine>>) {
@@ -261,6 +261,146 @@ fn contending_async_sessions_serialize_on_one_row() {
     let mut check = engines[0].begin().unwrap();
     assert_eq!(check.get(t, 1).unwrap(), Some(v(200)), "last writer wins");
     check.commit().unwrap();
+}
+
+/// Resolve a future by polling only, the way a client multiplexing many
+/// connections does: the session's actor runs on the scheduler workers,
+/// never on this thread. The bound only turns a hang into a failure.
+fn poll<T>(fut: &DbFuture<T>) -> Result<T> {
+    let hang = std::time::Instant::now() + Duration::from_secs(120);
+    loop {
+        if let Some(res) = fut.try_take() {
+            return res;
+        }
+        assert!(std::time::Instant::now() < hang, "future never resolved");
+        std::thread::yield_now();
+    }
+}
+
+/// Row-lock waiters park: on a 2-worker pool, three transactions queued on
+/// a row must not keep its holder's commit off the workers. (When a
+/// row-lock wait blocked its worker, two waiters occupied both, the
+/// holder's commit could not be scheduled, and the waiters ran into
+/// `LockWaitTimeout`.)
+#[test]
+fn row_lock_waiters_do_not_starve_the_holder_off_the_workers() {
+    let mut config = ClusterConfig::test(1);
+    config.engine.sched_workers = 2;
+    config.engine.lock_wait_timeout_ms = 2_000;
+    let (shared, engines) = cluster_with(config);
+    let t = shared.create_table("t", 1, &[]).unwrap().id;
+    let mut setup = engines[0].begin().unwrap();
+    setup.insert(t, 1, v(0)).unwrap();
+    setup.commit().unwrap();
+
+    let holder = AsyncSession::open(&engines[0]);
+    poll(&holder.begin()).unwrap();
+    poll(&holder.update(t, 1, v(100))).unwrap();
+
+    let waiters: Vec<AsyncSession> = (0..3).map(|_| AsyncSession::open(&engines[0])).collect();
+    for w in &waiters {
+        poll(&w.begin()).unwrap();
+    }
+    let mut updates: Vec<(usize, DbFuture<()>)> = waiters
+        .iter()
+        .enumerate()
+        .map(|(i, w)| (i, w.update(t, 1, v(i as u64 + 1))))
+        .collect();
+    // Start all three, and see at least a pool's worth of them reach the
+    // row lock, before the holder's commit is even submitted.
+    let hang = std::time::Instant::now() + Duration::from_secs(120);
+    while shared.pmfs.rlock.waiting_count() < 2 {
+        for (i, u) in &updates {
+            assert!(!u.is_ready(), "waiter {i} got past a held row lock");
+        }
+        assert!(
+            std::time::Instant::now() < hang,
+            "waiters never reached the row"
+        );
+        std::thread::yield_now();
+    }
+    poll(&holder.commit()).expect("the holder's commit must get a worker");
+
+    // The waiters now take the row one after another; each commits as soon
+    // as its update lands, which lets the next one through.
+    while !updates.is_empty() {
+        updates.retain(|(i, update)| match update.try_take() {
+            None => true,
+            Some(res) => {
+                res.unwrap_or_else(|e| panic!("waiter {i}'s update: {e:?}"));
+                poll(&waiters[*i].commit())
+                    .unwrap_or_else(|e| panic!("waiter {i}'s commit: {e:?}"));
+                false
+            }
+        });
+        assert!(std::time::Instant::now() < hang, "a waiter never resolved");
+        std::thread::yield_now();
+    }
+    assert_eq!(shared.pmfs.rlock.waiting_count(), 0);
+    assert_eq!(engines[0].stats.rollbacks.get(), 0, "nobody timed out");
+    let mut check = engines[0].begin().unwrap();
+    let last = check.get(t, 1).unwrap().expect("row exists");
+    assert!(
+        (1..=3).contains(&last.col(0)),
+        "a waiter's value wins: {last:?}"
+    );
+    check.commit().unwrap();
+}
+
+/// A row-lock deadlock between two parked transactions: the detector's
+/// verdict reaches the victim through its wait cell, its future resolves
+/// `Deadlock`, and the survivor gets the row and commits.
+#[test]
+fn deadlock_between_parked_transactions_aborts_one_and_commits_the_other() {
+    let (shared, engines) = cluster_with(ClusterConfig::test(1));
+    let t = shared.create_table("t", 1, &[]).unwrap().id;
+    let mut setup = engines[0].begin().unwrap();
+    setup.insert(t, 1, v(0)).unwrap();
+    setup.insert(t, 2, v(0)).unwrap();
+    setup.commit().unwrap();
+
+    let sessions = [
+        AsyncSession::open(&engines[0]),
+        AsyncSession::open(&engines[0]),
+    ];
+    for (i, s) in sessions.iter().enumerate() {
+        poll(&s.begin()).unwrap();
+        poll(&s.update(t, i as u64 + 1, v(10))).unwrap();
+    }
+    // Each now wants the other's row: a 2-cycle.
+    let crossed = [
+        sessions[0].update(t, 2, v(20)),
+        sessions[1].update(t, 1, v(20)),
+    ];
+    let mut outcome: [Option<Result<()>>; 2] = [None, None];
+    let hang = std::time::Instant::now() + Duration::from_secs(120);
+    while outcome.iter().any(Option::is_none) {
+        for i in 0..2 {
+            if outcome[i].is_none() {
+                outcome[i] = crossed[i].try_take();
+                // The survivor's wait ends only when the victim is gone.
+                if let Some(Ok(())) = outcome[i] {
+                    poll(&sessions[i].commit()).expect("the survivor commits");
+                }
+            }
+        }
+        shared.pmfs.rlock.detect_once();
+        assert!(std::time::Instant::now() < hang, "deadlock never resolved");
+        std::thread::yield_now();
+    }
+    let victims: Vec<usize> = (0..2)
+        .filter(|&i| matches!(outcome[i], Some(Err(PmpError::Deadlock { .. }))))
+        .collect();
+    assert_eq!(victims.len(), 1, "exactly one victim: {outcome:?}");
+    assert_eq!(
+        outcome[1 - victims[0]],
+        Some(Ok(())),
+        "the other gets the row"
+    );
+    assert_eq!(engines[0].stats.deadlock_aborts.get(), 1);
+    assert_eq!(shared.pmfs.rlock.waiting_count(), 0);
+    // The victim's transaction is gone; its session can start another.
+    poll(&sessions[victims[0]].begin()).unwrap();
 }
 
 /// The min-view broadcast feeds the version-store GC: once every snapshot

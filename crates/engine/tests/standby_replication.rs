@@ -24,7 +24,7 @@ fn v(x: u64) -> RowValue {
 /// Force both nodes' logs durable so the standby can consume everything.
 fn ship(engines: &[Arc<NodeEngine>]) {
     for e in engines {
-        e.wal.force(e.wal.stream().end_lsn());
+        e.wal.force(e.wal.stream().end_lsn(), &mut None).unwrap();
     }
 }
 

@@ -1,25 +1,89 @@
-//! Scenario: WAL group-commit window vs crash truncation.
+//! Model-checked WAL group commit vs crash truncation, twice over.
 //!
-//! Models the leader/rider group-commit protocol from `engine/wal.rs`: a
-//! committer appends, then forces its LSN; one force caller becomes the
-//! sync leader (writes the tail out with the lock dropped), the rest ride
-//! on the condvar. A crash can land while the leader is off-lock in the
-//! sync window.
+//! **The real code.** `Wal::force` is written once — whoever finds the sync
+//! mutex free leads one fsync, everyone else registers a waker and suspends
+//! — and a blocked thread runs the same body a parked task does, so plain
+//! model threads drive the real [`Wal`] over a real [`LogStream`]: two
+//! committers append and force, a third thread crashes the stream and
+//! drains the followers (`NodeEngine::crash`'s order). They interleave at
+//! the announce window, the follower registration, the sync-mutex probe,
+//! the leader's sync window and hand-off scan, and inside the stream's own
+//! locks. Properties: every `force` call returns (no deadlock, no
+//! livelock within the step budget); a return short of the target happens
+//! only under a crash (the stream's epoch moved); and a covered return on
+//! an unmoved epoch means the bytes are durable.
 //!
-//! Two properties:
-//! * **No crash-hang**: once `crashed` is set, every force call must return
-//!   (with an error) rather than retry forever. The buggy variant keeps
-//!   re-electing a leader whose sync can never advance `durable`, which the
-//!   model flags as a [`Failure::StepLimit`] livelock.
-//! * **Acked ⊆ durable**: a committer whose force returned `Ok` asserts its
-//!   LSN is actually durable — a sync window cut short by the crash must
-//!   not ack.
+//! **The negative control.** The hand-modelled pre-fix protocol stays: a
+//! leader/rider loop in which a crashed stream's leader keeps being
+//! re-elected although its sync can never advance `durable`, which the
+//! model flags as a [`Failure::StepLimit`] livelock.
 
 #![cfg(feature = "model")]
 
 use pmp_common::sync::{LockClass, TrackedCondvar, TrackedMutex, TrackedMutexGuard};
+use pmp_common::{Cts, GlobalTrxId, Llsn, PageId, StorageLatencyConfig, TableId};
+use pmp_engine::redo::{RedoOp, RedoRecord};
+use pmp_engine::wal::Wal as RealWal;
 use pmp_model::{render_trace, sched_point, spawn, Explorer, Failure, Mode};
+use pmp_storage::LogStream;
 use std::sync::Arc;
+
+fn real_scenario() {
+    let stream = Arc::new(LogStream::new(StorageLatencyConfig::disabled()));
+    let wal = Arc::new(RealWal::new(stream, 0));
+    for t in 0..2 {
+        let wal = Arc::clone(&wal);
+        spawn(&format!("committer-{t}"), move || {
+            let epoch = wal.stream().epoch();
+            let end = wal.log_atomic(|_| {
+                vec![RedoRecord {
+                    llsn: Llsn::ZERO,
+                    page: PageId::NULL,
+                    table: TableId(0),
+                    op: RedoOp::Commit {
+                        trx: GlobalTrxId::NONE,
+                        cts: Cts(1),
+                    },
+                }]
+            });
+            let forced = wal.force(end, &mut None).expect("a thread waits in place");
+            let crashed = wal.stream().epoch() != epoch;
+            assert!(forced >= end || crashed, "short return without a crash");
+            if !crashed {
+                assert!(wal.stream().durable_lsn() >= end, "acked, not durable");
+            }
+        });
+    }
+    spawn("crasher", move || {
+        sched_point("wal.crash-point");
+        wal.stream().crash();
+        wal.drain_pending_on_crash();
+    });
+}
+
+#[test]
+fn real_force_survives_random_and_pct_sweeps() {
+    for mode in [
+        Mode::Random {
+            seed: 0x3a1,
+            schedules: 300,
+        },
+        Mode::Pct {
+            seed: 0x3a2,
+            depth: 3,
+            schedules: 300,
+        },
+    ] {
+        let out = Explorer::new(mode.clone()).explore(real_scenario);
+        assert!(
+            out.failure.is_none(),
+            "{mode:?}: real group commit must neither hang nor over-ack:\n{}",
+            render_trace(&out.failure.unwrap().result)
+        );
+    }
+}
+
+// ---- the negative control ----------------------------------------------------
 
 const WAL: LockClass = LockClass::new("model.wal.state");
 
@@ -42,16 +106,13 @@ fn append(sh: &Shared) -> u64 {
     g.tail
 }
 
-/// Force `lsn` durable. `fixed` controls whether a crash aborts the wait
-/// (post-fix) or the caller keeps retrying the window (pre-fix hang).
-fn force(sh: &Shared, lsn: u64, fixed: bool) -> Result<(), ()> {
+/// Force `lsn` durable, the pre-fix way: after a crash the caller keeps
+/// retrying the window instead of giving up.
+fn force(sh: &Shared, lsn: u64) {
     let mut g: TrackedMutexGuard<'_, Wal> = sh.wal.lock();
     loop {
         if g.durable >= lsn {
-            return Ok(());
-        }
-        if g.crashed && fixed {
-            return Err(());
+            return;
         }
         if !g.syncing {
             // Become the sync leader: snapshot the tail, write it out with
@@ -74,7 +135,7 @@ fn force(sh: &Shared, lsn: u64, fixed: bool) -> Result<(), ()> {
     }
 }
 
-fn scenario(fixed: bool) {
+fn buggy_scenario() {
     let sh = Arc::new(Shared {
         wal: TrackedMutex::new(WAL, Wal::default()),
         cv: TrackedCondvar::new(),
@@ -84,14 +145,7 @@ fn scenario(fixed: bool) {
         let sh = Arc::clone(&sh);
         spawn(&format!("committer-{t}"), move || {
             let lsn = append(&sh);
-            if force(&sh, lsn, fixed).is_ok() {
-                let g = sh.wal.lock();
-                assert!(
-                    g.durable >= lsn,
-                    "acked commit not durable: lsn={lsn} durable={}",
-                    g.durable
-                );
-            }
+            force(&sh, lsn);
         });
     }
 
@@ -113,32 +167,6 @@ fn scenario(fixed: bool) {
 const STEP_BUDGET: usize = 800;
 
 #[test]
-fn fixed_force_survives_random_sweep() {
-    let mut expl = Explorer::new(Mode::Random {
-        seed: 0x3a1,
-        schedules: 300,
-    });
-    expl.max_steps = STEP_BUDGET;
-    let out = expl.explore(|| scenario(true));
-    assert!(
-        out.failure.is_none(),
-        "fixed force must neither hang nor over-ack:\n{}",
-        render_trace(&out.failure.unwrap().result)
-    );
-}
-
-#[test]
-fn fixed_force_survives_pct_sweep() {
-    let mut expl = Explorer::new(Mode::Pct {
-        seed: 0x3a2,
-        depth: 3,
-        schedules: 300,
-    });
-    expl.max_steps = STEP_BUDGET;
-    assert!(expl.explore(|| scenario(true)).failure.is_none());
-}
-
-#[test]
 fn buggy_force_livelocks_after_crash() {
     let mut expl = Explorer::new(Mode::Random {
         seed: 0x3a3,
@@ -146,7 +174,7 @@ fn buggy_force_livelocks_after_crash() {
     });
     expl.max_steps = STEP_BUDGET;
     let found = expl
-        .explore(|| scenario(false))
+        .explore(buggy_scenario)
         .failure
         .expect("pre-fix force must be caught retrying forever after the crash");
     assert!(
@@ -158,11 +186,10 @@ fn buggy_force_livelocks_after_crash() {
 
 #[test]
 #[ignore = "longer randomized sweep; run explicitly with --ignored"]
-fn long_randomized_sweep() {
-    let mut expl = Explorer::new(Mode::Random {
+fn real_force_long_randomized_sweep() {
+    let expl = Explorer::new(Mode::Random {
         seed: 0x3aff,
         schedules: 10_000,
     });
-    expl.max_steps = STEP_BUDGET;
-    assert!(expl.explore(|| scenario(true)).failure.is_none());
+    assert!(expl.explore(real_scenario).failure.is_none());
 }

@@ -16,78 +16,77 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
-use pmp_common::sync::{LockClass, TrackedCondvar, TrackedMutex};
+use pmp_common::sync::{LockClass, TrackedMutex};
 use pmp_common::{Counter, GlobalTrxId};
 use pmp_repl::ReplicatedFabric;
 
-/// Per-waiter cell state. Signalled under `pmfs.rlock.waits` (the
-/// wait-info table is consulted to find the cell), never the reverse.
+/// Per-waiter cell state (a leaf: signalled and polled with no table lock
+/// held).
 const RLOCK_CELL: LockClass = LockClass::new("pmfs.rlock.wait_cell");
 /// holder → waiters table.
 const RLOCK_WAITS: LockClass = LockClass::new("pmfs.rlock.waits");
 /// waiter → holder wait-for edges.
 const RLOCK_EDGES: LockClass = LockClass::new("pmfs.rlock.edges");
 
-/// Outcome of a registered wait.
+/// Verdict on a registered wait.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum WaitOutcome {
     /// The holder committed or rolled back; retry the row lock.
     Granted,
     /// This transaction was chosen as a deadlock victim; abort it.
     Victim,
-    /// The wait timed out.
-    TimedOut,
 }
 
-#[derive(Debug)]
-enum WaitState {
-    Waiting,
-    Woken(WaitOutcome),
+#[derive(Default)]
+struct CellState {
+    outcome: Option<WaitOutcome>,
+    /// Fired once, when the verdict lands.
+    waker: Option<Box<dyn FnOnce() + Send>>,
 }
 
-/// Shared waiter cell: the engine blocks on it, Lock Fusion signals it.
-#[derive(Debug)]
+/// Shared waiter cell: Lock Fusion signals the verdict, the engine polls it
+/// and leaves a waker behind while there is none. How the waiter sleeps in
+/// between (and for how long) is the engine's business.
 pub struct WaitCell {
-    state: TrackedMutex<WaitState>,
-    cv: TrackedCondvar,
+    state: TrackedMutex<CellState>,
 }
 
 impl WaitCell {
     fn new() -> Arc<Self> {
         Arc::new(WaitCell {
-            state: TrackedMutex::new(RLOCK_CELL, WaitState::Waiting),
-            cv: TrackedCondvar::new(),
+            state: TrackedMutex::new(RLOCK_CELL, CellState::default()),
         })
     }
 
+    /// Record the verdict (the first one stands) and fire the waker — with
+    /// the cell lock dropped, and by every caller with no table lock held:
+    /// a waker may run the woken transaction inline.
     fn signal(&self, outcome: WaitOutcome) {
-        let mut st = self.state.lock();
-        if matches!(*st, WaitState::Waiting) {
-            *st = WaitState::Woken(outcome);
-            self.cv.notify_all();
+        let waker = {
+            let mut st = self.state.lock();
+            if st.outcome.is_some() {
+                return;
+            }
+            st.outcome = Some(outcome);
+            st.waker.take()
+        };
+        if let Some(wake) = waker {
+            wake();
         }
     }
 
-    /// Block until signalled or `timeout`.
-    pub fn wait(&self, timeout: Duration) -> WaitOutcome {
+    /// The verdict, if it has landed; otherwise `waker` replaces whatever
+    /// waker was registered and fires when it does.
+    pub fn poll(&self, waker: Box<dyn FnOnce() + Send>) -> Option<WaitOutcome> {
         let mut st = self.state.lock();
-        loop {
-            if let WaitState::Woken(outcome) = *st {
-                return outcome;
-            }
-            if self.cv.wait_for(&mut st, timeout).timed_out() {
-                return match *st {
-                    WaitState::Woken(outcome) => outcome,
-                    WaitState::Waiting => WaitOutcome::TimedOut,
-                };
-            }
+        if st.outcome.is_none() {
+            st.waker = Some(waker);
         }
+        st.outcome
     }
 }
 
-#[derive(Debug)]
 struct Waiter {
     trx: GlobalTrxId,
     cell: Arc<WaitCell>,
@@ -139,7 +138,7 @@ impl RLockFusion {
     }
 
     /// Register `waiter waits-for holder` (Figure 6 step 2) and return the
-    /// cell to block on. RPC-priced.
+    /// cell the verdict lands in. RPC-priced.
     pub fn register_wait(&self, waiter: GlobalTrxId, holder: GlobalTrxId) -> Arc<WaitCell> {
         self.stats.waits_registered.inc();
         let cell = self.repl.rpc(64, || {
@@ -249,20 +248,20 @@ impl RLockFusion {
 
     /// Wake `victim` with a deadlock verdict and remove its wait edge.
     fn abort_waiter(&self, victim: GlobalTrxId) {
-        let holder = self.edges.lock().remove(&victim);
-        if let Some(holder) = holder {
-            let mut waits = self.waits.lock();
-            if let Some(ws) = waits.get_mut(&holder) {
-                for w in ws.iter() {
-                    if w.trx == victim {
-                        w.cell.signal(WaitOutcome::Victim);
-                    }
-                }
-                ws.retain(|w| w.trx != victim);
-                if ws.is_empty() {
-                    waits.remove(&holder);
-                }
-            }
+        let Some(holder) = self.edges.lock().remove(&victim) else {
+            return;
+        };
+        let mut waits = self.waits.lock();
+        let Some(ws) = waits.get_mut(&holder) else {
+            return;
+        };
+        let cells: Vec<Waiter> = ws.extract_if(.., |w| w.trx == victim).collect();
+        if ws.is_empty() {
+            waits.remove(&holder);
+        }
+        drop(waits);
+        for w in cells {
+            w.cell.signal(WaitOutcome::Victim);
         }
     }
 
@@ -278,6 +277,7 @@ mod tests {
     use pmp_common::{LatencyConfig, NodeId, SlotId, TrxId};
     use pmp_rdma::Fabric;
     use std::thread;
+    use std::time::Duration;
 
     fn fusion() -> Arc<RLockFusion> {
         Arc::new(RLockFusion::new(Arc::new(ReplicatedFabric::single(
@@ -296,6 +296,19 @@ mod tests {
 
     const T: Duration = Duration::from_secs(5);
 
+    /// Block on a cell the way an engine thread does: poll, leave a waker,
+    /// sleep until it fires or `timeout` passes (`None`).
+    fn wait(cell: &WaitCell, timeout: Duration) -> Option<WaitOutcome> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let verdict = cell.poll(Box::new(move || {
+            let _ = tx.send(());
+        }));
+        verdict.or_else(|| {
+            rx.recv_timeout(timeout).ok()?;
+            cell.poll(Box::new(|| {}))
+        })
+    }
+
     #[test]
     fn commit_wakes_all_waiters() {
         let f = fusion();
@@ -304,12 +317,12 @@ mod tests {
         let w2 = f.register_wait(gid(3, 40), holder);
         assert_eq!(f.waiting_count(), 2);
 
-        let t1 = thread::spawn(move || w1.wait(T));
-        let t2 = thread::spawn(move || w2.wait(T));
+        let t1 = thread::spawn(move || wait(&w1, T));
+        let t2 = thread::spawn(move || wait(&w2, T));
         thread::sleep(Duration::from_millis(20));
         f.notify_finished(holder);
-        assert_eq!(t1.join().unwrap(), WaitOutcome::Granted);
-        assert_eq!(t2.join().unwrap(), WaitOutcome::Granted);
+        assert_eq!(t1.join().unwrap(), Some(WaitOutcome::Granted));
+        assert_eq!(t2.join().unwrap(), Some(WaitOutcome::Granted));
         assert_eq!(f.waiting_count(), 0);
         assert_eq!(f.stats().wakeups.get(), 2);
     }
@@ -318,7 +331,7 @@ mod tests {
     fn wait_times_out_without_notification() {
         let f = fusion();
         let cell = f.register_wait(gid(2, 30), gid(1, 10));
-        assert_eq!(cell.wait(Duration::from_millis(30)), WaitOutcome::TimedOut);
+        assert_eq!(wait(&cell, Duration::from_millis(30)), None);
         f.cancel_wait(gid(2, 30), gid(1, 10));
         assert_eq!(f.waiting_count(), 0);
     }
@@ -340,9 +353,9 @@ mod tests {
 
         let victims = f.detect_once();
         assert_eq!(victims, vec![b]);
-        assert_eq!(wb.wait(T), WaitOutcome::Victim);
+        assert_eq!(wait(&wb, T), Some(WaitOutcome::Victim));
         // The survivor keeps waiting (until its holder commits).
-        assert_eq!(wa.wait(Duration::from_millis(20)), WaitOutcome::TimedOut);
+        assert_eq!(wait(&wa, Duration::from_millis(20)), None);
         assert_eq!(f.stats().deadlocks.get(), 1);
     }
 
@@ -357,7 +370,7 @@ mod tests {
         let wc = f.register_wait(c, a);
         let victims = f.detect_once();
         assert_eq!(victims, vec![c]);
-        assert_eq!(wc.wait(T), WaitOutcome::Victim);
+        assert_eq!(wait(&wc, T), Some(WaitOutcome::Victim));
     }
 
     #[test]
@@ -388,6 +401,9 @@ mod tests {
         let holder = gid(1, 10);
         let cell = f.register_wait(gid(2, 30), holder);
         f.notify_finished(holder);
-        assert_eq!(cell.wait(Duration::from_millis(10)), WaitOutcome::Granted);
+        assert_eq!(
+            wait(&cell, Duration::from_millis(10)),
+            Some(WaitOutcome::Granted)
+        );
     }
 }

@@ -42,7 +42,7 @@ fn main() -> polardb_mp::common::Result<()> {
         // Ship the durable log and let the standby replay it.
         for node in 0..2 {
             let engine = primary.node(node);
-            engine.wal.force(engine.wal.stream().end_lsn());
+            engine.wal.force(engine.wal.stream().end_lsn(), &mut None)?;
         }
         let applied = standby.catch_up()?;
         println!("round {round}: standby applied {applied} log records");
@@ -59,7 +59,7 @@ fn main() -> polardb_mp::common::Result<()> {
     primary
         .node(0)
         .wal
-        .force(primary.node(0).wal.stream().end_lsn());
+        .force(primary.node(0).wal.stream().end_lsn(), &mut None)?;
     std::mem::forget(doomed);
     standby.catch_up()?;
     primary.crash_node(0);
