@@ -172,7 +172,7 @@ fn bench_llsn_recovery(c: &mut Criterion) {
     }
 
     let decode_all = |s: &Arc<LogStream>| {
-        let chunk = s.read_chunk(Lsn::ZERO, usize::MAX);
+        let chunk = s.read_chunk(Lsn::ZERO, usize::MAX).unwrap();
         let mut pos = 0;
         let mut out = Vec::new();
         while let Some((rec, used)) = RedoRecord::decode_from(&chunk.data[pos..]).unwrap() {

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use crate::ids::{GlobalTrxId, NodeId, PageId, TableId};
+use crate::timestamp::Lsn;
 
 /// Result alias used throughout the workspace.
 pub type Result<T> = std::result::Result<T, PmpError>;
@@ -35,6 +36,10 @@ pub enum PmpError {
     DuplicateKey,
     /// A shared-storage read/write failed (used by failure injection).
     StorageIo { detail: String },
+    /// A log read asked for bytes below the stream's start: a storage
+    /// checkpoint freed them, so a reader that still needed them must not
+    /// be handed whatever comes next instead.
+    LogTruncated { requested: Lsn, start: Lsn },
     /// The distributed buffer pool (or another PMFS component) is
     /// unavailable; callers fall back to shared storage.
     FusionUnavailable { detail: String },
@@ -83,6 +88,12 @@ impl fmt::Display for PmpError {
             PmpError::KeyNotFound => write!(f, "key not found"),
             PmpError::DuplicateKey => write!(f, "duplicate primary key"),
             PmpError::StorageIo { detail } => write!(f, "storage I/O error: {detail}"),
+            PmpError::LogTruncated { requested, start } => {
+                write!(
+                    f,
+                    "log read at {requested} is below the stream's start {start}"
+                )
+            }
             PmpError::FusionUnavailable { detail } => {
                 write!(f, "fusion service unavailable: {detail}")
             }

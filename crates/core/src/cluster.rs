@@ -222,6 +222,7 @@ impl Cluster {
                 let g = node.wal.group_stats();
                 let v = &node.version_store.stats;
                 let sc = node.sched.stats();
+                let redo = node.wal.stream().retention();
                 NodeSection {
                     index: i,
                     alive: node.is_alive(),
@@ -258,6 +259,11 @@ impl Cluster {
                             synced_bytes: stream.synced_byte_count(),
                         }
                     },
+                    redo_start_lsn: redo.start.0,
+                    redo_retained_bytes: redo.retained_bytes,
+                    redo_dead_bytes: redo.dead_bytes,
+                    storage_checkpoint_lsn: redo.storage_checkpoint.0,
+                    redo_live_holds: redo.live_holds as u64,
                     read_path: ReadPathSection {
                         version_hits: v.hits.get(),
                         version_misses: v.misses.get(),
@@ -298,6 +304,10 @@ impl Cluster {
                 writebacks_submitted: b.writebacks_submitted.get(),
                 writebacks_helped: b.writebacks_helped.get(),
                 writebacks_queued_hwm: b.writebacks_queued.hwm(),
+                checkpoint_writebacks: b.checkpoint_writebacks.get(),
+                writebacks_failed: b.writebacks_failed.get(),
+                dbp_dirty_entries: sh.pmfs.buffer.dirty_count() as u64,
+                dbp_loss_epoch: sh.pmfs.buffer.loss_epoch(),
                 writeback_io: sh
                     .writeback
                     .io_stats()
@@ -363,9 +373,12 @@ impl Cluster {
         self.stats().to_string()
     }
 
-    /// Flush every node and take quiesced checkpoints where possible —
-    /// operators run this before planned maintenance so a subsequent
-    /// restart replays only log tails.
+    /// The cluster-wide *storage* checkpoint
+    /// ([`Shared::storage_checkpoint`] over the roster): flush every node,
+    /// write the DBP's dirty pages back to shared storage, and free the redo
+    /// of every node that was quiesced — operators run this before planned
+    /// maintenance so a restart replays only log tails, and it is what keeps
+    /// the in-memory redo streams from growing without bound.
     ///
     /// ```
     /// use pmp_core::Cluster;
@@ -374,21 +387,14 @@ impl Cluster {
     /// let t = cluster.create_table("t", 1, &[]).unwrap();
     /// cluster.session(0).insert(t, 1, RowValue::new(vec![9])).unwrap();
     /// cluster.checkpoint_all();
-    /// // The busy node's checkpoint advanced past the bulk of its log.
-    /// assert!(cluster.node(0).wal.stream().checkpoint().0 > 0);
+    /// // The busy node's log now begins past everything it had written.
+    /// assert!(cluster.node(0).wal.stream().start_lsn().0 > 0);
     /// ```
     pub fn checkpoint_all(&self) {
         // Snapshot the roster first: flushing charges storage/fabric
         // latency and must not run under the roster lock.
         let nodes: Vec<Arc<NodeEngine>> = self.nodes.lock().iter().map(Arc::clone).collect();
-        for node in nodes {
-            if node.is_alive() {
-                node.flush_tick(); // flush + opportunistic checkpoint
-            }
-        }
-        // The flushes' pushes may have queued DBP write-backs: let them
-        // land, so storage is as current as the DBP allows on return.
-        self.shared.pmfs.buffer.drain_evictions();
+        self.shared.storage_checkpoint(&nodes);
     }
 
     /// Crash node `i` (volatile state lost, fusion-side locks frozen).
@@ -471,6 +477,7 @@ fn io_section(io: &IoStats, prefetches: u64) -> IoSection {
         coalesced: io.coalesced.get(),
         inflight: io.inflight(),
         inflight_hwm: io.inflight_hwm(),
+        worker_wakes: io.worker_wakes.get(),
         prefetches,
     }
 }
@@ -659,6 +666,11 @@ mod tests {
             "row waits",
             "storage:",
             "node 0 wal bytes:",
+            "node 0 redo: start_lsn=",
+            "storage_checkpoint_lsn=",
+            "dirty_entries=",
+            "loss_epoch=",
+            "worker_wakes=",
             "storage bytes:",
             "page_ratio=",
             "storage bandwidth:",
@@ -721,7 +733,10 @@ mod tests {
             c.session(k as usize % 2).insert(t, k, v(&[k])).unwrap();
         }
         c.checkpoint_all();
-        assert!(c.node(0).wal.stream().checkpoint().0 > 0);
+        let node = c.node(0);
+        let stream = node.wal.stream();
+        assert!(stream.start_lsn().0 > 0);
+        assert_eq!(stream.start_lsn(), stream.checkpoint());
     }
 
     #[test]

@@ -42,6 +42,16 @@ pub struct NodeSection {
     pub commit_stages: CommitStagesSection,
     pub wal_group: WalGroupSection,
     pub wal_bytes: WalBytesSection,
+    /// First LSN the node's redo stream still holds (moved by storage
+    /// checkpoints) and what it keeps in memory above it: end − start, and
+    /// the part of that which is dead reservation padding.
+    pub redo_start_lsn: u64,
+    pub redo_retained_bytes: u64,
+    pub redo_dead_bytes: u64,
+    /// Highest LSN a storage checkpoint has covered; above
+    /// `redo_start_lsn` only while a hold (a standby) pins the log.
+    pub storage_checkpoint_lsn: u64,
+    pub redo_live_holds: u64,
     pub read_path: ReadPathSection,
     pub scheduler: SchedulerSection,
 }
@@ -55,6 +65,8 @@ pub struct IoSection {
     pub coalesced: u64,
     pub inflight: u64,
     pub inflight_hwm: u64,
+    /// Condvar notifies submitters issued to wake a parked worker.
+    pub worker_wakes: u64,
     /// Speculative loads submitted (always 0 on the write-back ring).
     pub prefetches: u64,
 }
@@ -126,6 +138,15 @@ pub struct BufferFusionSection {
     pub writebacks_helped: u64,
     /// Most write-backs ever queued at once.
     pub writebacks_queued_hwm: u64,
+    /// Write-backs storage checkpoints ran (their entries stayed).
+    pub checkpoint_writebacks: u64,
+    /// Write-backs that did not land (store refused, sink shut down).
+    pub writebacks_failed: u64,
+    /// Entries whose image shared storage is not known to hold.
+    pub dbp_dirty_entries: u64,
+    /// Times the DBP lost its contents; a node's scan-start checkpoint is
+    /// trusted only under the epoch it was recorded in.
+    pub dbp_loss_epoch: u64,
     /// The PMFS-side ring the queued write-backs go through.
     pub writeback_io: IoSection,
 }
@@ -266,9 +287,9 @@ impl fmt::Display for StatsSnapshot {
             let io = &n.io;
             writeln!(
                 f,
-                "  node {i} io: submitted={} completed={} cancelled={} coalesced={} inflight={} inflight_hwm={} prefetches={}",
+                "  node {i} io: submitted={} completed={} cancelled={} coalesced={} inflight={} inflight_hwm={} worker_wakes={} prefetches={}",
                 io.submitted, io.completed, io.cancelled, io.coalesced,
-                io.inflight, io.inflight_hwm, io.prefetches,
+                io.inflight, io.inflight_hwm, io.worker_wakes, io.prefetches,
             )?;
             let c = &n.commit_stages;
             writeln!(
@@ -292,6 +313,12 @@ impl fmt::Display for StatsSnapshot {
                 w.ratio(),
                 w.synced_bytes,
             )?;
+            writeln!(
+                f,
+                "  node {i} redo: start_lsn={} retained_bytes={} dead_bytes={} storage_checkpoint_lsn={} live_holds={}",
+                n.redo_start_lsn, n.redo_retained_bytes, n.redo_dead_bytes,
+                n.storage_checkpoint_lsn, n.redo_live_holds,
+            )?;
             let v = &n.read_path;
             writeln!(
                 f,
@@ -310,16 +337,18 @@ impl fmt::Display for StatsSnapshot {
         let b = &self.buffer_fusion;
         writeln!(
             f,
-            "buffer fusion: hits={} misses={} fetches={} pushes={} invalidations={} evictions={}",
+            "buffer fusion: hits={} misses={} fetches={} pushes={} invalidations={} evictions={} dirty_entries={} loss_epoch={}",
             b.hits, b.misses, b.fetches, b.pushes, b.invalidations, b.evictions,
+            b.dbp_dirty_entries, b.dbp_loss_epoch,
         )?;
         let w = &b.writeback_io;
         writeln!(
             f,
-            "buffer fusion write-back: clean_evictions={} submitted={} helped={} queued_hwm={} | ring: submitted={} completed={} cancelled={} inflight={} inflight_hwm={}",
+            "buffer fusion write-back: clean_evictions={} submitted={} helped={} queued_hwm={} checkpoint={} failed={} | ring: submitted={} completed={} cancelled={} inflight={} inflight_hwm={} worker_wakes={}",
             b.clean_evictions, b.writebacks_submitted, b.writebacks_helped,
-            b.writebacks_queued_hwm,
+            b.writebacks_queued_hwm, b.checkpoint_writebacks, b.writebacks_failed,
             w.submitted, w.completed, w.cancelled, w.inflight, w.inflight_hwm,
+            w.worker_wakes,
         )?;
         let p = &self.lock_fusion;
         writeln!(

@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use pmp_common::sync::{sched_point, LockClass, Shutdown, TrackedMutex, TrackedRwLock};
 use pmp_common::{
-    Counter, Cts, EngineConfig, Gauge, GlobalTrxId, LatencyHistogram, NodeId, PageId, PmpError,
-    Result, SlotId, TrxId, CSN_MAX,
+    Counter, Cts, EngineConfig, Gauge, GlobalTrxId, LatencyHistogram, Lsn, NodeId, PageId,
+    PmpError, Result, SlotId, TrxId, CSN_MAX,
 };
 
 /// Active-transaction table (begin/finish/visibility fast path).
@@ -126,6 +126,12 @@ pub struct NodeEngine {
     /// Root page hints: is this root currently a leaf? Lets writers acquire
     /// the X PLock directly instead of S-then-upgrade.
     root_hints: TrackedRwLock<HashMap<PageId, bool>>,
+    /// The DBP loss epoch this node's checkpoints rely on: read when the
+    /// engine starts and at every storage checkpoint, it tags each
+    /// scan-start hint. If the DBP has been lost since — some push made
+    /// under this epoch may have vanished — the tag no longer matches and
+    /// recovery ignores the hint.
+    dbp_epoch: AtomicU64,
     alive: AtomicBool,
     /// Set while a graceful decommission drains: new transactions are
     /// refused, in-flight ones may finish.
@@ -250,6 +256,7 @@ impl NodeEngine {
             cts_cache: CtsCache::new(CTS_CACHE_CAPACITY),
             version_store: VersionStore::new(cfg.version_store_bytes),
             root_hints: TrackedRwLock::new(NODE_ROOT_HINTS, HashMap::new()),
+            dbp_epoch: AtomicU64::new(shared.pmfs.buffer.loss_epoch()),
             alive: AtomicBool::new(true),
             draining: AtomicBool::new(false),
             shutdown: Arc::new(Shutdown::new()),
@@ -814,11 +821,12 @@ impl NodeEngine {
     }
 
     /// One pass of the background flusher: push dirty pages to the DBP and
-    /// keep the LBP within capacity (§4.2). Also takes opportunistic
-    /// quiesced checkpoints so recovery replays only a log tail.
-    pub fn flush_tick(&self) {
+    /// keep the LBP within capacity (§4.2). Also takes an opportunistic
+    /// quiesced checkpoint so recovery replays only a log tail; returns the
+    /// LSN it recorded, if the node was quiesced.
+    pub fn flush_tick(&self) -> Option<Lsn> {
         if !self.is_alive() {
-            return;
+            return None;
         }
         for (page_id, frame) in self.lbp.dirty_frames() {
             self.flush_frame(page_id, &frame);
@@ -832,7 +840,7 @@ impl NodeEngine {
                 self.shared.pmfs.buffer.unregister(self.node, page_id);
             }
         }
-        self.maybe_checkpoint();
+        self.maybe_checkpoint()
     }
 
     /// Flush all dirty frames without the eviction/checkpoint machinery
@@ -850,21 +858,38 @@ impl NodeEngine {
     /// so recovery may skip everything before it. (Transactions spanning a
     /// checkpoint are impossible by construction — no ARIES active-trx
     /// table needed.)
-    pub fn maybe_checkpoint(&self) {
+    ///
+    /// This is a *scan-start hint*, relative to the DBP the pages were
+    /// pushed to (hence the epoch tag) — it frees no log. Returns the LSN
+    /// recorded. [`storage_checkpoint`](Self::storage_checkpoint) is what
+    /// turns it into a cut once shared storage holds those pages.
+    pub fn maybe_checkpoint(&self) -> Option<Lsn> {
         let stream = self.wal.stream();
         let durable = stream.durable_lsn();
         if stream.end_lsn() != durable {
-            return; // unsynced tail
+            return None; // unsynced tail
         }
         if !self.active.lock().is_empty() {
-            return;
+            return None;
         }
         if !self.lbp.dirty_frames().is_empty() {
-            return;
+            return None;
         }
-        // Re-check the watermark: anything appended since the first read
-        // belongs after this checkpoint anyway.
-        stream.set_checkpoint(durable);
+        // Anything appended since the watermark was read belongs after this
+        // checkpoint anyway.
+        stream.set_checkpoint(durable, self.dbp_epoch.load(Ordering::SeqCst));
+        Some(durable)
+    }
+
+    /// Storage checkpoint, node half: the DBP has written back — under one
+    /// loss epoch, `dbp_epoch`, read before this node's flush — every page
+    /// this node had pushed when it recorded the quiesced checkpoint `at`.
+    /// Every change logged below `at` is therefore in shared storage, and
+    /// that redo is freed. The node's later hints rely on `dbp_epoch`.
+    /// Returns the stream's new start.
+    pub fn storage_checkpoint(&self, at: Lsn, dbp_epoch: u64) -> Lsn {
+        self.dbp_epoch.store(dbp_epoch, Ordering::SeqCst);
+        self.wal.stream().truncate_below(at)
     }
 
     // ---- lifecycle ---------------------------------------------------------

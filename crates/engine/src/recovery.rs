@@ -36,7 +36,7 @@ use crate::page::{Page, PageKind};
 use crate::redo::{LogDecoder, RedoOp, RedoRecord};
 use crate::shared::Shared;
 use crate::txn::apply_undo;
-use crate::undo::UndoPtr;
+use crate::undo::{UndoPtr, UndoRecord};
 
 /// What a recovery pass did (reported by benches and asserted in tests).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -50,22 +50,27 @@ pub struct RecoveryStats {
     pub rolled_back: u64,
 }
 
-/// Per-transaction outcome bookkeeping collected during the log scan.
+/// Per-transaction outcome bookkeeping collected during a log scan — by
+/// both recoveries here and by the standby's shipping loop.
+///
+/// A transaction is *seen* when the scan meets a change it performed. The
+/// witness is its `UndoWrite`: every forward row op is logged behind one in
+/// the same atomic group. The header a row record *carries* is no witness —
+/// a rollback's compensating `UpdateRow` restores the previous, committed
+/// writer's header, and with that writer's `Commit` below the scan start it
+/// would read as seen-without-outcome and be rolled back a second time.
 #[derive(Default)]
-struct TrxOutcomes {
-    committed: HashSet<GlobalTrxId>,
-    rolled_back: HashSet<GlobalTrxId>,
-    seen: HashSet<GlobalTrxId>,
-    undo_of: HashMap<GlobalTrxId, Vec<UndoPtr>>,
+pub(crate) struct TrxOutcomes {
+    pub(crate) committed: HashSet<GlobalTrxId>,
+    pub(crate) rolled_back: HashSet<GlobalTrxId>,
+    pub(crate) seen: HashSet<GlobalTrxId>,
+    pub(crate) undo_of: HashMap<GlobalTrxId, Vec<UndoPtr>>,
 }
 
 impl TrxOutcomes {
-    fn note(&mut self, rec: &RedoRecord, undo: &crate::undo::UndoStore) {
-        if let Some(gid) = rec.row_op_trx() {
-            if !gid.is_none() {
-                self.seen.insert(gid);
-            }
-        }
+    /// Note one scanned record; `keep_undo` stores a shipped undo record
+    /// wherever the caller's region keeps them.
+    pub(crate) fn note(&mut self, rec: &RedoRecord, keep_undo: impl FnOnce(UndoPtr, &UndoRecord)) {
         match &rec.op {
             RedoOp::Commit { trx, .. } => {
                 self.committed.insert(*trx);
@@ -74,7 +79,7 @@ impl TrxOutcomes {
                 self.rolled_back.insert(*trx);
             }
             RedoOp::UndoWrite { ptr, record } => {
-                undo.restore(*ptr, record.clone());
+                keep_undo(*ptr, record);
                 self.seen.insert(record.trx);
                 self.undo_of.entry(record.trx).or_default().push(*ptr);
             }
@@ -82,7 +87,8 @@ impl TrxOutcomes {
         }
     }
 
-    fn in_doubt(&self) -> Vec<GlobalTrxId> {
+    /// Seen, neither committed nor rolled back: to be rolled back.
+    pub(crate) fn in_doubt(&self) -> Vec<GlobalTrxId> {
         let mut v: Vec<GlobalTrxId> = self
             .seen
             .iter()
@@ -108,18 +114,21 @@ pub fn recover_node(
     let mut outcomes = TrxOutcomes::default();
 
     // Redo phase: sequential scan of our own durable log (within one stream
-    // the LLSN order equals the byte order — §4.4 invariant 1), starting at
-    // the last quiesced checkpoint: everything before it is resolved and
-    // reflected in the DBP / shared storage.
+    // the LLSN order equals the byte order — §4.4 invariant 1). It starts
+    // at the node's last quiesced checkpoint — everything before it is
+    // resolved and was pushed to the DBP — provided the DBP it was pushed
+    // to is still the one we have; after a DBP loss only shared storage
+    // vouches for anything, and that is the start of the stream.
     let stream = shared.storage.redo_stream(node);
     scan_stream(
         &engine.io,
         &stream,
+        stream.scan_start(shared.pmfs.buffer.loss_epoch()),
         shared.config.engine.recovery_chunk_bytes,
         LogDecoder::new(shared.config.compression),
         |rec| {
             stats.records_scanned += 1;
-            outcomes.note(&rec, &shared.undo);
+            outcomes.note(&rec, |ptr, undo| shared.undo.restore(ptr, undo.clone()));
             if rec.is_page_op() {
                 replay_record_online(&engine, &rec, &mut stats)?;
             }
@@ -223,12 +232,13 @@ fn replay_record_online(
 fn scan_stream(
     io: &IoRing<Page>,
     stream: &Arc<LogStream>,
+    from: Lsn,
     chunk_bytes: usize,
     dec: LogDecoder,
     mut f: impl FnMut(RedoRecord) -> Result<()>,
 ) -> Result<()> {
     let mut carry: Vec<u8> = Vec::new();
-    let mut inflight = io.log_read(stream, stream.checkpoint(), chunk_bytes)?;
+    let mut inflight = io.log_read(stream, from, chunk_bytes)?;
     loop {
         let chunk = inflight.wait()?;
         if chunk.is_empty() && carry.is_empty() {
@@ -270,11 +280,13 @@ pub(crate) struct StreamCursor {
 }
 
 impl StreamCursor {
-    pub(crate) fn new(node: NodeId, stream: Arc<LogStream>, dec: LogDecoder) -> Self {
+    /// A cursor reading `stream` from `from` on (its start, for a scan
+    /// that relies on nothing but shared storage).
+    pub(crate) fn new(node: NodeId, stream: Arc<LogStream>, from: Lsn, dec: LogDecoder) -> Self {
         StreamCursor {
             node,
             stream,
-            pos: Lsn::ZERO,
+            pos: from,
             carry: Vec::new(),
             pending: VecDeque::new(),
             exhausted: false,
@@ -337,7 +349,7 @@ impl StreamCursor {
         mut note: impl FnMut(&RedoRecord),
     ) -> Result<()> {
         while self.wants_refill() {
-            let chunk = self.stream.read_gather(self.pos, chunk_bytes);
+            let chunk = self.stream.read_gather(self.pos, chunk_bytes)?;
             self.ingest(chunk, &mut note)?;
         }
         Ok(())
@@ -357,6 +369,20 @@ impl StreamCursor {
     pub(crate) fn done(&self) -> bool {
         self.exhausted && self.pending.is_empty()
     }
+}
+
+/// One cursor per node, each at the start of its stream: below it shared
+/// storage holds every change, which is all a scan that has lost the DBP
+/// can rely on.
+fn cursors_at_start(shared: &Shared, nodes: &[NodeId], dec: LogDecoder) -> Vec<StreamCursor> {
+    nodes
+        .iter()
+        .map(|&node| {
+            let stream = shared.storage.redo_stream(node);
+            let from = stream.start_lsn();
+            StreamCursor::new(node, stream, from, dec)
+        })
+        .collect()
 }
 
 /// Refill every starved cursor, submitting all the log reads of a round to
@@ -432,8 +458,9 @@ impl RecoveryPages<'_> {
 
 /// Recover after a whole-cluster failure: the DBP and undo store have been
 /// lost (call `shared.pmfs.buffer.clear()` / `shared.undo.clear()` to
-/// simulate), all PLocks are released, and the merged redo of every node is
-/// replayed with the chunked `LLSN_bound` algorithm. Durable pages are
+/// simulate), all PLocks are released, and the merged redo of every node —
+/// each stream from its start, below which shared storage holds every
+/// change — is replayed with the chunked `LLSN_bound` algorithm. Durable pages are
 /// written back to shared storage; the caller then starts fresh engines.
 pub fn recover_cluster(shared: &Arc<Shared>, nodes: &[NodeId]) -> Result<RecoveryStats> {
     let chunk_bytes = shared.config.engine.recovery_chunk_bytes;
@@ -441,10 +468,7 @@ pub fn recover_cluster(shared: &Arc<Shared>, nodes: &[NodeId]) -> Result<Recover
     let io: IoRing<Page> = IoRing::new(Arc::clone(&shared.storage), shared.config.engine.io);
     let mut outcomes = TrxOutcomes::default();
     let dec = LogDecoder::new(shared.config.compression);
-    let mut cursors: Vec<StreamCursor> = nodes
-        .iter()
-        .map(|&node| StreamCursor::new(node, shared.storage.redo_stream(node), dec))
-        .collect();
+    let mut cursors = cursors_at_start(shared, nodes, dec);
 
     let mut cache = RecoveryPages {
         io: &io,
@@ -455,7 +479,7 @@ pub fn recover_cluster(shared: &Arc<Shared>, nodes: &[NodeId]) -> Result<Recover
     loop {
         refill_all(&io, &mut cursors, chunk_bytes, |rec| {
             cache.stats.records_scanned += 1;
-            outcomes.note(rec, &shared.undo);
+            outcomes.note(rec, |ptr, undo| shared.undo.restore(ptr, undo.clone()));
         })?;
         if cursors.iter().all(|c| c.done()) {
             break;
@@ -528,10 +552,7 @@ pub fn recover_dbp(shared: &Arc<Shared>, nodes: &[NodeId]) -> Result<RecoverySta
     let chunk_bytes = shared.config.engine.recovery_chunk_bytes;
     let io: IoRing<Page> = IoRing::new(Arc::clone(&shared.storage), shared.config.engine.io);
     let dec = LogDecoder::new(shared.config.compression);
-    let mut cursors: Vec<StreamCursor> = nodes
-        .iter()
-        .map(|&node| StreamCursor::new(node, shared.storage.redo_stream(node), dec))
-        .collect();
+    let mut cursors = cursors_at_start(shared, nodes, dec);
     let mut cache = RecoveryPages {
         io: &io,
         pages: HashMap::new(),

@@ -59,16 +59,6 @@ impl RedoRecord {
     pub fn is_page_op(&self) -> bool {
         !self.page.is_null()
     }
-
-    /// The transaction a row-op was performed by, if any (recovery uses
-    /// this to find in-doubt transactions).
-    pub fn row_op_trx(&self) -> Option<GlobalTrxId> {
-        match &self.op {
-            RedoOp::InsertRow(row) => Some(row.header.trx),
-            RedoOp::UpdateRow { header, .. } => Some(header.trx),
-            _ => None,
-        }
-    }
 }
 
 // ---- encoding ----------------------------------------------------------
@@ -197,6 +187,10 @@ impl pmp_storage::StorageImage for Page {
         let mut w = Writer::new();
         put_page(&mut w, self);
         w.into_vec()
+    }
+
+    fn version(&self) -> u64 {
+        self.llsn.0
     }
 }
 
@@ -907,26 +901,5 @@ mod tests {
         let mut frame = LogFrame::encode(&codec, b"some raw record bytes here");
         frame[4] = 9; // bogus codec tag
         assert!(LogFrame::decode(&codec, &frame).is_err());
-    }
-
-    #[test]
-    fn row_op_trx_extraction() {
-        let rec = RedoRecord {
-            llsn: Llsn(1),
-            page: PageId(1),
-            table: TableId(1),
-            op: RedoOp::InsertRow(sample_row(1)),
-        };
-        assert_eq!(rec.row_op_trx(), Some(gid(1, 7)));
-        let rec = RedoRecord {
-            llsn: Llsn::ZERO,
-            page: PageId::NULL,
-            table: TableId(0),
-            op: RedoOp::Commit {
-                trx: gid(1, 7),
-                cts: Cts(3),
-            },
-        };
-        assert_eq!(rec.row_op_trx(), None);
     }
 }

@@ -8,7 +8,7 @@ use std::sync::{Arc, OnceLock};
 use pmp_common::sync::{LockClass, TrackedRwLock};
 use pmp_common::{ClusterConfig, IoRingConfig, Llsn, PageId, PmpError, Result, TableId};
 use pmp_io::{CqePayload, IoRing, IoStats, SqeOp};
-use pmp_pmfs::buffer::{EvictionSink, WriteBackDone, WriteBackOutcome, MAX_QUEUED_WRITEBACKS};
+use pmp_pmfs::buffer::{EvictionSink, QueuedWriteBack, WriteBackOutcome, MAX_QUEUED_WRITEBACKS};
 use pmp_pmfs::Pmfs;
 use pmp_rdma::Fabric;
 use pmp_repl::ReplicatedFabric;
@@ -16,6 +16,7 @@ use pmp_storage::SharedStorage;
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
+use crate::node::NodeEngine;
 use crate::page::{Page, PAGE_BYTES};
 use crate::undo::UndoStore;
 
@@ -160,19 +161,27 @@ impl EvictionSink<Page> for StorageSink {
         }
     }
 
-    fn submit(&self, page_id: PageId, page: Arc<Page>, _llsn: Llsn, done: WriteBackDone) {
-        self.ring
-            .get_or_init(|| IoRing::new(Arc::clone(&self.storage), self.cfg))
-            .submit_with(
-                SqeOp::WritePage(page_id, page),
-                page_id.0,
-                Box::new(move |cqe| {
+    fn submit(&self, batch: Vec<QueuedWriteBack<Page>>) {
+        let ops = batch
+            .into_iter()
+            .map(|w| {
+                let done = w.done;
+                let continuation: pmp_io::Continuation<Page> = Box::new(move |cqe| {
                     done(match cqe.result {
                         Ok(CqePayload::Written) => WriteBackOutcome::Written,
                         _ => WriteBackOutcome::NotWritten,
                     })
-                }),
-            )
+                });
+                (
+                    SqeOp::WritePage(w.page_id, w.page),
+                    w.page_id.0,
+                    continuation,
+                )
+            })
+            .collect();
+        self.ring
+            .get_or_init(|| IoRing::new(Arc::clone(&self.storage), self.cfg))
+            .submit_all_with(ops)
             .expect("the sink owns its ring, which stops only when the sink drops");
     }
 }
@@ -220,6 +229,36 @@ impl Shared {
             undo: Arc::new(UndoStore::new()),
             catalog: Arc::new(Catalog::new()),
         })
+    }
+
+    /// The cluster-wide *storage* checkpoint over `nodes`: the one place
+    /// redo is freed. Per node, with no cluster-wide quiescence:
+    ///
+    /// * (a) each live node flushes; one with no active transaction, dirty
+    ///   frame or unsynced log records its checkpoint LSN `c`;
+    /// * (b) the DBP writes every dirty entry back and waits for the writes;
+    /// * (c) if (b) was complete and the DBP was not lost since before (a),
+    ///   every change such a node logged below `c` was in a frame it had
+    ///   pushed by (a) and is in storage by (b): its stream is cut at `c`.
+    ///
+    /// A busy node simply keeps its log; its older records replay
+    /// idempotently over the newer images (LLSN rule).
+    pub fn storage_checkpoint(&self, nodes: &[Arc<NodeEngine>]) {
+        let buffer = &self.pmfs.buffer;
+        // Read before the flushes: a DBP loss after this point may have
+        // taken a page one of them pushed.
+        let dbp_epoch = buffer.loss_epoch();
+        let quiesced: Vec<_> = nodes
+            .iter()
+            .filter_map(|node| Some((node, node.flush_tick()?)))
+            .collect();
+        // Also lets write-backs the flushes' pushes queued land, so storage
+        // is as current as the DBP allows on return.
+        if buffer.write_back_all(dbp_epoch) {
+            for (node, at) in quiesced {
+                node.storage_checkpoint(at, dbp_epoch);
+            }
+        }
     }
 
     /// Create a primary table with `columns` u64 columns and `gsi_columns`

@@ -4,20 +4,26 @@
 //! across regions. Changes occurring in the primary cluster are
 //! synchronized to the standby cluster using the write-ahead log."
 //!
-//! The standby continuously consumes every primary node's redo stream
-//! (log shipping), merging the streams with the same chunked `LLSN_bound`
+//! The standby attaches to a *running* cluster: it takes a base backup of
+//! the source region's page store and from then on continuously consumes
+//! every primary node's redo stream (log shipping) from where that stream
+//! begins — below a stream's start shared storage already holds every
+//! change — merging the streams with the same chunked `LLSN_bound`
 //! algorithm recovery uses, and maintains its own region-local page set.
+//! A [`LogHold`] per stream keeps storage checkpoints from freeing redo the
+//! standby has not consumed yet.
 //! It serves **committed-only reads** (a standby has no access to the
 //! primary region's TIT, so visibility is decided by commit records seen in
 //! the shipped log), and it can be **promoted**: in-doubt transactions are
 //! rolled back from the shipped undo records and the page set is written
 //! into a fresh region's shared storage, from which new primaries boot.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use pmp_common::sync::{LockClass, TrackedMutex};
-use pmp_common::{ClusterConfig, GlobalTrxId, Llsn, NodeId, PageId, PmpError, Result};
+use pmp_common::{ClusterConfig, GlobalTrxId, Llsn, Lsn, NodeId, PageId, PmpError, Result};
+use pmp_storage::LogHold;
 
 /// The standby's whole apply state is one mutex by design: `catch_up` is a
 /// single-consumer shipping loop, and the log reads it performs *are* its
@@ -29,7 +35,7 @@ const STANDBY_STATE: LockClass = LockClass::charge_exempt(
 );
 
 use crate::page::{Page, PageKind};
-use crate::recovery::StreamCursor;
+use crate::recovery::{StreamCursor, TrxOutcomes};
 use crate::redo::{LogDecoder, RedoOp, RedoRecord};
 use crate::row::{IndexKey, RowValue};
 use crate::shared::{Shared, TableMeta};
@@ -46,14 +52,30 @@ pub struct StandbyStats {
 }
 
 struct StandbyState {
-    pages: HashMap<PageId, Page>,
-    cursors: Vec<StreamCursor>,
-    committed: HashSet<GlobalTrxId>,
-    rolled_back: HashSet<GlobalTrxId>,
+    /// The region-local page set. Seeded with the source store's own
+    /// `Arc`s; a page is copied when the first shipped record changes it.
+    pages: HashMap<PageId, Arc<Page>>,
+    /// One per shipped stream.
+    cursors: Vec<Shipped>,
+    outcomes: TrxOutcomes,
+    /// Shipped undo records (the standby has no access to the source
+    /// region's undo store).
     undo: HashMap<UndoPtr, UndoRecord>,
-    undo_of: HashMap<GlobalTrxId, Vec<UndoPtr>>,
-    seen: HashSet<GlobalTrxId>,
     stats: StandbyStats,
+}
+
+/// One shipped stream: where the standby reads it, the hold that keeps a
+/// storage checkpoint from freeing what it has not read, and how far the
+/// stream was durable when the base backup had been taken.
+struct Shipped {
+    cursor: StreamCursor,
+    hold: LogHold,
+    /// Any transaction with a row in a base-backup image logged that
+    /// change below this position (WAL rule: the log is durable before the
+    /// page is). Once the cursor is past it, a writer the standby has still
+    /// not seen has no record in the retained log at all: it finished
+    /// before the storage checkpoint the standby attached behind.
+    backup_horizon: Lsn,
 }
 
 /// A standby region attached to a primary cluster's log streams.
@@ -70,15 +92,39 @@ impl std::fmt::Debug for Standby {
 }
 
 impl Standby {
-    /// Attach a standby to the primary cluster, shipping the logs of
-    /// `nodes`. (In production the shipping crosses regions; here the
+    /// Attach a standby to the running primary cluster, shipping the logs
+    /// of `nodes`. (In production the shipping crosses regions; here the
     /// standby reads the same durable streams the primaries write.)
+    ///
+    /// Order matters: first a hold pins each stream at its start, then the
+    /// page store is copied. Every image copied is then at least as new as
+    /// the storage checkpoint that put the start where the hold found it,
+    /// so replaying from the hold on (LLSN rule) converges on the primary's
+    /// pages.
     pub fn attach(source: &Arc<Shared>, nodes: &[NodeId]) -> Self {
         // The standby decodes whatever byte format the primaries ship.
         let dec = LogDecoder::new(source.config.compression);
-        let cursors = nodes
+        let held: Vec<_> = nodes
             .iter()
-            .map(|&node| StreamCursor::new(node, source.storage.redo_stream(node), dec))
+            .map(|&node| {
+                let stream = source.storage.redo_stream(node);
+                let hold = stream.hold();
+                (node, stream, hold)
+            })
+            .collect();
+        let pages = source
+            .storage
+            .page_store()
+            .all_pages()
+            .into_iter()
+            .collect();
+        let cursors = held
+            .into_iter()
+            .map(|(node, stream, hold)| Shipped {
+                backup_horizon: stream.durable_lsn(),
+                cursor: StreamCursor::new(node, stream, hold.lsn(), dec),
+                hold,
+            })
             .collect();
         Standby {
             source: Arc::clone(source),
@@ -86,13 +132,10 @@ impl Standby {
             state: TrackedMutex::new(
                 STANDBY_STATE,
                 StandbyState {
-                    pages: HashMap::new(),
+                    pages,
                     cursors,
-                    committed: HashSet::new(),
-                    rolled_back: HashSet::new(),
+                    outcomes: TrxOutcomes::default(),
                     undo: HashMap::new(),
-                    undo_of: HashMap::new(),
-                    seen: HashSet::new(),
                     stats: StandbyStats::default(),
                 },
             ),
@@ -109,44 +152,29 @@ impl Standby {
         loop {
             // Refill cursors; note non-page records immediately.
             let st = &mut *st;
-            for c in st.cursors.iter_mut() {
+            for Shipped {
+                cursor: c, hold, ..
+            } in st.cursors.iter_mut()
+            {
                 // A live stream is never "exhausted" — clear the flag so the
                 // next round re-polls from the current position.
                 c.exhausted = false;
-                let (committed, rolled_back, undo, undo_of, seen, stats) = (
-                    &mut st.committed,
-                    &mut st.rolled_back,
-                    &mut st.undo,
-                    &mut st.undo_of,
-                    &mut st.seen,
-                    &mut st.stats,
-                );
+                let (outcomes, undo, stats) = (&mut st.outcomes, &mut st.undo, &mut st.stats);
                 c.refill(self.chunk_bytes, |rec| {
                     stats.records_applied += 1;
-                    if let Some(gid) = rec.row_op_trx() {
-                        if !gid.is_none() {
-                            seen.insert(gid);
-                        }
+                    if let RedoOp::Commit { cts, .. } = &rec.op {
+                        stats.commits_seen += 1;
+                        stats.max_cts = stats.max_cts.max(cts.0);
                     }
-                    match &rec.op {
-                        RedoOp::Commit { trx, cts } => {
-                            committed.insert(*trx);
-                            stats.commits_seen += 1;
-                            stats.max_cts = stats.max_cts.max(cts.0);
-                        }
-                        RedoOp::Rollback { trx } => {
-                            rolled_back.insert(*trx);
-                        }
-                        RedoOp::UndoWrite { ptr, record } => {
-                            undo.insert(*ptr, record.clone());
-                            undo_of.entry(record.trx).or_default().push(*ptr);
-                            seen.insert(record.trx);
-                        }
-                        _ => {}
-                    }
+                    outcomes.note(rec, |ptr, record| {
+                        undo.insert(ptr, record.clone());
+                    });
                 })?;
+                // What was read is in the cursor now; the stream may let
+                // go of it.
+                hold.advance(c.pos);
             }
-            if st.cursors.iter().all(|c| c.pending.is_empty()) {
+            if st.cursors.iter().all(|s| s.cursor.pending.is_empty()) {
                 break;
             }
             // LLSN_bound over the live streams: a stream with buffered
@@ -155,11 +183,11 @@ impl Standby {
             let bound = st
                 .cursors
                 .iter()
-                .filter_map(|c| c.pending.back().map(|r| r.llsn))
+                .filter_map(|s| s.cursor.pending.back().map(|r| r.llsn))
                 .min()
                 .unwrap_or(Llsn(u64::MAX));
             let mut batch: Vec<RedoRecord> = Vec::new();
-            for c in st.cursors.iter_mut() {
+            for Shipped { cursor: c, .. } in st.cursors.iter_mut() {
                 while let Some(front) = c.pending.front() {
                     if front.llsn <= bound {
                         batch.push(c.pending.pop_front().expect("front exists"));
@@ -179,18 +207,22 @@ impl Standby {
         Ok(st.stats.records_applied - before)
     }
 
-    fn apply_page_record(&self, pages: &mut HashMap<PageId, Page>, rec: &RedoRecord) -> Result<()> {
+    fn apply_page_record(
+        &self,
+        pages: &mut HashMap<PageId, Arc<Page>>,
+        rec: &RedoRecord,
+    ) -> Result<()> {
         if !pages.contains_key(&rec.page) {
             if let RedoOp::PageImage(image) = &rec.op {
                 let mut image = image.clone();
                 image.llsn = rec.llsn;
-                pages.insert(rec.page, image);
+                pages.insert(rec.page, Arc::new(image));
                 return Ok(());
             }
-            // Base image predates the attach point (e.g. a table root
-            // written straight to storage): fetch it from the source
-            // region's storage — the basebackup-on-demand every physical
-            // standby performs.
+            // Neither in the base backup nor created by a logged image (a
+            // table root made after the attach is written straight to
+            // storage): fetch it from the source region's storage — the
+            // basebackup-on-demand every physical standby performs.
             let base = self
                 .source
                 .storage
@@ -200,10 +232,13 @@ impl Standby {
                 .ok_or_else(|| {
                     PmpError::internal(format!("standby missing base image for {}", rec.page))
                 })?;
-            pages.insert(rec.page, (*base).clone());
+            pages.insert(rec.page, base);
         }
         let page = pages.get_mut(&rec.page).expect("just ensured");
-        rec.apply_to(page);
+        // Checked here so a skipped record does not copy a shared page.
+        if rec.llsn > page.llsn {
+            rec.apply_to(Arc::make_mut(page));
+        }
         Ok(())
     }
 
@@ -241,10 +276,21 @@ impl Standby {
         let mut header = row.header;
         let mut value = row.value.clone();
         loop {
+            // A writer the shipped log has not shown committed before the
+            // base backup if its row carries a backfilled CTS — or, the
+            // backfill being best-effort, if the cursor of its node's
+            // stream is past the backup horizon and has still not met it.
+            let outcomes = &st.outcomes;
+            let past_horizon = |node: NodeId| {
+                st.cursors
+                    .iter()
+                    .any(|s| s.cursor.node == node && s.cursor.pos >= s.backup_horizon)
+            };
             let committed = header.trx.is_none()
-                || st.committed.contains(&header.trx)
-                || (!st.seen.contains(&header.trx) && !header.cts.is_init());
-            if committed && !st.rolled_back.contains(&header.trx) {
+                || outcomes.committed.contains(&header.trx)
+                || (!outcomes.seen.contains(&header.trx)
+                    && (!header.cts.is_init() || past_horizon(header.trx.node)));
+            if committed && !outcomes.rolled_back.contains(&header.trx) {
                 return Ok((!header.deleted).then_some(value));
             }
             let Some(rec) = st.undo.get(&header.undo) else {
@@ -266,14 +312,8 @@ impl Standby {
         let mut st = self.state.lock();
         // Roll back in-doubt transactions directly on the page set.
         let st = &mut *st;
-        let in_doubt: Vec<GlobalTrxId> = st
-            .seen
-            .iter()
-            .filter(|g| !st.committed.contains(g) && !st.rolled_back.contains(g))
-            .copied()
-            .collect();
-        for gid in in_doubt {
-            let ptrs = st.undo_of.get(&gid).cloned().unwrap_or_default();
+        for gid in st.outcomes.in_doubt() {
+            let ptrs = st.outcomes.undo_of.get(&gid).cloned().unwrap_or_default();
             for ptr in ptrs.iter().rev() {
                 let Some(rec) = st.undo.get(ptr).cloned() else {
                     continue;
@@ -292,7 +332,7 @@ impl Standby {
             .tso()
             .advance_to(&fresh.repl, pmp_common::Cts(st.stats.max_cts));
         for (id, page) in &st.pages {
-            fresh.storage.write_page(*id, Arc::new(page.clone()))?;
+            fresh.storage.write_page(*id, Arc::clone(page))?;
         }
         // Copy catalog metadata (same table ids and root page ids).
         for meta in self.source.catalog.all() {
@@ -306,7 +346,7 @@ impl Standby {
     }
 
     fn offline_undo(
-        pages: &mut HashMap<PageId, Page>,
+        pages: &mut HashMap<PageId, Arc<Page>>,
         root: PageId,
         gid: GlobalTrxId,
         rec: &UndoRecord,
@@ -325,7 +365,7 @@ impl Standby {
                 PageKind::Leaf(_) => break current,
             }
         };
-        let page = pages.get_mut(&leaf_id).expect("leaf just resolved");
+        let page = Arc::make_mut(pages.get_mut(&leaf_id).expect("leaf just resolved"));
         let leaf = page.as_leaf_mut();
         if let Ok(i) = leaf.search(rec.key) {
             if leaf.rows[i].header.trx == gid {

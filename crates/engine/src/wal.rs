@@ -451,7 +451,7 @@ mod tests {
         let end = w.stream().end_lsn();
         force(&w, end);
 
-        let chunk = w.stream().read_chunk(Lsn::ZERO, usize::MAX);
+        let chunk = w.stream().read_chunk(Lsn::ZERO, usize::MAX).unwrap();
         let mut pos = 0;
         let mut llsns = Vec::new();
         while let Some((rec, used)) = RedoRecord::decode_from(&chunk.data[pos..]).unwrap() {
@@ -479,7 +479,7 @@ mod tests {
             h.join().unwrap();
         }
         force(&w, w.stream().end_lsn());
-        let chunk = w.stream().read_chunk(Lsn::ZERO, usize::MAX);
+        let chunk = w.stream().read_chunk(Lsn::ZERO, usize::MAX).unwrap();
         let mut pos = 0;
         let mut last = Llsn::ZERO;
         let mut count = 0;
@@ -780,7 +780,10 @@ mod tests {
         );
         // Recovery-style read: gather across the dead tails, then decode
         // frame-by-frame and records within each frame.
-        let chunk = w.stream().read_gather_uncharged(Lsn::ZERO, usize::MAX);
+        let chunk = w
+            .stream()
+            .read_gather_uncharged(Lsn::ZERO, usize::MAX)
+            .unwrap();
         let codec = Codec::new(pmp_common::Compression::Lz4Like);
         let mut pos = 0;
         let mut llsns = Vec::new();
@@ -820,7 +823,10 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let chunk = w.stream().read_gather_uncharged(Lsn::ZERO, usize::MAX);
+        let chunk = w
+            .stream()
+            .read_gather_uncharged(Lsn::ZERO, usize::MAX)
+            .unwrap();
         let codec = Codec::new(pmp_common::Compression::Lz4Like);
         let mut pos = 0;
         let mut last = Llsn::ZERO;
@@ -844,7 +850,7 @@ mod tests {
         w.observe_llsn(Llsn(41));
         let end = w.log_atomic(|c| vec![remove_rec(c.next(), 9)]);
         force(&w, end);
-        let chunk = w.stream().read_chunk(Lsn::ZERO, usize::MAX);
+        let chunk = w.stream().read_chunk(Lsn::ZERO, usize::MAX).unwrap();
         let (rec, _) = RedoRecord::decode_from(&chunk.data).unwrap().unwrap();
         assert_eq!(rec.llsn, Llsn(42));
     }

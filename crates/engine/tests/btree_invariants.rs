@@ -188,7 +188,7 @@ fn llsn_is_monotone_per_page_across_nodes() {
     for node in [NodeId(0), NodeId(1)] {
         let stream = shared.storage.redo_stream(node);
         stream.sync();
-        let mut carry = stream.read_gather(Lsn::ZERO, usize::MAX).data;
+        let mut carry = stream.read_gather(Lsn::ZERO, usize::MAX).unwrap().data;
         dec.drain(&mut carry, &mut |rec| {
             if rec.is_page_op() {
                 per_page.entry(rec.page).or_default().push(rec.llsn.0);

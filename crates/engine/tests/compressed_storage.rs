@@ -114,7 +114,7 @@ fn compression_off_is_bit_for_bit_passthrough() {
         stream.physical_byte_count(),
         "no compression overhead or savings on the log"
     );
-    let chunk = stream.read_gather(Lsn::ZERO, usize::MAX);
+    let chunk = stream.read_gather(Lsn::ZERO, usize::MAX).unwrap();
     assert_eq!(
         chunk.data.len() as u64,
         stream.logical_byte_count(),

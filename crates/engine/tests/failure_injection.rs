@@ -5,8 +5,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use pmp_common::{ClusterConfig, NodeId, PmpError};
-use pmp_engine::recovery::recover_node;
+use pmp_common::{ClusterConfig, GlobalTrxId, NodeId, PmpError};
+use pmp_engine::recovery::{recover_cluster, recover_node};
+use pmp_engine::redo::{LogDecoder, RedoOp};
 use pmp_engine::row::RowValue;
 use pmp_engine::shared::Shared;
 use pmp_engine::NodeEngine;
@@ -25,6 +26,171 @@ fn cluster(nodes: usize) -> (Arc<Shared>, Vec<Arc<NodeEngine>>) {
 
 fn v(x: u64) -> RowValue {
     RowValue::new(vec![x])
+}
+
+/// A cluster whose background flusher never fires, so the test decides
+/// when (and whether) a node checkpoints.
+fn cluster_with_parked_flusher(nodes: usize) -> (Arc<Shared>, Vec<Arc<NodeEngine>>) {
+    let mut config = ClusterConfig::test(nodes);
+    config.engine.flush_interval_ms = 3_600_000;
+    cluster_with(config)
+}
+
+/// Every transaction a durable `Rollback` record of `node`'s retained log
+/// names.
+fn rollback_markers(shared: &Shared, node: NodeId) -> Vec<GlobalTrxId> {
+    let stream = shared.storage.redo_stream(node);
+    let mut bytes = stream
+        .read_gather(stream.start_lsn(), usize::MAX)
+        .unwrap()
+        .data;
+    let mut named = Vec::new();
+    LogDecoder::new(shared.config.compression)
+        .drain(&mut bytes, &mut |rec| {
+            if let RedoOp::Rollback { trx } = rec.op {
+                named.push(trx);
+            }
+            Ok(())
+        })
+        .unwrap();
+    named
+}
+
+/// The history of the "committed writer rolled back again" bug: `a` commits
+/// a row, the node checkpoints, `b` updates the same row and rolls back —
+/// its compensating `UpdateRow` restores `a`'s header — and the node
+/// crashes. Returns `a`'s id and the table.
+fn commit_checkpoint_rollback_crash(
+    shared: &Arc<Shared>,
+    engine: &Arc<NodeEngine>,
+) -> (GlobalTrxId, pmp_common::TableId) {
+    let t = shared.create_table("t", 1, &[]).unwrap().id;
+    let mut a = engine.begin().unwrap();
+    let a_id = a.gid;
+    a.insert(t, 1, v(10)).unwrap();
+    a.commit().unwrap();
+    engine.flush_frame_all_for_test();
+    assert!(
+        engine.maybe_checkpoint().is_some(),
+        "the node is quiesced: a's Commit is now below the scan start"
+    );
+
+    let mut b = engine.begin().unwrap();
+    b.update(t, 1, v(99)).unwrap();
+    b.rollback().unwrap();
+    engine
+        .wal
+        .force(engine.wal.stream().end_lsn(), &mut None)
+        .unwrap();
+    engine.crash();
+    (a_id, t)
+}
+
+/// Regression: recovery marked the trx in a row record's *header* as seen,
+/// so `b`'s compensation made the committed `a` "seen, no outcome" — it was
+/// counted in `rolled_back` and got a durable `Rollback` marker.
+#[test]
+fn committed_writer_below_the_scan_start_is_not_rolled_back_again() {
+    let (shared, engines) = cluster_with_parked_flusher(1);
+    let (a, t) = commit_checkpoint_rollback_crash(&shared, &engines[0]);
+
+    let (recovered, stats) = recover_node(&shared, NodeId(0)).unwrap();
+    assert_eq!(stats.rolled_back, 0, "nothing was in doubt");
+    assert!(
+        !rollback_markers(&shared, NodeId(0)).contains(&a),
+        "no Rollback marker may name the committed transaction"
+    );
+    let mut check = recovered.begin().unwrap();
+    assert_eq!(check.get(t, 1).unwrap(), Some(v(10)), "a's row is visible");
+    check.commit().unwrap();
+}
+
+/// The same history through full-cluster recovery, with the log actually
+/// cut at the checkpoint: `a`'s Commit record no longer exists anywhere.
+#[test]
+fn committed_writer_below_the_log_start_survives_cluster_recovery() {
+    let (shared, engines) = cluster_with_parked_flusher(1);
+    let t = shared.create_table("t", 1, &[]).unwrap().id;
+    let mut a = engines[0].begin().unwrap();
+    a.insert(t, 1, v(10)).unwrap();
+    a.commit().unwrap();
+    shared.storage_checkpoint(&engines);
+    assert!(engines[0].wal.stream().start_lsn().0 > 0, "the log is cut");
+
+    let mut b = engines[0].begin().unwrap();
+    b.update(t, 1, v(99)).unwrap();
+    b.rollback().unwrap();
+    engines[0]
+        .wal
+        .force(engines[0].wal.stream().end_lsn(), &mut None)
+        .unwrap();
+    engines[0].crash();
+    shared.pmfs.buffer.clear();
+    shared.undo.clear();
+    shared.pmfs.plock.release_all(NodeId(0));
+    shared.pmfs.txn.unregister_region(NodeId(0));
+
+    let stats = recover_cluster(&shared, &[NodeId(0)]).unwrap();
+    assert_eq!(stats.rolled_back, 0, "nothing was in doubt");
+    let fresh = NodeEngine::start(Arc::clone(&shared), NodeId(0));
+    let mut check = fresh.begin().unwrap();
+    assert_eq!(check.get(t, 1).unwrap(), Some(v(10)));
+    check.commit().unwrap();
+}
+
+/// Regression: a node's quiesced checkpoint is relative to the DBP it
+/// pushed its pages to. When that DBP is lost, recovery must not start at
+/// the checkpoint — the pages below it exist nowhere but in the log — but
+/// at the last *storage* checkpoint (the start of the stream).
+#[test]
+fn dbp_relative_checkpoint_does_not_outlive_the_dbp() {
+    let (shared, engines) = cluster_with_parked_flusher(1);
+    let t = shared.create_table("t", 1, &[]).unwrap().id;
+    // Before the storage checkpoint: recovery never needs to see these.
+    let mut txn = engines[0].begin().unwrap();
+    for k in 0..300 {
+        txn.insert(t, k, v(k)).unwrap();
+    }
+    txn.commit().unwrap();
+    shared.storage_checkpoint(&engines);
+    let stream = shared.storage.redo_stream(NodeId(0));
+    let storage_checkpoint = stream.start_lsn();
+    assert!(storage_checkpoint.0 > 0);
+
+    // After it: pushed to the DBP, covered by a node-local checkpoint only.
+    let mut txn = engines[0].begin().unwrap();
+    for k in 300..1_000 {
+        txn.insert(t, k, v(k)).unwrap();
+    }
+    txn.commit().unwrap();
+    engines[0].flush_frame_all_for_test();
+    let hint = engines[0].maybe_checkpoint().expect("quiesced");
+    assert!(hint > storage_checkpoint);
+    assert_eq!(
+        stream.start_lsn(),
+        storage_checkpoint,
+        "a hint frees nothing"
+    );
+
+    shared.pmfs.buffer.clear();
+    engines[0].crash();
+    let (recovered, stats) = recover_node(&shared, NodeId(0)).unwrap();
+    assert!(
+        stats.records_scanned >= 700,
+        "the scan must cover the log since the storage checkpoint, scanned {}",
+        stats.records_scanned
+    );
+    assert!(
+        stats.records_scanned < 2 * 300 + 2 * 700,
+        "and nothing below it, scanned {}",
+        stats.records_scanned
+    );
+    let mut check = recovered.begin().unwrap();
+    assert_eq!(check.scan(t, 0, 10_000).unwrap().len(), 1_000);
+    for k in [0, 299, 300, 999] {
+        assert_eq!(check.get(t, k).unwrap(), Some(v(k)), "key {k}");
+    }
+    check.commit().unwrap();
 }
 
 #[test]

@@ -219,12 +219,15 @@ impl<T> Completion<T> {
     }
 }
 
+/// Runs on the completion worker with the finished op's CQE.
+pub type Continuation<P> = Box<dyn FnOnce(Cqe<P>) + Send>;
+
 /// What to do with a finished SQE.
 enum DoneAction<P> {
     /// Post the CQE for [`IoRing::reap`] / [`IoRing::wait_cqe`].
     PostCq,
     /// Run a continuation on the completion worker.
-    Continue(Box<dyn FnOnce(Cqe<P>) + Send>),
+    Continue(Continuation<P>),
 }
 
 struct SqEntry<P> {
@@ -237,6 +240,11 @@ struct SqEntry<P> {
 struct SqState<P> {
     queue: VecDeque<SqEntry<P>>,
     stopped: bool,
+    /// Workers waiting on `sq_cv` right now (idle, or lingering in the
+    /// batch window). A submitter wakes one only when this is non-zero: a
+    /// worker that is mid-batch re-checks the queue before it parks, so a
+    /// notify then would be a futex syscall nobody is listening for.
+    parked_workers: usize,
 }
 
 /// Ring meters surfaced to benchmarks and the acceptance tests.
@@ -247,6 +255,9 @@ pub struct IoStats {
     pub cancelled: Counter,
     /// Worker batches executed (each charges one device round-trip).
     pub batches: Counter,
+    /// Condvar notifies submitters issued to wake a parked worker (at most
+    /// one per submit call; none while every worker is busy).
+    pub worker_wakes: Counter,
     /// SQEs answered from a same-batch duplicate page read.
     pub coalesced: Counter,
     /// CQEs dropped because the completion queue was full (io_uring-style
@@ -273,6 +284,7 @@ impl IoStats {
         self.completed.reset();
         self.cancelled.reset();
         self.batches.reset();
+        self.worker_wakes.reset();
         self.coalesced.reset();
         self.cq_overflows.reset();
         self.inflight.reset();
@@ -351,7 +363,10 @@ impl<P: Clone + Send + Sync + StorageImage + 'static> RingCore<P> {
                 // Gather read: compressed frames leave a dead tail behind
                 // every group, and a stop-at-hole read would degenerate to
                 // one charged round-trip per frame.
-                let chunk = stream.read_gather_uncharged(from, max_bytes);
+                let chunk = match stream.read_gather_uncharged(from, max_bytes) {
+                    Ok(c) => c,
+                    Err(e) => return (Err(e), 0),
+                };
                 let bytes = cfg.byte_ns(chunk.data.len());
                 (Ok(CqePayload::Chunk(chunk)), bytes)
             }
@@ -375,7 +390,9 @@ impl<P: Clone + Send + Sync + StorageImage + 'static> RingCore<P> {
                 if sq.stopped || !block {
                     return false;
                 }
+                sq.parked_workers += 1;
                 self.sq_cv.wait(&mut sq);
+                sq.parked_workers -= 1;
             }
             // Adaptive batch window: with work queued but the batch not yet
             // full, linger briefly for more submissions so the single
@@ -389,7 +406,9 @@ impl<P: Clone + Send + Sync + StorageImage + 'static> RingCore<P> {
                 && sq.queue.len() < self.cfg.batch_limit.max(1)
             {
                 let window = std::time::Duration::from_micros(self.cfg.batch_window_us);
+                sq.parked_workers += 1;
                 let _ = self.sq_cv.wait_for(&mut sq, window);
+                sq.parked_workers -= 1;
                 if sq.queue.is_empty() {
                     // Everything was drained by a peer worker while we
                     // lingered; go back to idle instead of charging for
@@ -503,6 +522,7 @@ impl<P: Clone + Send + Sync + StorageImage + 'static> IoRing<P> {
                 SqState {
                     queue: VecDeque::with_capacity(cfg.sq_capacity),
                     stopped: false,
+                    parked_workers: 0,
                 },
             ),
             sq_cv: TrackedCondvar::new(),
@@ -527,7 +547,7 @@ impl<P: Clone + Send + Sync + StorageImage + 'static> IoRing<P> {
     /// Enqueue one op whose CQE lands in the completion queue (poll with
     /// [`reap`](Self::reap) or block in [`wait_cqe`](Self::wait_cqe)).
     pub fn submit(&self, op: SqeOp<P>, user_data: u64) -> Result<CompletionToken> {
-        self.submit_entry(op, user_data, DoneAction::PostCq)
+        self.enqueue_one(op, user_data, DoneAction::PostCq)
     }
 
     /// Enqueue one op whose continuation runs on the completion worker.
@@ -538,78 +558,94 @@ impl<P: Clone + Send + Sync + StorageImage + 'static> IoRing<P> {
         &self,
         op: SqeOp<P>,
         user_data: u64,
-        continuation: Box<dyn FnOnce(Cqe<P>) + Send>,
+        continuation: Continuation<P>,
     ) -> Result<CompletionToken> {
-        self.submit_entry(op, user_data, DoneAction::Continue(continuation))
+        self.enqueue_one(op, user_data, DoneAction::Continue(continuation))
     }
 
     /// Batched submission: enqueue all ops back-to-back under one SQ lock,
     /// so one worker batch picks them up together and same-page reads
     /// coalesce. CQEs land in the completion queue.
     pub fn submit_all(&self, ops: Vec<(SqeOp<P>, u64)>) -> Result<Vec<CompletionToken>> {
-        // Submission may block on backpressure: charge point discipline.
-        assert_charge_point();
-        let mut tokens = Vec::with_capacity(ops.len());
-        let mut sq = self.core.sq.lock();
-        for (op, user_data) in ops {
-            loop {
-                if sq.stopped {
-                    return Err(PmpError::aborted("io ring is shut down"));
-                }
-                if sq.queue.len() < self.core.cfg.sq_capacity.max(1) {
-                    break;
-                }
-                self.core.sq_cv.wait(&mut sq);
-            }
-            let token = CompletionToken(self.core.next_token.fetch_add(1, Ordering::Relaxed));
-            sq.queue.push_back(SqEntry {
-                token,
-                user_data,
-                op,
-                action: DoneAction::PostCq,
-            });
-            self.core.stats.submitted.inc();
-            self.core.stats.inflight.inc();
-            self.core.stats.queue_depth.record_ns(sq.queue.len() as u64);
-            tokens.push(token);
-        }
-        drop(sq);
-        self.core.sq_cv.notify_all();
-        Ok(tokens)
+        self.enqueue(
+            ops.into_iter()
+                .map(|(op, user_data)| (op, user_data, DoneAction::PostCq)),
+        )
     }
 
-    fn submit_entry(
+    /// [`submit_all`](Self::submit_all) with a continuation per op: one SQ
+    /// lock, at most one worker wake for the whole batch.
+    pub fn submit_all_with(
+        &self,
+        ops: Vec<(SqeOp<P>, u64, Continuation<P>)>,
+    ) -> Result<Vec<CompletionToken>> {
+        self.enqueue(
+            ops.into_iter()
+                .map(|(op, user_data, f)| (op, user_data, DoneAction::Continue(f))),
+        )
+    }
+
+    fn enqueue_one(
         &self,
         op: SqeOp<P>,
         user_data: u64,
         action: DoneAction<P>,
     ) -> Result<CompletionToken> {
+        let tokens = self.enqueue(std::iter::once((op, user_data, action)))?;
+        Ok(tokens[0])
+    }
+
+    /// The one submission path: push every entry under one SQ lock, waiting
+    /// out backpressure, then wake a worker if one is parked.
+    fn enqueue(
+        &self,
+        entries: impl ExactSizeIterator<Item = (SqeOp<P>, u64, DoneAction<P>)>,
+    ) -> Result<Vec<CompletionToken>> {
         // Submission may block on backpressure: the caller must not hold
         // tracked locks (the wait can span a device round-trip).
         assert_charge_point();
-        let mut sq = self.core.sq.lock();
-        loop {
-            if sq.stopped {
-                return Err(PmpError::aborted("io ring is shut down"));
+        let core = &self.core;
+        let mut tokens = Vec::with_capacity(entries.len());
+        let mut sq = core.sq.lock();
+        for (op, user_data, action) in entries {
+            loop {
+                if sq.stopped {
+                    return Err(PmpError::aborted("io ring is shut down"));
+                }
+                if sq.queue.len() < core.cfg.sq_capacity.max(1) {
+                    break;
+                }
+                // Full of this call's own entries, with every worker still
+                // parked from before: they must start draining first.
+                if sq.parked_workers > 0 {
+                    core.stats.worker_wakes.inc();
+                    core.sq_cv.notify_all();
+                }
+                core.sq_cv.wait(&mut sq);
             }
-            if sq.queue.len() < self.core.cfg.sq_capacity.max(1) {
-                break;
-            }
-            self.core.sq_cv.wait(&mut sq);
+            let token = CompletionToken(core.next_token.fetch_add(1, Ordering::Relaxed));
+            sq.queue.push_back(SqEntry {
+                token,
+                user_data,
+                op,
+                action,
+            });
+            core.stats.submitted.inc();
+            core.stats.inflight.inc();
+            core.stats.queue_depth.record_ns(sq.queue.len() as u64);
+            tokens.push(token);
         }
-        let token = CompletionToken(self.core.next_token.fetch_add(1, Ordering::Relaxed));
-        sq.queue.push_back(SqEntry {
-            token,
-            user_data,
-            op,
-            action,
-        });
-        self.core.stats.submitted.inc();
-        self.core.stats.inflight.inc();
-        self.core.stats.queue_depth.record_ns(sq.queue.len() as u64);
+        let wake = sq.parked_workers > 0;
         drop(sq);
-        self.core.sq_cv.notify_one();
-        Ok(token)
+        if wake {
+            core.stats.worker_wakes.inc();
+            if tokens.len() == 1 {
+                core.sq_cv.notify_one();
+            } else {
+                core.sq_cv.notify_all();
+            }
+        }
+        Ok(tokens)
     }
 
     /// Submit a page read and block until it completes (convenience for
@@ -999,6 +1035,96 @@ mod tests {
         ring.drive();
         let chunk = done.wait().unwrap();
         assert_eq!(chunk.data, b"hello log");
+
+        // A read below the stream's start completes with the typed error.
+        stream.truncate_below(Lsn(5));
+        let below = ring.log_read(&stream, Lsn(0), 1024).unwrap();
+        let from_start = ring.log_read(&stream, Lsn(5), 1024).unwrap();
+        ring.drive();
+        assert_eq!(
+            below.wait().unwrap_err(),
+            PmpError::LogTruncated {
+                requested: Lsn(0),
+                start: Lsn(5)
+            }
+        );
+        assert_eq!(from_start.wait().unwrap().data, b" log");
+    }
+
+    /// Spin until `cond` holds (the ring's worker runs on its own thread).
+    fn until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "{what}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn submissions_wake_a_worker_only_when_one_is_parked() {
+        let st = storage(StorageLatencyConfig::disabled());
+        let id = st.page_store().allocate_page_id();
+        st.page_store()
+            .write(id, Arc::new("w".to_string()))
+            .unwrap();
+        let ring = IoRing::new(
+            Arc::clone(&st),
+            IoRingConfig {
+                workers: 1,
+                ..IoRingConfig::default()
+            },
+        );
+        let parked = |ring: &IoRing<String>| ring.core.sq.lock().parked_workers;
+        until("the worker never parked", || parked(&ring) == 1);
+
+        // One op to a parked worker: one wake. Its continuation then holds
+        // the worker mid-batch until the test lets go.
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        ring.submit_with(
+            SqeOp::ReadPage(id),
+            0,
+            Box::new(move |_| {
+                entered_tx.send(()).unwrap();
+                released.recv().unwrap();
+            }),
+        )
+        .unwrap();
+        entered.recv().unwrap();
+        assert_eq!(ring.stats().worker_wakes.get(), 1);
+        assert_eq!(parked(&ring), 0);
+
+        // N submissions while the only worker is busy: no wake is issued,
+        // and every one of them still completes — the worker looks at the
+        // queue again before it parks.
+        for i in 0..16 {
+            ring.submit(SqeOp::ReadPage(id), i).unwrap();
+        }
+        assert_eq!(ring.stats().worker_wakes.get(), 1, "nobody to wake");
+        release.send(()).unwrap();
+        for _ in 0..16 {
+            let cqe = ring.wait_cqe().expect("ring is live");
+            assert!(matches!(cqe.result.unwrap(), CqePayload::Page(Some(_))));
+        }
+
+        // A batch submitted to the parked worker costs one wake, not one
+        // per entry.
+        until("the worker never parked again", || parked(&ring) == 1);
+        let done = Arc::new(AtomicU64::new(0));
+        let ops = (0..8)
+            .map(|i| {
+                let done = Arc::clone(&done);
+                let f: Continuation<String> = Box::new(move |_| {
+                    done.fetch_add(1, Ordering::SeqCst);
+                });
+                (SqeOp::ReadPage(id), i, f)
+            })
+            .collect();
+        ring.submit_all_with(ops).unwrap();
+        until("the batch never completed", || {
+            done.load(Ordering::SeqCst) == 8
+        });
+        assert_eq!(ring.stats().worker_wakes.get(), 2);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use pmp_common::{LatencyConfig, Llsn, NodeId, PageId};
 use pmp_model::{
     render_trace, replay, sched_point, spawn, Explorer, Failure, Mode, DEFAULT_MAX_STEPS,
 };
-use pmp_pmfs::buffer::{EvictionSink, WriteBackDone, WriteBackOutcome};
+use pmp_pmfs::buffer::{EvictionSink, QueuedWriteBack, WriteBackDone, WriteBackOutcome};
 use pmp_pmfs::{BufferFusion, PageSource};
 use pmp_repl::ReplicatedFabric;
 
@@ -72,8 +72,9 @@ impl EvictionSink<u64> for QueueSink {
         WriteBackOutcome::Written
     }
 
-    fn submit(&self, page_id: PageId, _page: Arc<u64>, llsn: Llsn, done: WriteBackDone) {
-        self.queue.lock().push((page_id, llsn, done));
+    fn submit(&self, batch: Vec<QueuedWriteBack<u64>>) {
+        let mut queue = self.queue.lock();
+        queue.extend(batch.into_iter().map(|w| (w.page_id, w.llsn, w.done)));
     }
 }
 

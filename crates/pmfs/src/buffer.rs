@@ -20,9 +20,12 @@
 //! pushing statement only *picks* the victim and queues its image at the
 //! sink; the directory entry is removed by the sink's completion, after the
 //! image has landed (DESIGN.md §12, "DBP eviction: submit / complete").
+//! A storage checkpoint runs the same two halves over every dirty entry
+//! ([`BufferFusion::write_back_all`]) with a completion that keeps the entry
+//! and marks it clean instead of removing it.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use pmp_common::sync::{assert_charge_point, sched_point, LockClass, TrackedCondvar, TrackedMutex};
@@ -56,16 +59,27 @@ pub enum WriteBackOutcome {
 /// thread finishes (or cancels) the write.
 pub type WriteBackDone = Box<dyn FnOnce(WriteBackOutcome) + Send>;
 
-/// Where evicted DBP pages are written back (wired to the shared page store
-/// by the cluster assembly).
+/// One write-back handed to [`EvictionSink::submit`].
+pub struct QueuedWriteBack<P> {
+    pub page_id: PageId,
+    pub page: Arc<P>,
+    pub llsn: Llsn,
+    pub done: WriteBackDone,
+}
+
+/// Where DBP pages are written back (wired to the shared page store by the
+/// cluster assembly).
 pub trait EvictionSink<P>: Send + Sync {
     /// Write the page on the calling thread, paying the storage wait.
     fn write_now(&self, page_id: PageId, page: Arc<P>, llsn: Llsn) -> WriteBackOutcome;
 
-    /// Queue the write-back and return without waiting for it. A sink
+    /// Queue the write-backs — one submission, so at most one wake of the
+    /// sink's consumer — and return without waiting for them. A sink
     /// without a queue (the default) writes on the calling thread.
-    fn submit(&self, page_id: PageId, page: Arc<P>, llsn: Llsn, done: WriteBackDone) {
-        done(self.write_now(page_id, page, llsn));
+    fn submit(&self, batch: Vec<QueuedWriteBack<P>>) {
+        for w in batch {
+            (w.done)(self.write_now(w.page_id, w.page, w.llsn));
+        }
     }
 }
 
@@ -100,11 +114,17 @@ struct DbpEntry<P> {
     page: Arc<P>,
     llsn: Llsn,
     /// LLSN shared storage is known to hold for this page, set by a
-    /// registration that follows a storage load. An entry whose `llsn`
-    /// equals it is clean. (A write-back that lands makes its entry clean
-    /// too, but removes it in the same step.)
+    /// registration that follows a storage load and by a write-back that
+    /// landed. An entry whose `llsn` equals it is clean.
     stored_llsn: Option<Llsn>,
     holders: Vec<Holder>,
+}
+
+impl<P> DbpEntry<P> {
+    /// Shared storage is not known to hold this version.
+    fn is_dirty(&self) -> bool {
+        self.stored_llsn != Some(self.llsn)
+    }
 }
 
 #[derive(Debug)]
@@ -115,6 +135,16 @@ struct Shard<P> {
     /// `entries` (and out of `fifo`), so the shard is over capacity only by
     /// what exceeds them.
     in_flight: usize,
+}
+
+/// What a write-back's completion does with the entry once storage holds
+/// its image.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum AfterWrite {
+    /// Eviction: remove the entry (unless a push made it newer meanwhile).
+    Evict,
+    /// Storage checkpoint: the entry stays served.
+    Keep,
 }
 
 /// What the submit half of an eviction picked.
@@ -143,6 +173,12 @@ pub struct BufferFusionStats {
     pub writebacks_helped: Counter,
     /// Write-backs queued right now, with high-water mark.
     pub writebacks_queued: Gauge,
+    /// Write-backs a storage checkpoint ran (queued or helped); their
+    /// entries stayed in the DBP.
+    pub checkpoint_writebacks: Counter,
+    /// Write-backs that did not land (refused by the store, or cancelled
+    /// at sink shutdown); their entries stayed dirty.
+    pub writebacks_failed: Counter,
 }
 
 const SHARDS: usize = 64;
@@ -165,6 +201,9 @@ pub struct BufferFusion<P> {
     /// increment are one step; `queued_cv` signals the gauge reaching zero.
     queued_gate: TrackedMutex<()>,
     queued_cv: TrackedCondvar,
+    /// Bumped by every [`clear`](Self::clear): what was pushed under an
+    /// older epoch may exist nowhere but in the pushers' redo.
+    loss_epoch: AtomicU64,
     /// For the completion closures queued at the sink.
     me: Weak<Self>,
 }
@@ -200,6 +239,7 @@ impl<P: Send + Sync + 'static> BufferFusion<P> {
             sink: TrackedMutex::new(DBP_SINK, None),
             queued_gate: TrackedMutex::new(DBP_WRITEBACKS, ()),
             queued_cv: TrackedCondvar::new(),
+            loss_epoch: AtomicU64::new(0),
             me: me.clone(),
         })
     }
@@ -416,6 +456,24 @@ impl<P: Send + Sync + 'static> BufferFusion<P> {
         self.shards.iter().map(|s| s.lock().entries.len()).sum()
     }
 
+    /// Entries whose image shared storage is not known to hold.
+    pub fn dirty_count(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| {
+                let s = s.lock();
+                s.entries.values().filter(|e| e.is_dirty()).count()
+            })
+            .sum()
+    }
+
+    /// How many times the DBP has lost its contents ([`clear`](Self::clear)).
+    /// A claim that rests on pushes — a node's scan-start checkpoint — holds
+    /// only while the epoch it was made under is still the current one.
+    pub fn loss_epoch(&self) -> u64 {
+        self.loss_epoch.load(Ordering::SeqCst)
+    }
+
     /// Simulate DBP memory loss: every cached page vanishes, every holder's
     /// copy is invalidated. Nodes transparently fall back to shared storage
     /// (the paper's DBP-failure story: pages "can be recovered from logs in
@@ -424,6 +482,9 @@ impl<P: Send + Sync + 'static> BufferFusion<P> {
     /// here). Write-backs in flight still land; their completions find no
     /// entry.
     pub fn clear(&self) {
+        // Before the first entry goes: a walk that read the old epoch and
+        // then misses an entry must find the new one when it re-reads.
+        self.loss_epoch.fetch_add(1, Ordering::SeqCst);
         // Drain each shard under its lock, but pay for the remote flag
         // writes only after the lock is dropped — the invalidation fan-out
         // is O(holders) remote ops and must not stall concurrent lookups.
@@ -452,7 +513,7 @@ impl<P: Send + Sync + 'static> BufferFusion<P> {
     /// write.
     ///
     /// The victim's directory entry stays in place — concurrent loaders keep
-    /// hitting the DBP — until [`complete_eviction`](Self::complete_eviction)
+    /// hitting the DBP — until [`complete_write_back`](Self::complete_write_back)
     /// runs, after the image has landed. Remove-then-write-back would open a
     /// window (one storage write wide) in which a page that exists only in
     /// the DBP, such as a freshly split child, is in neither place and a
@@ -476,37 +537,123 @@ impl<P: Send + Sync + 'static> BufferFusion<P> {
             sched_point("dbp.evict.submit");
             let Some(sink) = &sink else {
                 // No store behind this DBP: the image is simply dropped.
-                self.complete_eviction(idx, victim, llsn, WriteBackOutcome::Written);
+                self.complete_write_back(
+                    idx,
+                    victim,
+                    llsn,
+                    WriteBackOutcome::Written,
+                    AfterWrite::Evict,
+                );
                 continue;
             };
-            if self.reserve_queue_slot() {
-                self.stats.writebacks_submitted.inc();
-                let me = self.me.clone();
-                sink.submit(
-                    victim,
-                    page,
-                    llsn,
-                    Box::new(move |outcome| {
-                        let Some(me) = me.upgrade() else { return };
-                        if me.complete_eviction(idx, victim, llsn, outcome) {
-                            me.evict_shard(idx, None);
-                        }
-                        me.release_queue_slot();
-                    }),
-                );
-            } else {
-                // Queue full: run this write-back here rather than wait for
-                // a slot. A victim that was kept is replaced by the next
-                // turn of this loop; a store that refuses writes ends the
-                // pass (the next push retries).
-                self.stats.writebacks_helped.inc();
-                let outcome = sink.write_now(victim, page, llsn);
-                self.complete_eviction(idx, victim, llsn, outcome);
-                if outcome == WriteBackOutcome::NotWritten {
-                    return;
-                }
+            // A victim that was kept is replaced by the next turn of this
+            // loop; a store that refuses writes ends the pass (the next
+            // push retries).
+            let mut batch = Vec::new();
+            let helped = self.queue_or_help(
+                sink,
+                &mut batch,
+                idx,
+                (victim, page, llsn),
+                AfterWrite::Evict,
+            );
+            if !batch.is_empty() {
+                sink.submit(batch);
+            }
+            if helped == Some(WriteBackOutcome::NotWritten) {
+                return;
             }
         }
+    }
+
+    /// Submit half of one write-back: put it in `batch` for the sink's
+    /// queue if one of the [`MAX_QUEUED_WRITEBACKS`] slots is free —
+    /// its completion runs [`complete_write_back`](Self::complete_write_back)
+    /// and gives the slot back. With the queue full, run it here rather
+    /// than wait for a slot (after handing over what `batch` has gathered,
+    /// so the consumer is busy meanwhile) and return how it ended.
+    fn queue_or_help(
+        &self,
+        sink: &Arc<dyn EvictionSink<P>>,
+        batch: &mut Vec<QueuedWriteBack<P>>,
+        idx: usize,
+        (page_id, page, llsn): (PageId, Arc<P>, Llsn),
+        then: AfterWrite,
+    ) -> Option<WriteBackOutcome> {
+        if self.reserve_queue_slot() {
+            self.stats.writebacks_submitted.inc();
+            let me = self.me.clone();
+            batch.push(QueuedWriteBack {
+                page_id,
+                page,
+                llsn,
+                done: Box::new(move |outcome| {
+                    let Some(me) = me.upgrade() else { return };
+                    if me.complete_write_back(idx, page_id, llsn, outcome, then) {
+                        me.evict_shard(idx, None);
+                    }
+                    me.release_queue_slot();
+                }),
+            });
+            return None;
+        }
+        if !batch.is_empty() {
+            sink.submit(std::mem::take(batch));
+        }
+        self.stats.writebacks_helped.inc();
+        let outcome = sink.write_now(page_id, page, llsn);
+        self.complete_write_back(idx, page_id, llsn, outcome, then);
+        Some(outcome)
+    }
+
+    /// Storage checkpoint, DBP half: write every dirty entry back through
+    /// the eviction sink — same queue bound, same help-when-full — *keeping*
+    /// the entries and marking them clean, and wait for the writes to land.
+    ///
+    /// `epoch` is the [`loss_epoch`](Self::loss_epoch) the caller read
+    /// before it made sure the pushes it cares about had happened. Returns
+    /// whether storage now holds, for every page, an image at least as new
+    /// as the DBP's was when the walk passed it: `false` if a write-back
+    /// failed meanwhile (this walk's or an eviction's — either may have been
+    /// the one a page's newest image rode on), or if the DBP was lost since
+    /// `epoch` was read (an entry the caller pushed may then have vanished
+    /// unwritten). A push racing the walk leaves its entry dirty and the
+    /// result `true` — the image written is still at least what the caller
+    /// had pushed.
+    pub fn write_back_all(&self, epoch: u64) -> bool {
+        assert_charge_point();
+        let Some(sink) = self.sink.lock().clone() else {
+            // No store behind this DBP: nothing can land.
+            return self.dirty_count() == 0;
+        };
+        let failed_before = self.stats.writebacks_failed.get();
+        for idx in 0..self.shards.len() {
+            if self.loss_epoch() != epoch {
+                break;
+            }
+            let dirty: Vec<(PageId, Arc<P>, Llsn)> = {
+                let shard = self.shards[idx].lock();
+                shard
+                    .entries
+                    .iter()
+                    .filter(|(_, e)| e.is_dirty())
+                    .map(|(&id, e)| (id, Arc::clone(&e.page), e.llsn))
+                    .collect()
+            };
+            sched_point("dbp.checkpoint.submit");
+            self.stats.checkpoint_writebacks.add(dirty.len() as u64);
+            // One submission per shard: one wake of the sink's consumer
+            // however many pages the shard had dirty.
+            let mut batch = Vec::with_capacity(dirty.len());
+            for image in dirty {
+                self.queue_or_help(&sink, &mut batch, idx, image, AfterWrite::Keep);
+            }
+            if !batch.is_empty() {
+                sink.submit(batch);
+            }
+        }
+        self.drain_evictions();
+        self.stats.writebacks_failed.get() == failed_before && self.loss_epoch() == epoch
     }
 
     /// Under the shard lock: the oldest entry to evict, if the shard is over
@@ -530,7 +677,7 @@ impl<P: Send + Sync + 'static> BufferFusion<P> {
             let Some(entry) = shard.entries.get(&c) else {
                 continue;
             };
-            if entry.stored_llsn == Some(entry.llsn) {
+            if !entry.is_dirty() {
                 let entry = shard.entries.remove(&c).expect("checked above");
                 self.stats.evictions.inc();
                 self.stats.clean_evictions.inc();
@@ -542,37 +689,56 @@ impl<P: Send + Sync + 'static> BufferFusion<P> {
         None
     }
 
-    /// Complete half of eviction, run once the write-back of `victim` at
-    /// `llsn` has ended: remove the entry only if storage now holds its
-    /// current version. A concurrent push made it newer — keep it so the
-    /// newest version is never lost — or the write did not happen: either
-    /// way the entry goes back in FIFO order (the submit half took it out of
-    /// the queue). Then clear the removed entry's holder flags: with the
-    /// entry gone, future invalidations would have nowhere to flow through.
+    /// Complete half of a write-back of `page_id` at `llsn`. If the image
+    /// landed, storage is now known to hold `llsn`; what happens to the
+    /// entry is the caller's `then`:
     ///
-    /// Returns whether the victim was kept although its image was written,
-    /// i.e. the shard still needs another victim.
-    fn complete_eviction(
+    /// * [`AfterWrite::Evict`] removes it — only if storage holds its
+    ///   *current* version. A concurrent push made it newer — keep it so the
+    ///   newest version is never lost — or the write did not happen: either
+    ///   way the entry goes back in FIFO order (the submit half took it out
+    ///   of the queue). The removed entry's holder flags are cleared: with
+    ///   the entry gone, future invalidations would have nowhere to flow
+    ///   through.
+    /// * [`AfterWrite::Keep`] leaves it served; it is clean exactly if it is
+    ///   still at the written LLSN.
+    ///
+    /// Returns whether an eviction's victim was kept although its image was
+    /// written, i.e. the shard still needs another victim.
+    fn complete_write_back(
         &self,
         idx: usize,
-        victim: PageId,
+        page_id: PageId,
         llsn: Llsn,
         outcome: WriteBackOutcome,
+        then: AfterWrite,
     ) -> bool {
         sched_point("dbp.evict.complete");
         let written = outcome == WriteBackOutcome::Written;
+        if !written {
+            self.stats.writebacks_failed.inc();
+        }
+        let evict = then == AfterWrite::Evict;
         let (flags_to_clear, kept): (Vec<Arc<AtomicBool>>, bool) = {
             let mut shard = self.shards[idx].lock();
-            shard.in_flight = shard.in_flight.saturating_sub(1);
-            match shard.entries.get(&victim) {
-                Some(entry) if written && entry.llsn <= llsn => {
-                    let entry = shard.entries.remove(&victim).expect("checked above");
-                    self.stats.evictions.inc();
-                    (holder_flags(&entry).collect(), false)
-                }
-                Some(_) => {
-                    shard.fifo.push_back(victim);
-                    (Vec::new(), written)
+            if evict {
+                shard.in_flight = shard.in_flight.saturating_sub(1);
+            }
+            match shard.entries.get_mut(&page_id) {
+                Some(entry) => {
+                    if written {
+                        entry.stored_llsn = entry.stored_llsn.max(Some(llsn));
+                    }
+                    if !evict {
+                        (Vec::new(), false)
+                    } else if written && entry.llsn <= llsn {
+                        let entry = shard.entries.remove(&page_id).expect("checked above");
+                        self.stats.evictions.inc();
+                        (holder_flags(&entry).collect(), false)
+                    } else {
+                        shard.fifo.push_back(page_id);
+                        (Vec::new(), written)
+                    }
                 }
                 None => (Vec::new(), false), // cleared concurrently
             }
@@ -603,8 +769,8 @@ impl<P: Send + Sync + 'static> BufferFusion<P> {
     }
 
     /// Block until no write-back is queued at the sink (checkpoints,
-    /// shutdown, tests): every eviction submitted before the call has
-    /// landed and removed its entry. A charge point — the wait spans
+    /// shutdown, tests): every write-back submitted before the call has
+    /// landed and completed. A charge point — the wait spans
     /// storage writes.
     pub fn drain_evictions(&self) {
         assert_charge_point();
@@ -1027,6 +1193,8 @@ mod tests {
     #[derive(Default)]
     struct GateSink {
         parked: Mutex<Vec<WriteBackDone>>,
+        /// Size of every batch `submit` was handed.
+        batches: Mutex<Vec<usize>>,
         written_inline: Mutex<Vec<PageId>>,
     }
 
@@ -1036,8 +1204,9 @@ mod tests {
             WriteBackOutcome::Written
         }
 
-        fn submit(&self, _page_id: PageId, _page: Arc<String>, _llsn: Llsn, done: WriteBackDone) {
-            self.parked.lock().push(done);
+        fn submit(&self, batch: Vec<QueuedWriteBack<String>>) {
+            self.batches.lock().push(batch.len());
+            self.parked.lock().extend(batch.into_iter().map(|w| w.done));
         }
     }
 
@@ -1148,6 +1317,151 @@ mod tests {
         sink.open(WriteBackOutcome::Written);
         assert_eq!(bf.page_count(), 1);
         assert!(bf.peek(p3).is_some());
+    }
+
+    /// A storage checkpoint's write-back keeps the entry and marks it
+    /// clean: the page stays served, its holder stays valid, a second walk
+    /// writes nothing, and a later eviction of it needs no write.
+    #[test]
+    fn write_back_and_keep_marks_the_entry_clean() {
+        let bf = bf(1024);
+        let sink = Arc::new(RecordingSink(Mutex::new(Vec::new())));
+        bf.set_eviction_sink(Arc::clone(&sink) as Arc<dyn EvictionSink<String>>);
+        let (p1, p2) = (PageId(1), PageId(2));
+        let f1 = flag(true);
+        put(&bf, p1, "a", 1, &f1, PageSource::Memory);
+        put(&bf, p2, "b", 2, &flag(true), PageSource::Storage); // already clean
+        assert_eq!(bf.dirty_count(), 1);
+
+        assert!(bf.write_back_all(bf.loss_epoch()));
+        assert_eq!(sink.0.lock().as_slice(), &[(p1, Llsn(1))]);
+        assert_eq!(bf.dirty_count(), 0);
+        assert_eq!(bf.page_count(), 2, "entries stay");
+        assert!(bf.fetch(NodeId(1), p1).is_some());
+        assert!(f1.load(Ordering::Acquire), "holders stay valid");
+        assert_eq!(bf.stats().checkpoint_writebacks.get(), 1);
+        assert_eq!(bf.stats().evictions.get(), 0);
+
+        assert!(bf.write_back_all(bf.loss_epoch()));
+        assert_eq!(sink.0.lock().len(), 1, "nothing dirty, nothing written");
+
+        // A push makes it dirty again; the next walk writes the new image.
+        bf.push(NodeId(1), p1, Arc::new("a2".into()), Llsn(5));
+        assert_eq!(bf.dirty_count(), 1);
+        assert!(bf.write_back_all(bf.loss_epoch()));
+        assert_eq!(sink.0.lock().last(), Some(&(p1, Llsn(5))));
+    }
+
+    /// The walk queues each shard's dirty entries as one submission, and a
+    /// push that lands while the write is in flight leaves the entry dirty
+    /// — storage holds the older image — without failing the walk.
+    #[test]
+    fn a_push_racing_the_checkpoint_write_keeps_the_entry_dirty() {
+        let bf = bf(1024);
+        let sink = GateSink::install(&bf);
+        let (p1, p2, other) = (PageId(2), PageId(2 + 64), PageId(3)); // p1, p2: one shard
+        for (id, llsn) in [(p1, 1), (p2, 2), (other, 3)] {
+            put(&bf, id, "v", llsn, &flag(true), PageSource::Memory);
+        }
+        let walk = {
+            let bf = Arc::clone(&bf);
+            std::thread::spawn(move || bf.write_back_all(bf.loss_epoch()))
+        };
+        while sink.parked() < 3 {
+            std::thread::yield_now();
+        }
+        let mut batches = sink.batches.lock().clone();
+        batches.sort_unstable();
+        assert_eq!(batches, [1, 2], "one submission per shard with dirty pages");
+        assert_eq!(bf.stats().writebacks_queued.get(), 3);
+
+        bf.push(NodeId(1), p1, Arc::new("newer".into()), Llsn(9));
+        sink.open(WriteBackOutcome::Written);
+        assert!(walk.join().unwrap(), "what the walk saw has landed");
+        assert_eq!(bf.dirty_count(), 1, "only the raced entry is still dirty");
+        assert_eq!(bf.peek(p1).unwrap().1, Llsn(9));
+        assert_eq!(bf.page_count(), 3);
+        assert!(sink.written_inline.lock().is_empty());
+    }
+
+    /// A write that does not land fails the walk and leaves its entry dirty.
+    #[test]
+    fn a_failed_checkpoint_write_reports_incomplete() {
+        let bf = bf(1024);
+        let sink = GateSink::install(&bf);
+        put(&bf, PageId(1), "a", 1, &flag(true), PageSource::Memory);
+        let walk = {
+            let bf = Arc::clone(&bf);
+            std::thread::spawn(move || bf.write_back_all(bf.loss_epoch()))
+        };
+        while sink.parked() < 1 {
+            std::thread::yield_now();
+        }
+        sink.open(WriteBackOutcome::NotWritten);
+        assert!(!walk.join().unwrap());
+        assert_eq!(bf.dirty_count(), 1);
+    }
+
+    /// Losing the DBP while the walk runs — or at any point since the
+    /// caller read the epoch — makes the walk report incomplete: a page the
+    /// caller had pushed may have vanished unwritten.
+    #[test]
+    fn clear_mid_walk_makes_the_walk_report_incomplete() {
+        let bf = bf(1024);
+        let sink = GateSink::install(&bf);
+        put(&bf, PageId(1), "a", 1, &flag(true), PageSource::Memory);
+        let epoch = bf.loss_epoch();
+        let walk = {
+            let bf = Arc::clone(&bf);
+            std::thread::spawn(move || bf.write_back_all(epoch))
+        };
+        while sink.parked() < 1 {
+            std::thread::yield_now();
+        }
+        bf.clear();
+        assert_eq!(bf.loss_epoch(), epoch + 1);
+        sink.open(WriteBackOutcome::Written);
+        assert!(
+            !walk.join().unwrap(),
+            "every write landed, yet the DBP was lost"
+        );
+
+        // And a loss before the walk starts is caught by the stale epoch.
+        put(&bf, PageId(2), "b", 2, &flag(true), PageSource::Memory);
+        assert!(!bf.write_back_all(epoch));
+        assert_eq!(sink.parked(), 0, "a stale walk submits nothing");
+        assert_eq!(bf.dirty_count(), 1);
+    }
+
+    /// Past `MAX_QUEUED_WRITEBACKS` the walking thread writes pages back
+    /// itself, as an evicting thread does.
+    #[test]
+    fn checkpoint_walk_helps_when_the_queue_is_full() {
+        let bf = bf(4096);
+        let sink = GateSink::install(&bf);
+        let pages = MAX_QUEUED_WRITEBACKS + 10;
+        for i in 0..pages {
+            put(
+                &bf,
+                PageId(i as u64),
+                "p",
+                1,
+                &flag(true),
+                PageSource::Memory,
+            );
+        }
+        let walk = {
+            let bf = Arc::clone(&bf);
+            std::thread::spawn(move || bf.write_back_all(bf.loss_epoch()))
+        };
+        while sink.parked() < MAX_QUEUED_WRITEBACKS || sink.written_inline.lock().len() < 10 {
+            std::thread::yield_now();
+        }
+        assert_eq!(bf.stats().writebacks_helped.get(), 10);
+        sink.open(WriteBackOutcome::Written);
+        assert!(walk.join().unwrap());
+        assert_eq!(bf.dirty_count(), 0);
+        assert_eq!(bf.stats().checkpoint_writebacks.get(), pages as u64);
     }
 
     /// Regression: `clear` used to invalidate holder flags while still

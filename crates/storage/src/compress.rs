@@ -256,6 +256,13 @@ impl Codec {
 /// in-memory struct.
 pub trait StorageImage {
     fn storage_image(&self) -> Vec<u8>;
+
+    /// Monotone version of the image (the engine's page LLSN): the page
+    /// store drops a write whose version is below what it already holds.
+    /// 0 — the default, for payloads with no version — always replaces.
+    fn version(&self) -> u64 {
+        0
+    }
 }
 
 impl StorageImage for Vec<u8> {

@@ -25,7 +25,7 @@ pub mod log_store;
 pub mod page_store;
 
 pub use compress::{Codec, PageSlot, SlotOutcome, SlotWrite, StorageImage};
-pub use log_store::{LogStream, ReadChunk};
+pub use log_store::{LogHold, LogRetention, LogStream, ReadChunk, SEGMENT_BYTES};
 pub use page_store::{PageStore, StorageStats};
 
 use std::collections::hash_map::Entry;
@@ -185,11 +185,12 @@ impl<P: Clone + Send + Sync + StorageImage> SharedStorage<P> {
     pub fn write_page_uncharged(&self, id: PageId, page: Arc<P>) -> Result<PageWriteCost> {
         let image = page.storage_image();
         let logical = image.len();
+        let version = page.version();
         if !self.comp.pages_enabled() {
             // Off: bit-for-bit pass-through. Physical == logical, and no
             // slot state is kept.
             self.pages
-                .write_sized_uncharged(id, page, logical, logical)?;
+                .write_sized_uncharged(id, page, logical, logical, version)?;
             return Ok(PageWriteCost {
                 physical_bytes: logical,
                 codec_raw_bytes: 0,
@@ -217,7 +218,7 @@ impl<P: Clone + Send + Sync + StorageImage> SharedStorage<P> {
             SlotWrite::Raw | SlotWrite::Fresh => {}
         }
         self.pages
-            .write_sized_uncharged(id, page, logical, physical)?;
+            .write_sized_uncharged(id, page, logical, physical, version)?;
         Ok(PageWriteCost {
             physical_bytes: physical,
             codec_raw_bytes: outcome.codec_raw_bytes,

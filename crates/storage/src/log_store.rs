@@ -12,11 +12,19 @@
 //! lock. The durability watermark never advances into an unfilled
 //! reservation, so a crash still persists whole reservations or nothing —
 //! the same atomic-group contract appenders had before.
+//!
+//! The stream also has a *beginning*: [`LogStream::truncate_below`] frees
+//! every byte below a storage checkpoint (redo whose page effects a durable
+//! page image already stands behind). LSNs stay absolute byte offsets across
+//! a cut; a reader positioned below [`LogStream::start_lsn`] gets
+//! [`PmpError::LogTruncated`], and a consumer that must not be overtaken (a
+//! standby shipping the log) pins its position with a [`LogHold`].
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use pmp_common::sync::{LockClass, TrackedCondvar, TrackedMutex};
-use pmp_common::{Counter, Lsn, StorageLatencyConfig};
+use pmp_common::{Counter, Lsn, PmpError, Result, StorageLatencyConfig};
 use pmp_rdma::precise_wait_ns;
 
 /// Lock class for every stream's core state. One class for all streams:
@@ -27,6 +35,12 @@ const LOG_INNER: LockClass = LockClass::new("storage.log.inner");
 /// short-lived (reserve → encode → fill, microseconds), so the ring bounds
 /// only pathological pile-ups; `reserve` blocks charge-free when full.
 const RESERVATION_SLOTS: usize = 1024;
+
+/// The stream's bytes are held in fixed-size segments, so freeing a prefix
+/// pops whole segments (no byte moves under the stream lock) and growing
+/// never reallocates what is already written. A truncated stream keeps at
+/// most the one segment its start falls in below that start.
+pub const SEGMENT_BYTES: usize = 256 * 1024;
 
 /// Lifecycle of one reservation slot in the fixed ring.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,15 +146,111 @@ impl DeadRanges {
     fn truncate_from(&mut self, at: u64) {
         self.0.truncate(self.idx_at_or_after(at));
     }
+
+    /// Forget everything below `cut`: ranges ending at or below it go, one
+    /// straddling it keeps its part above.
+    fn drop_below(&mut self, cut: u64) {
+        let gone = self.0.partition_point(|&(_, end)| end <= cut);
+        self.0.drain(..gone);
+        if let Some(first) = self.0.first_mut() {
+            first.0 = first.0.max(cut);
+        }
+    }
+
+    /// Total bytes covered.
+    fn total_bytes(&self) -> u64 {
+        self.0.iter().map(|&(start, end)| end - start).sum()
+    }
+}
+
+/// The retained bytes of a stream, `[base, end)`, in [`SEGMENT_BYTES`]
+/// pieces. Positions are absolute LSNs; `base` is segment-aligned and at or
+/// below the stream's start.
+#[derive(Debug, Default)]
+struct Segments {
+    base: u64,
+    segs: VecDeque<Box<[u8]>>,
+    /// One past the last assigned byte: the next append/reserve position.
+    end: u64,
+}
+
+impl Segments {
+    /// Segment index and offset within it of `lsn` (at or above `base`).
+    fn locate(&self, lsn: u64) -> (usize, usize) {
+        let rel = (lsn - self.base) as usize;
+        (rel / SEGMENT_BYTES, rel % SEGMENT_BYTES)
+    }
+
+    /// Assign the next `len` bytes, returning where they begin. Fresh
+    /// segments come zeroed from the allocator; a tail reused after a crash
+    /// keeps its old bytes, which nothing reads before they are rewritten
+    /// (reads stop at the durable watermark and skip dead ranges).
+    fn grow(&mut self, len: usize) -> u64 {
+        let at = self.end;
+        self.end += len as u64;
+        while self.base + ((self.segs.len() * SEGMENT_BYTES) as u64) < self.end {
+            self.segs
+                .push_back(vec![0u8; SEGMENT_BYTES].into_boxed_slice());
+        }
+        at
+    }
+
+    fn write(&mut self, mut at: u64, mut bytes: &[u8]) {
+        debug_assert!(at + bytes.len() as u64 <= self.end);
+        while !bytes.is_empty() {
+            let (seg, off) = self.locate(at);
+            let n = bytes.len().min(SEGMENT_BYTES - off);
+            self.segs[seg][off..off + n].copy_from_slice(&bytes[..n]);
+            bytes = &bytes[n..];
+            at += n as u64;
+        }
+    }
+
+    /// Append the bytes of `[from, to)` to `out`.
+    fn read_into(&self, mut from: u64, to: u64, out: &mut Vec<u8>) {
+        debug_assert!(self.base <= from && to <= self.end);
+        while from < to {
+            let (seg, off) = self.locate(from);
+            let n = ((to - from) as usize).min(SEGMENT_BYTES - off);
+            out.extend_from_slice(&self.segs[seg][off..off + n]);
+            from += n as u64;
+        }
+    }
+
+    /// Drop the tail at and above `end` (a crash), with its segments.
+    fn cut_tail(&mut self, end: u64) {
+        self.end = end;
+        let keep = ((end - self.base) as usize).div_ceil(SEGMENT_BYTES);
+        self.segs.truncate(keep);
+    }
+
+    /// Free every segment that lies wholly below `start`.
+    fn free_below(&mut self, start: u64) {
+        while self.base + SEGMENT_BYTES as u64 <= start {
+            self.segs.pop_front();
+            self.base += SEGMENT_BYTES as u64;
+        }
+    }
 }
 
 #[derive(Debug)]
 struct LogInner {
-    data: Vec<u8>,
+    data: Segments,
+    /// First retained byte: everything below was freed by
+    /// [`LogStream::truncate_below`]. `start ≤ checkpoint ≤ durable ≤ end`.
+    start: u64,
     durable: u64,
-    /// Recovery may start scanning here (durable metadata, survives
-    /// crashes like the log itself).
+    /// Scan-start hint: recovery may start here *if* the volatile state it
+    /// relied on (`checkpoint_relies_on`) still stands. Durable metadata,
+    /// survives crashes like the log itself.
     checkpoint: u64,
+    checkpoint_relies_on: u64,
+    /// Highest position a storage checkpoint has covered. Above `start`
+    /// only while a hold keeps the covered bytes from being freed.
+    storage_checkpoint: u64,
+    /// Positions of the live [`LogHold`]s, by hold id.
+    holds: Vec<(u64, u64)>,
+    next_hold: u64,
     /// Fixed ring of reservation slots. Reservations are created in stream
     /// order, so the oldest still-pending slot (at `head`, skipping filled
     /// and dead ones) starts exactly where the completed prefix ends —
@@ -167,9 +277,14 @@ struct LogInner {
 impl Default for LogInner {
     fn default() -> Self {
         LogInner {
-            data: Vec::new(),
+            data: Segments::default(),
+            start: 0,
             durable: 0,
             checkpoint: 0,
+            checkpoint_relies_on: 0,
+            storage_checkpoint: 0,
+            holds: Vec::new(),
+            next_hold: 0,
             slots: vec![ReservationSlot::empty(); RESERVATION_SLOTS].into_boxed_slice(),
             head: 0,
             tail: 0,
@@ -184,7 +299,7 @@ impl LogInner {
     /// O(1): the head slot (first outstanding reservation) marks the end.
     fn completed(&self) -> u64 {
         if self.head == self.tail {
-            self.data.len() as u64
+            self.data.end
         } else {
             self.slots[(self.head % RESERVATION_SLOTS as u64) as usize].start
         }
@@ -200,6 +315,32 @@ impl LogInner {
             }
             self.head += 1;
         }
+    }
+
+    /// The crash-side cut shared by [`LogStream::crash`] and the injected
+    /// tail loss: everything at and above `durable` is gone. Reservations
+    /// live strictly above the watermark and die with the tail; the epoch
+    /// bump makes their late fills (and drop glue) inert. Dead ranges below
+    /// the watermark are durable holes and survive.
+    fn cut_at_durable(&mut self) {
+        let durable = self.durable;
+        self.data.cut_tail(durable);
+        self.head = self.tail; // retire every outstanding slot
+        self.dead.truncate_from(durable);
+        self.epoch += 1;
+    }
+
+    /// `from` as a read position: clamped to the durable watermark and
+    /// moved past any dead range covering it. A position below the start
+    /// names bytes that no longer exist.
+    fn read_start(&self, from: Lsn) -> Result<u64> {
+        if from.0 < self.start {
+            return Err(PmpError::LogTruncated {
+                requested: from,
+                start: Lsn(self.start),
+            });
+        }
+        Ok(self.dead.next_live(from.0.min(self.durable), self.durable))
     }
 }
 
@@ -302,6 +443,65 @@ impl ReadChunk {
     }
 }
 
+/// One consistent reading of a stream's retention state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogRetention {
+    /// First retained byte.
+    pub start: Lsn,
+    /// Highest position a storage checkpoint has covered; above `start`
+    /// only while a hold pins the bytes in between.
+    pub storage_checkpoint: Lsn,
+    /// end − start: what the stream keeps in memory.
+    pub retained_bytes: u64,
+    /// The part of it that is dead reservation padding.
+    pub dead_bytes: u64,
+    pub live_holds: usize,
+}
+
+/// A reader's claim on the stream from [`lsn`](Self::lsn) on:
+/// [`LogStream::truncate_below`] never frees past the lowest live hold.
+/// The reader moves its hold forward as it consumes; dropping it releases
+/// the claim.
+#[derive(Debug)]
+pub struct LogHold {
+    state: Arc<StreamState>,
+    id: u64,
+}
+
+impl LogHold {
+    /// The position this hold pins.
+    pub fn lsn(&self) -> Lsn {
+        let g = self.state.inner.lock();
+        let &(_, lsn) = g
+            .holds
+            .iter()
+            .find(|&&(id, _)| id == self.id)
+            .expect("a live hold is registered");
+        Lsn(lsn)
+    }
+
+    /// Release everything below `to` (a hold never moves backwards).
+    pub fn advance(&self, to: Lsn) {
+        let mut g = self.state.inner.lock();
+        let hold = g
+            .holds
+            .iter_mut()
+            .find(|(id, _)| *id == self.id)
+            .expect("a live hold is registered");
+        hold.1 = hold.1.max(to.0);
+    }
+}
+
+impl Drop for LogHold {
+    fn drop(&mut self) {
+        self.state
+            .inner
+            .lock()
+            .holds
+            .retain(|&(id, _)| id != self.id);
+    }
+}
+
 /// One node's redo log stream on shared storage.
 #[derive(Debug)]
 pub struct LogStream {
@@ -342,9 +542,9 @@ impl LogStream {
         self.logical_bytes.add(bytes.len() as u64);
         self.physical_bytes.add(bytes.len() as u64);
         let mut g = self.state.inner.lock();
-        let lsn = Lsn(g.data.len() as u64);
-        g.data.extend_from_slice(bytes);
-        lsn
+        let at = g.data.grow(bytes.len());
+        g.data.write(at, bytes);
+        Lsn(at)
     }
 
     /// Assign the next `len` bytes of the stream to the caller without
@@ -360,9 +560,7 @@ impl LogStream {
         while g.tail - g.head >= RESERVATION_SLOTS as u64 {
             self.state.fill_cv.wait(&mut g);
         }
-        let start = g.data.len() as u64;
-        let end = g.data.len() + len;
-        g.data.resize(end, 0);
+        let start = g.data.grow(len);
         let seq = g.tail;
         g.tail += 1;
         g.slots[(seq % RESERVATION_SLOTS as u64) as usize] = ReservationSlot {
@@ -408,8 +606,7 @@ impl LogStream {
         if res.epoch != g.epoch {
             return; // reservation died in a crash; a new one may own the range
         }
-        let start = res.start.0 as usize;
-        g.data[start..start + bytes.len()].copy_from_slice(bytes);
+        g.data.write(res.start.0, bytes);
         let slot = &mut g.slots[(res.seq % RESERVATION_SLOTS as u64) as usize];
         debug_assert_eq!(slot.state, SlotState::Pending, "reservation filled twice");
         slot.state = SlotState::Filled;
@@ -428,7 +625,13 @@ impl LogStream {
 
     /// Current end of the stream (next append/reserve position).
     pub fn end_lsn(&self) -> Lsn {
-        Lsn(self.state.inner.lock().data.len() as u64)
+        Lsn(self.state.inner.lock().data.end)
+    }
+
+    /// First retained byte of the stream; reads below it fail with
+    /// [`PmpError::LogTruncated`].
+    pub fn start_lsn(&self) -> Lsn {
+        Lsn(self.state.inner.lock().start)
     }
 
     pub fn durable_lsn(&self) -> Lsn {
@@ -536,7 +739,7 @@ impl LogStream {
         // from waiting forever, and abandoned reservations count as
         // completed (dead), so a leaked one cannot wedge us either.
         loop {
-            let reachable = target.0.min(g.data.len() as u64);
+            let reachable = target.0.min(g.data.end);
             if g.completed() >= reachable {
                 return None;
             }
@@ -547,30 +750,85 @@ impl LogStream {
     /// Simulate the owning node crashing: the unsynced tail is lost, synced
     /// data survives (storage is disaggregated and node-failure-independent).
     pub fn crash(&self) {
-        let mut g = self.state.inner.lock();
-        let durable = g.durable;
-        g.data.truncate(durable as usize);
-        // Reservations live strictly above the durable watermark; they died
-        // with the tail. The epoch bump makes their late fills (and drop
-        // glue) inert. Dead ranges below the watermark are durable holes
-        // and survive; those above died with the tail.
-        g.head = g.tail; // retire every outstanding slot
-        g.dead.truncate_from(durable);
-        g.epoch += 1;
-        drop(g);
+        self.state.inner.lock().cut_at_durable();
         self.state.fill_cv.notify_all();
     }
 
-    /// Record a checkpoint: recovery of the owning node may start its scan
-    /// here. Durable metadata (a real system stores it in the log header).
-    pub fn set_checkpoint(&self, at: Lsn) {
+    /// Record a scan-start hint: every change logged below `at` is
+    /// reflected in shared storage *or in volatile shared state* — the DBP —
+    /// whose loss epoch is `relies_on`. Durable metadata (a real system
+    /// stores it in the log header). Frees nothing: a hint is only as good
+    /// as the volatile state behind it, so the bytes below it must stay
+    /// readable (see [`scan_start`](Self::scan_start)).
+    pub fn set_checkpoint(&self, at: Lsn, relies_on: u64) {
         let mut g = self.state.inner.lock();
         debug_assert!(at.0 <= g.durable, "checkpoint beyond durable data");
-        g.checkpoint = g.checkpoint.max(at.0);
+        if at.0 >= g.checkpoint {
+            g.checkpoint = at.0;
+            g.checkpoint_relies_on = relies_on;
+        }
     }
 
+    /// The last recorded scan-start hint (never below the start).
     pub fn checkpoint(&self) -> Lsn {
         Lsn(self.state.inner.lock().checkpoint)
+    }
+
+    /// Where recovery of the owning node starts its scan: at the hint if
+    /// the volatile state it relied on is still the current one
+    /// (`epoch_now`), else at the start of the stream — what a storage
+    /// checkpoint guarantees regardless.
+    pub fn scan_start(&self, epoch_now: u64) -> Lsn {
+        let g = self.state.inner.lock();
+        if g.checkpoint_relies_on == epoch_now {
+            Lsn(g.checkpoint)
+        } else {
+            Lsn(g.start)
+        }
+    }
+
+    /// Storage checkpoint: every change logged below `at` is in shared
+    /// storage, so those bytes are freed — up to the durable watermark and
+    /// never past a live [`LogHold`]. Returns the new start.
+    pub fn truncate_below(&self, at: Lsn) -> Lsn {
+        let mut g = self.state.inner.lock();
+        let covered = at.0.min(g.durable);
+        g.storage_checkpoint = g.storage_checkpoint.max(covered);
+        let slowest_hold = g.holds.iter().map(|&(_, lsn)| lsn).min();
+        let cut = covered.min(slowest_hold.unwrap_or(u64::MAX));
+        if cut > g.start {
+            g.start = cut;
+            g.checkpoint = g.checkpoint.max(cut);
+            g.data.free_below(cut);
+            g.dead.drop_below(cut);
+        }
+        Lsn(g.start)
+    }
+
+    /// Pin the stream from its current start on, for a reader that will
+    /// consume it from there.
+    pub fn hold(&self) -> LogHold {
+        let mut g = self.state.inner.lock();
+        let id = g.next_hold;
+        g.next_hold += 1;
+        let start = g.start;
+        g.holds.push((id, start));
+        LogHold {
+            state: Arc::clone(&self.state),
+            id,
+        }
+    }
+
+    /// What the stream holds right now, for the stats report.
+    pub fn retention(&self) -> LogRetention {
+        let g = self.state.inner.lock();
+        LogRetention {
+            start: Lsn(g.start),
+            storage_checkpoint: Lsn(g.storage_checkpoint),
+            retained_bytes: g.data.end - g.start,
+            dead_bytes: g.dead.total_bytes(),
+            live_holds: g.holds.len(),
+        }
     }
 
     /// Read up to `max_bytes` of *durable* data starting at `from`, paying
@@ -581,28 +839,36 @@ impl LogStream {
     /// chunk's `start` then exceeds `from`), and a read running into one
     /// stops short of it. Offsets are preserved — the hole's LSNs are
     /// simply skipped, and an empty chunk still means "no durable data at
-    /// or after `from`".
-    pub fn read_chunk(&self, from: Lsn, max_bytes: usize) -> ReadChunk {
-        let chunk = self.read_chunk_uncharged(from, max_bytes);
+    /// or after `from`". A `from` below [`start_lsn`](Self::start_lsn) is
+    /// not a hole: those bytes were freed, and the read fails with
+    /// [`PmpError::LogTruncated`] rather than begin somewhere else.
+    pub fn read_chunk(&self, from: Lsn, max_bytes: usize) -> Result<ReadChunk> {
+        let chunk = self.read_chunk_uncharged(from, max_bytes)?;
+        self.charge_read(&chunk);
+        Ok(chunk)
+    }
+
+    fn charge_read(&self, chunk: &ReadChunk) {
         let charge = self.read_latency_ns() + self.cfg.byte_ns(chunk.data.len());
         self.charged_ns.add(charge);
         precise_wait_ns(charge);
-        chunk
     }
 
     /// Completion half of a ring-submitted log read (latency already
     /// charged at batch granularity by the `pmp-io` worker).
-    pub fn read_chunk_uncharged(&self, from: Lsn, max_bytes: usize) -> ReadChunk {
+    pub fn read_chunk_uncharged(&self, from: Lsn, max_bytes: usize) -> Result<ReadChunk> {
         let g = self.state.inner.lock();
-        let start = g.dead.next_live(from.0.min(g.durable), g.durable);
+        let start = g.read_start(from)?;
         let end = (start.saturating_add(max_bytes as u64))
             .min(g.durable)
             .min(g.dead.next_start(start));
-        ReadChunk {
+        let mut data = Vec::with_capacity((end - start) as usize);
+        g.data.read_into(start, end, &mut data);
+        Ok(ReadChunk {
             start: Lsn(start),
             end: Lsn(end),
-            data: g.data[start as usize..end as usize].to_vec(),
-        }
+            data,
+        })
     }
 
     /// Gather read: like [`read_chunk_uncharged`](Self::read_chunk_uncharged)
@@ -614,19 +880,17 @@ impl LogStream {
     /// round-trip per chunk, however many holes it straddles). `end - start`
     /// may exceed `data.len()` — the skipped holes' LSNs; the next read
     /// starts at `end` as usual.
-    pub fn read_gather(&self, from: Lsn, max_bytes: usize) -> ReadChunk {
-        let chunk = self.read_gather_uncharged(from, max_bytes);
-        let charge = self.read_latency_ns() + self.cfg.byte_ns(chunk.data.len());
-        self.charged_ns.add(charge);
-        precise_wait_ns(charge);
-        chunk
+    pub fn read_gather(&self, from: Lsn, max_bytes: usize) -> Result<ReadChunk> {
+        let chunk = self.read_gather_uncharged(from, max_bytes)?;
+        self.charge_read(&chunk);
+        Ok(chunk)
     }
 
     /// Uncharged gather read (the `pmp-io` worker charges at batch
     /// granularity; `read_gather` is the direct charged form).
-    pub fn read_gather_uncharged(&self, from: Lsn, max_bytes: usize) -> ReadChunk {
+    pub fn read_gather_uncharged(&self, from: Lsn, max_bytes: usize) -> Result<ReadChunk> {
         let g = self.state.inner.lock();
-        let start = g.dead.next_live(from.0.min(g.durable), g.durable);
+        let start = g.read_start(from)?;
         let mut pos = start;
         let mut data = Vec::new();
         while pos < g.durable && data.len() < max_bytes {
@@ -635,7 +899,7 @@ impl LogStream {
                 .saturating_add((max_bytes - data.len()) as u64)
                 .min(g.durable)
                 .min(next_dead);
-            data.extend_from_slice(&g.data[pos as usize..span_end as usize]);
+            g.data.read_into(pos, span_end, &mut data);
             pos = span_end;
             if pos == next_dead {
                 pos = g.dead.next_live(pos, g.durable);
@@ -643,11 +907,11 @@ impl LogStream {
                 break; // hit the durable watermark or max_bytes
             }
         }
-        ReadChunk {
+        Ok(ReadChunk {
             start: Lsn(start),
             end: Lsn(pos),
             data,
-        }
+        })
     }
 
     /// Test-only failure injection: truncate the durable stream `bytes`
@@ -655,9 +919,9 @@ impl LogStream {
     /// into what the node believed durable (e.g. mid-frame). Dead
     /// reservation padding holds no stored bytes, so each removed byte
     /// first skips any dead tail above it — truncating by 1 always
-    /// destroys real frame data, never just a hole. Outstanding
-    /// reservations die and the epoch bumps, exactly as in
-    /// [`crash`](Self::crash).
+    /// destroys real frame data, never just a hole. Never cuts below the
+    /// start (those bytes are already gone). Outstanding reservations die
+    /// and the epoch bumps, exactly as in [`crash`](Self::crash).
     pub fn truncate_durable_for_injection(&self, bytes: u64) {
         let mut g = self.state.inner.lock();
         let mut new_durable = g.durable;
@@ -672,17 +936,15 @@ impl LogStream {
                     break;
                 }
             }
-            if new_durable == 0 {
+            if new_durable == g.start {
                 break;
             }
             new_durable -= 1;
         }
         g.durable = new_durable;
         g.checkpoint = g.checkpoint.min(new_durable);
-        g.data.truncate(new_durable as usize);
-        g.head = g.tail; // retire every outstanding slot
-        g.dead.truncate_from(new_durable);
-        g.epoch += 1;
+        g.storage_checkpoint = g.storage_checkpoint.min(new_durable);
+        g.cut_at_durable();
         drop(g);
         self.state.fill_cv.notify_all();
     }
@@ -821,7 +1083,7 @@ mod tests {
         s.append(b"volatile");
         s.crash();
         assert_eq!(s.end_lsn(), Lsn(8));
-        let chunk = s.read_chunk(Lsn(0), 1024);
+        let chunk = s.read_chunk(Lsn(0), 1024).unwrap();
         assert_eq!(chunk.data, b"durable!");
     }
 
@@ -844,15 +1106,15 @@ mod tests {
         s.append(b"0123456789");
         s.sync();
         s.append(b"unsynced");
-        let c = s.read_chunk(Lsn(0), 4);
+        let c = s.read_chunk(Lsn(0), 4).unwrap();
         assert_eq!(c.data, b"0123");
         assert_eq!((c.start, c.end), (Lsn(0), Lsn(4)));
-        let c = s.read_chunk(Lsn(4), 100);
+        let c = s.read_chunk(Lsn(4), 100).unwrap();
         assert_eq!(c.data, b"456789", "must stop at the durable watermark");
-        let c = s.read_chunk(Lsn(10), 100);
+        let c = s.read_chunk(Lsn(10), 100).unwrap();
         assert!(c.is_empty());
         // Reads past the durable end clamp instead of panicking.
-        let c = s.read_chunk(Lsn(99), 10);
+        let c = s.read_chunk(Lsn(99), 10).unwrap();
         assert!(c.is_empty());
     }
 
@@ -874,7 +1136,7 @@ mod tests {
             h.join().unwrap();
         }
         s.sync();
-        let c = s.read_chunk(Lsn(0), usize::MAX);
+        let c = s.read_chunk(Lsn(0), usize::MAX).unwrap();
         assert_eq!(c.data.len(), 4 * 100 * 16);
         // Every 16-byte record is homogeneous: appends are atomic.
         for rec in c.data.chunks(16) {
@@ -896,7 +1158,7 @@ mod tests {
         s.fill(r1, b"ABCD");
         s.sync();
         assert_eq!(s.durable_lsn(), Lsn(6));
-        assert_eq!(s.read_chunk(Lsn(0), 100).data, b"ABCDEF");
+        assert_eq!(s.read_chunk(Lsn(0), 100).unwrap().data, b"ABCDEF");
     }
 
     #[test]
@@ -913,7 +1175,7 @@ mod tests {
             Lsn(4),
             "durability must stop at the first unfilled reservation"
         );
-        assert_eq!(s.read_chunk(Lsn(0), 100).data, b"ABCD");
+        assert_eq!(s.read_chunk(Lsn(0), 100).unwrap().data, b"ABCD");
     }
 
     #[test]
@@ -930,7 +1192,7 @@ mod tests {
         // sync_to must block until the fill lands, then cover it.
         assert_eq!(s.sync_to(Lsn(4)), Lsn(4));
         filler.join().unwrap();
-        assert_eq!(s.read_chunk(Lsn(0), 100).data, b"ABCD");
+        assert_eq!(s.read_chunk(Lsn(0), 100).unwrap().data, b"ABCD");
     }
 
     #[test]
@@ -949,16 +1211,16 @@ mod tests {
             "a dead range must not block durability"
         );
         // Readers skip the hole: offsets are preserved, bytes not invented.
-        let c = s.read_chunk(Lsn(0), 100);
+        let c = s.read_chunk(Lsn(0), 100).unwrap();
         assert_eq!(c.data, b"ABCD");
         assert_eq!((c.start, c.end), (Lsn(0), Lsn(4)));
-        let c = s.read_chunk(c.end, 100);
+        let c = s.read_chunk(c.end, 100).unwrap();
         assert_eq!(c.data, b"YZ");
         assert_eq!((c.start, c.end), (Lsn(12), Lsn(14)));
         // A read from inside the hole starts at its end.
-        let c = s.read_chunk(Lsn(6), 100);
+        let c = s.read_chunk(Lsn(6), 100).unwrap();
         assert_eq!(c.data, b"YZ");
-        let c = s.read_chunk(Lsn(14), 100);
+        let c = s.read_chunk(Lsn(14), 100).unwrap();
         assert!(c.is_empty());
     }
 
@@ -977,7 +1239,7 @@ mod tests {
         // Must not hang even though the middle reservation is never filled.
         assert_eq!(s.sync_to(Lsn(12)), Lsn(12));
         dropper.join().unwrap();
-        assert_eq!(s.read_chunk(Lsn(0), 100).data, b"ABCD");
+        assert_eq!(s.read_chunk(Lsn(0), 100).unwrap().data, b"ABCD");
     }
 
     #[test]
@@ -995,14 +1257,14 @@ mod tests {
         drop(tail); // hole above the watermark: dies with the crash
         s.crash();
         assert_eq!(s.end_lsn(), Lsn(10));
-        assert_eq!(s.read_chunk(Lsn(0), 100).data, b"ABCD");
-        assert_eq!(s.read_chunk(Lsn(4), 100).data, b"YZ");
+        assert_eq!(s.read_chunk(Lsn(0), 100).unwrap().data, b"ABCD");
+        assert_eq!(s.read_chunk(Lsn(4), 100).unwrap().data, b"YZ");
         // Fresh reservations reuse the truncated tail offsets cleanly.
         let r = s.reserve(2);
         assert_eq!(r.start(), Lsn(10));
         s.fill(r, b"ok");
         s.sync();
-        assert_eq!(s.read_chunk(Lsn(10), 100).data, b"ok");
+        assert_eq!(s.read_chunk(Lsn(10), 100).unwrap().data, b"ok");
     }
 
     #[test]
@@ -1016,7 +1278,7 @@ mod tests {
         drop(dead); // stale epoch: must not mark the fresh range dead
         s.fill(fresh, b"WXYZ");
         s.sync();
-        assert_eq!(s.read_chunk(Lsn(0), 100).data, b"abcdWXYZ");
+        assert_eq!(s.read_chunk(Lsn(0), 100).unwrap().data, b"abcdWXYZ");
     }
 
     #[test]
@@ -1031,7 +1293,7 @@ mod tests {
         s.fill(r, b"WXYZ");
         assert_eq!(s.end_lsn(), Lsn(8));
         s.sync();
-        assert_eq!(s.read_chunk(Lsn(0), 100).data, b"durable!");
+        assert_eq!(s.read_chunk(Lsn(0), 100).unwrap().data, b"durable!");
     }
 
     #[test]
@@ -1088,7 +1350,7 @@ mod tests {
         s.fill(fresh, b"ef");
         s.fill(dead, b"WXYZ"); // overlaps the dead range; must be ignored
         s.sync();
-        assert_eq!(s.read_chunk(Lsn(0), 100).data, b"abcdef");
+        assert_eq!(s.read_chunk(Lsn(0), 100).unwrap().data, b"abcdef");
     }
 
     #[test]
@@ -1100,10 +1362,10 @@ mod tests {
         assert_eq!(s.sync(), end, "watermark covers the whole reservation");
         // A plain chunk read stops at the dead tail; the follow-up read
         // hops over it and lands at the durable end.
-        let chunk = s.read_chunk(Lsn(0), 100);
+        let chunk = s.read_chunk(Lsn(0), 100).unwrap();
         assert_eq!(chunk.data, b"abc");
         assert_eq!(chunk.end, Lsn(3));
-        let after = s.read_chunk(chunk.end, 100);
+        let after = s.read_chunk(chunk.end, 100).unwrap();
         assert!(after.data.is_empty());
         assert_eq!(after.end, Lsn(10), "next read hops the dead tail");
         assert_eq!(s.logical_byte_count(), 8);
@@ -1118,17 +1380,17 @@ mod tests {
             s.fill_prefix(r, payload, payload.len());
         }
         s.sync();
-        let chunk = s.read_gather_uncharged(Lsn(0), 1024);
+        let chunk = s.read_gather_uncharged(Lsn(0), 1024).unwrap();
         assert_eq!(chunk.data, b"onetwothree");
         assert_eq!(chunk.start, Lsn(0));
         assert_eq!(chunk.end, Lsn(24), "end covers the skipped holes");
         // Starting inside a dead range hops forward to live data.
-        let tail = s.read_gather_uncharged(Lsn(4), 1024);
+        let tail = s.read_gather_uncharged(Lsn(4), 1024).unwrap();
         assert_eq!(tail.data, b"twothree");
         // A small budget stops mid-stream and resumes exactly at `end`.
-        let first = s.read_gather_uncharged(Lsn(0), 4);
+        let first = s.read_gather_uncharged(Lsn(0), 4).unwrap();
         assert_eq!(first.data, b"onet");
-        let rest = s.read_gather_uncharged(first.end, 1024);
+        let rest = s.read_gather_uncharged(first.end, 1024).unwrap();
         assert_eq!(rest.data, b"wothree");
     }
 
@@ -1138,11 +1400,14 @@ mod tests {
         s.append(b"live");
         s.sync();
         let r = s.reserve(4);
-        let chunk = s.read_gather_uncharged(Lsn(0), 1024);
+        let chunk = s.read_gather_uncharged(Lsn(0), 1024).unwrap();
         assert_eq!(chunk.data, b"live", "pending reservation is invisible");
         s.fill(r, b"more");
         s.sync();
-        assert_eq!(s.read_gather_uncharged(Lsn(0), 1024).data, b"livemore");
+        assert_eq!(
+            s.read_gather_uncharged(Lsn(0), 1024).unwrap().data,
+            b"livemore"
+        );
     }
 
     #[test]
@@ -1153,13 +1418,13 @@ mod tests {
         let stale = s.reserve(4);
         s.truncate_durable_for_injection(3);
         assert_eq!(s.durable_lsn(), Lsn(5));
-        assert_eq!(s.read_chunk(Lsn(0), 100).data, b"abcde");
+        assert_eq!(s.read_chunk(Lsn(0), 100).unwrap().data, b"abcde");
         s.fill(stale, b"XXXX"); // stale epoch: inert
         let fresh = s.reserve(2);
         assert_eq!(fresh.start(), Lsn(5), "writes restart at the cut");
         s.fill(fresh, b"fg");
         s.sync();
-        assert_eq!(s.read_chunk(Lsn(0), 100).data, b"abcdefg");
+        assert_eq!(s.read_chunk(Lsn(0), 100).unwrap().data, b"abcdefg");
     }
 
     #[test]
@@ -1174,11 +1439,11 @@ mod tests {
         // skipped, so the cut lands inside the frame body, not the hole.
         s.truncate_durable_for_injection(1);
         assert_eq!(s.durable_lsn(), Lsn(4));
-        let chunk = s.read_chunk(Lsn(0), 100);
+        let chunk = s.read_chunk(Lsn(0), 100).unwrap();
         assert_eq!(chunk.data, b"abcX");
         // Reads at and past the cut terminate (no dead-range livelock).
-        assert!(s.read_chunk(Lsn(4), 100).is_empty());
-        assert!(s.read_gather_uncharged(Lsn(4), 100).is_empty());
+        assert!(s.read_chunk(Lsn(4), 100).unwrap().is_empty());
+        assert!(s.read_gather_uncharged(Lsn(4), 100).unwrap().is_empty());
     }
 
     #[test]
@@ -1207,5 +1472,210 @@ mod tests {
             5,
             "the fsync bandwidth charge covers stored bytes only"
         );
+    }
+
+    // ---- a stream with a start --------------------------------------------
+
+    /// A stream of `n` 8-byte records "rec00000", "rec00001", …, synced.
+    fn numbered(n: usize) -> LogStream {
+        let s = stream();
+        for i in 0..n {
+            s.append(format!("rec{i:05}").as_bytes());
+        }
+        s.sync();
+        s
+    }
+
+    #[test]
+    fn read_below_the_start_is_a_typed_error() {
+        let s = numbered(4);
+        assert_eq!(s.truncate_below(Lsn(16)), Lsn(16));
+        assert_eq!(s.start_lsn(), Lsn(16));
+        for from in [Lsn(15), Lsn::ZERO] {
+            let truncated = PmpError::LogTruncated {
+                requested: from,
+                start: Lsn(16),
+            };
+            // Never a silent skip to the start.
+            assert_eq!(s.read_chunk(from, 100).unwrap_err(), truncated);
+            assert_eq!(s.read_gather(from, 100).unwrap_err(), truncated);
+        }
+        assert_eq!(
+            s.read_chunk(Lsn(16), 100).unwrap().data,
+            b"rec00002rec00003"
+        );
+    }
+
+    #[test]
+    fn lsn_stays_the_byte_offset_across_a_cut() {
+        let s = numbered(3);
+        let (end, durable) = (s.end_lsn(), s.durable_lsn());
+        s.truncate_below(Lsn(16));
+        assert_eq!((s.end_lsn(), s.durable_lsn()), (end, durable));
+        assert_eq!(
+            s.append(b"rec00003"),
+            Lsn(24),
+            "appends continue at the end"
+        );
+        let r = s.reserve(8);
+        assert_eq!(r.start(), Lsn(32));
+        s.fill(r, b"rec00004");
+        assert_eq!(s.sync(), Lsn(40));
+        let chunk = s.read_chunk(Lsn(16), 100).unwrap();
+        assert_eq!((chunk.start, chunk.end), (Lsn(16), Lsn(40)));
+        assert_eq!(chunk.data, b"rec00002rec00003rec00004");
+        let r = s.retention();
+        assert_eq!((r.start, r.retained_bytes), (Lsn(16), 24));
+        assert_eq!(r.storage_checkpoint, Lsn(16));
+    }
+
+    #[test]
+    fn truncation_stops_at_the_durable_watermark_and_is_monotone() {
+        let s = numbered(2);
+        s.append(b"unsynced");
+        let pending = s.reserve(8);
+        // Asking for more than is durable — into the unsynced tail, into a
+        // pending reservation — frees only what is durable.
+        assert_eq!(s.truncate_below(pending.end()), Lsn(16));
+        assert_eq!(s.truncate_below(Lsn(8)), Lsn(16), "never moves back");
+        assert_eq!(s.checkpoint(), Lsn(16), "start ≤ checkpoint");
+        s.fill(pending, b"reserved");
+        s.sync();
+        assert_eq!(
+            s.read_chunk(Lsn(16), 100).unwrap().data,
+            b"unsyncedreserved"
+        );
+    }
+
+    #[test]
+    fn a_dead_range_straddling_the_cut_keeps_its_part_above() {
+        let s = stream();
+        s.append(b"abcd");
+        let r = s.reserve(8);
+        s.fill_prefix(r, b"XY", 2); // stored [4,6), dead [6,12)
+        s.append(b"tail"); // [12,16)
+        s.sync();
+        assert_eq!(s.retention().dead_bytes, 6);
+        assert_eq!(s.truncate_below(Lsn(9)), Lsn(9), "a cut inside the hole");
+        assert_eq!(s.retention().dead_bytes, 3);
+        // From the start the reader hops the rest of the hole, as ever.
+        let chunk = s.read_chunk(Lsn(9), 100).unwrap();
+        assert_eq!(
+            (chunk.start, chunk.data.as_slice()),
+            (Lsn(12), &b"tail"[..])
+        );
+        assert_eq!(s.read_gather(Lsn(9), 100).unwrap().data, b"tail");
+        // Ranges wholly below a cut leave the index.
+        let r = s.reserve(4);
+        s.fill_prefix(r, b"Z", 1); // dead [17,20)
+        s.sync();
+        s.truncate_below(Lsn(20));
+        assert_eq!(s.retention().dead_bytes, 0);
+    }
+
+    #[test]
+    fn crash_and_injected_tail_loss_after_a_truncation() {
+        let s = numbered(4);
+        s.truncate_below(Lsn(16));
+        s.append(b"volatile");
+        let stale = s.reserve(8);
+        s.crash();
+        assert_eq!((s.start_lsn(), s.end_lsn()), (Lsn(16), Lsn(32)));
+        s.fill(stale, b"XXXXXXXX"); // inert
+        assert_eq!(
+            s.read_chunk(Lsn(16), 100).unwrap().data,
+            b"rec00002rec00003"
+        );
+        // Injected loss never reaches below the start, however much is asked.
+        s.truncate_durable_for_injection(3);
+        assert_eq!(s.durable_lsn(), Lsn(29));
+        s.truncate_durable_for_injection(1_000);
+        assert_eq!((s.start_lsn(), s.durable_lsn()), (Lsn(16), Lsn(16)));
+        assert_eq!(s.checkpoint(), Lsn(16));
+        assert!(s.read_chunk(Lsn(16), 100).unwrap().is_empty());
+        assert_eq!(s.append(b"again"), Lsn(16), "writes restart at the cut");
+    }
+
+    #[test]
+    fn a_hold_pins_the_stream_until_it_advances_or_drops() {
+        let s = numbered(6);
+        let hold = s.hold();
+        assert_eq!(hold.lsn(), Lsn(0));
+        assert_eq!(s.truncate_below(Lsn(32)), Lsn(0), "pinned at the hold");
+        let r = s.retention();
+        assert_eq!((r.storage_checkpoint, r.live_holds), (Lsn(32), 1));
+        assert_eq!(s.read_chunk(Lsn(0), 8).unwrap().data, b"rec00000");
+
+        hold.advance(Lsn(16));
+        hold.advance(Lsn(8)); // a hold never moves back
+        assert_eq!(hold.lsn(), Lsn(16));
+        assert_eq!(s.truncate_below(Lsn(32)), Lsn(16));
+
+        // The slowest of several holds decides.
+        let second = s.hold();
+        assert_eq!(second.lsn(), Lsn(16));
+        hold.advance(Lsn(40));
+        assert_eq!(s.truncate_below(Lsn(40)), Lsn(16));
+        drop(second);
+        assert_eq!(s.truncate_below(Lsn(40)), Lsn(40));
+        drop(hold);
+        assert_eq!(s.retention().live_holds, 0);
+        assert_eq!(s.truncate_below(Lsn(48)), Lsn(48));
+    }
+
+    #[test]
+    fn scan_start_trusts_the_hint_only_under_its_epoch() {
+        let s = numbered(4);
+        s.truncate_below(Lsn(8));
+        s.set_checkpoint(Lsn(24), 3);
+        assert_eq!(s.checkpoint(), Lsn(24));
+        assert_eq!(s.scan_start(3), Lsn(24));
+        assert_eq!(s.scan_start(4), Lsn(8), "the state it relied on is gone");
+        // A later hint under the new epoch is trusted again; an older LSN
+        // never replaces a newer one.
+        s.set_checkpoint(Lsn(16), 4);
+        assert_eq!(s.scan_start(4), Lsn(8));
+        s.set_checkpoint(Lsn(32), 4);
+        assert_eq!(s.scan_start(4), Lsn(32));
+        // A cut past the hint carries it along.
+        s.truncate_below(Lsn(32));
+        s.append(b"more");
+        s.sync();
+        assert_eq!((s.scan_start(4), s.scan_start(9)), (Lsn(32), Lsn(32)));
+    }
+
+    #[test]
+    fn records_span_segments_and_a_cut_frees_whole_segments() {
+        let s = stream();
+        let record: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        // 8 records of 100 000 B cross the 256 KiB segment boundaries at
+        // odd offsets, by append and by reserve/fill alike.
+        for i in 0..8 {
+            if i % 2 == 0 {
+                s.append(&record);
+            } else {
+                let r = s.reserve(record.len());
+                s.fill(r, &record);
+            }
+        }
+        s.sync();
+        let all = s.read_chunk(Lsn::ZERO, usize::MAX).unwrap();
+        assert_eq!(all.data.len(), 800_000);
+        assert!(all.data.chunks(100_000).all(|c| c == record));
+        let segments = |s: &LogStream| s.state.inner.lock().data.segs.len();
+        assert_eq!(segments(&s), 800_000usize.div_ceil(SEGMENT_BYTES));
+
+        s.truncate_below(Lsn(700_000));
+        assert_eq!(segments(&s), 2, "segments wholly below the cut are gone");
+        let tail = s.read_chunk(Lsn(700_000), usize::MAX).unwrap();
+        assert_eq!(tail.data, record);
+        // A cut that lands on the end, at a segment boundary or not, leaves
+        // at most the one segment the start is in.
+        s.truncate_below(Lsn(800_000));
+        assert!(segments(&s) <= 1);
+        assert_eq!(s.retention().retained_bytes, 0);
+        assert_eq!(s.append(&record), Lsn(800_000));
+        s.sync();
+        assert_eq!(s.read_chunk(Lsn(800_000), usize::MAX).unwrap().data, record);
     }
 }

@@ -51,11 +51,15 @@ impl StorageStats {
     }
 }
 
-/// One stored page: the payload plus the byte sizes its slot occupies
-/// (zero when the page was written through the raw, codec-unaware path).
+/// One stored page: the payload, its [`StorageImage::version`] (zero when
+/// written through the raw, codec-unaware path), and the byte sizes its slot
+/// occupies (likewise zero).
+///
+/// [`StorageImage::version`]: crate::StorageImage::version
 #[derive(Debug)]
 struct Stored<P> {
     page: Arc<P>,
+    version: u64,
     logical: u32,
     physical: u32,
 }
@@ -201,26 +205,41 @@ impl<P: Clone + Send + Sync> PageStore<P> {
 
     /// Completion half of a ring-submitted write (latency already charged).
     pub fn write_uncharged(&self, id: PageId, page: Arc<P>) -> Result<()> {
-        self.write_sized_uncharged(id, page, 0, 0)
+        self.write_sized_uncharged(id, page, 0, 0, 0)
     }
 
-    /// Write with the codec layer's byte accounting: `logical` is the raw
-    /// image size, `physical` the slot's post-codec footprint.
+    /// Write with the codec layer's accounting: `logical` is the raw image
+    /// size, `physical` the slot's post-codec footprint, `version` the
+    /// image's [`StorageImage::version`](crate::StorageImage::version).
+    ///
+    /// The store never regresses a page: an image whose version is below
+    /// the stored one is dropped (the write still counts and still
+    /// succeeds — storage holds something at least as new). Write-backs of
+    /// one page can come from several threads (an eviction's queued write,
+    /// a checkpoint's, a helper's), and their order of arrival must not
+    /// decide which image recovery starts from. Version 0 (raw writes,
+    /// unversioned payloads) always replaces.
     pub fn write_sized_uncharged(
         &self,
         id: PageId,
         page: Arc<P>,
         logical: usize,
         physical: usize,
+        version: u64,
     ) -> Result<()> {
         self.check_io()?;
         self.stats.page_writes.inc();
         self.stats.page_logical_bytes.add(logical as u64);
         self.stats.page_physical_bytes.add(physical as u64);
-        self.shard(id).write().insert(
+        let mut shard = self.shard(id).write();
+        if version > 0 && shard.get(&id).is_some_and(|s| s.version > version) {
+            return Ok(());
+        }
+        shard.insert(
             id,
             Stored {
                 page,
+                version,
                 logical: logical as u32,
                 physical: physical as u32,
             },
@@ -237,6 +256,18 @@ impl<P: Clone + Send + Sync> PageStore<P> {
         precise_wait_ns(charge);
         self.shard(id).write().remove(&id);
         Ok(())
+    }
+
+    /// Every stored page (a standby's base backup; free, like the bulk
+    /// copy a real deployment takes out of band). Not a consistent cut:
+    /// each image is whatever the store held when its shard was visited.
+    pub fn all_pages(&self) -> Vec<(PageId, Arc<P>)> {
+        let mut pages = Vec::new();
+        for shard in &self.shards {
+            let shard = shard.read();
+            pages.extend(shard.iter().map(|(id, s)| (*id, Arc::clone(&s.page))));
+        }
+        pages
     }
 
     /// Number of pages currently stored (test/diagnostic helper; free).
@@ -294,7 +325,7 @@ mod tests {
     fn sized_writes_track_bytes_on_storage() {
         let s = store();
         let id = s.allocate_page_id();
-        s.write_sized_uncharged(id, Arc::new("img".into()), 4096, 1024)
+        s.write_sized_uncharged(id, Arc::new("img".into()), 4096, 1024, 0)
             .unwrap();
         assert_eq!(s.physical_size(id), 1024);
         assert_eq!(s.stats().page_logical_bytes.get(), 4096);
@@ -302,6 +333,27 @@ mod tests {
         // A raw (codec-unaware) rewrite resets the sizes to unknown.
         s.write(id, Arc::new("raw".into())).unwrap();
         assert_eq!(s.physical_size(id), 0);
+    }
+
+    #[test]
+    fn versioned_writes_never_regress_a_page() {
+        let s = store();
+        let id = s.allocate_page_id();
+        let write = |text: &str, version| {
+            s.write_sized_uncharged(id, Arc::new(text.into()), 0, 0, version)
+                .unwrap();
+            (*s.read(id).unwrap().unwrap()).clone()
+        };
+        assert_eq!(write("v5", 5), "v5");
+        assert_eq!(write("v3-late", 3), "v5", "an older image is dropped");
+        assert_eq!(write("v5-again", 5), "v5-again", "an equal one replaces");
+        assert_eq!(write("v7", 7), "v7");
+        assert_eq!(write("raw", 0), "raw", "unversioned writes always replace");
+        assert_eq!(
+            s.stats().page_writes.get(),
+            5,
+            "a dropped write still counts"
+        );
     }
 
     #[test]

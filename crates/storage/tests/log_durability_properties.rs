@@ -1,8 +1,10 @@
 //! Property tests for the log stream's durability contract under arbitrary
-//! append / sync / crash histories: what was synced is always readable
-//! byte-exactly; what wasn't may vanish at a crash but never corrupts.
+//! append / sync / crash / truncate histories: what was synced and not yet
+//! freed is always readable byte-exactly at its original offset; what
+//! wasn't synced may vanish at a crash but never corrupts; what was freed
+//! is refused, never skipped.
 
-use pmp_common::{Lsn, StorageLatencyConfig};
+use pmp_common::{Lsn, PmpError, StorageLatencyConfig};
 use pmp_storage::LogStream;
 use proptest::prelude::*;
 
@@ -11,6 +13,8 @@ enum LogOp {
     Append(Vec<u8>),
     Sync,
     Crash,
+    /// Storage checkpoint at this LSN (may lie past the durable watermark).
+    Truncate(u64),
 }
 
 fn op_strategy() -> impl Strategy<Value = LogOp> {
@@ -18,6 +22,7 @@ fn op_strategy() -> impl Strategy<Value = LogOp> {
         4 => proptest::collection::vec(any::<u8>(), 1..40).prop_map(LogOp::Append),
         2 => Just(LogOp::Sync),
         1 => Just(LogOp::Crash),
+        1 => (0u64..1_500).prop_map(LogOp::Truncate),
     ]
 }
 
@@ -30,6 +35,8 @@ proptest! {
         // The model: bytes we know to be durable, plus the pending tail.
         let mut durable: Vec<u8> = Vec::new();
         let mut pending: Vec<u8> = Vec::new();
+        // First byte the stream still holds; `durable[..start]` is freed.
+        let mut start = 0usize;
 
         for op in &ops {
             match op {
@@ -50,6 +57,14 @@ proptest! {
                     stream.crash();
                     pending.clear();
                 }
+                LogOp::Truncate(at) => {
+                    start = start.max((*at as usize).min(durable.len()));
+                    prop_assert_eq!(
+                        stream.truncate_below(Lsn(*at)).0 as usize,
+                        start,
+                        "a cut frees up to the durable watermark, never back"
+                    );
+                }
             }
             // Invariants after every step:
             prop_assert_eq!(stream.durable_lsn().0 as usize, durable.len());
@@ -57,11 +72,22 @@ proptest! {
                 stream.end_lsn().0 as usize,
                 durable.len() + pending.len()
             );
-            let chunk = stream.read_chunk(Lsn::ZERO, usize::MAX);
+            prop_assert_eq!(stream.start_lsn().0 as usize, start);
+            prop_assert!(stream.start_lsn() <= stream.checkpoint());
+            prop_assert!(stream.checkpoint() <= stream.durable_lsn());
+            let chunk = stream.read_chunk(Lsn(start as u64), usize::MAX).unwrap();
+            prop_assert_eq!(chunk.start.0 as usize, start, "LSN stays the offset");
             prop_assert_eq!(
-                &chunk.data, &durable,
+                &chunk.data[..], &durable[start..],
                 "durable reads must be byte-exact"
             );
+            if start > 0 {
+                let below = Lsn(start as u64 - 1);
+                prop_assert_eq!(
+                    stream.read_chunk(below, usize::MAX).unwrap_err(),
+                    PmpError::LogTruncated { requested: below, start: Lsn(start as u64) }
+                );
+            }
         }
     }
 
@@ -83,7 +109,7 @@ proptest! {
         let mut reassembled = Vec::new();
         let mut pos = Lsn::ZERO;
         loop {
-            let chunk = stream.read_chunk(pos, chunk_size);
+            let chunk = stream.read_chunk(pos, chunk_size).unwrap();
             if chunk.is_empty() {
                 break;
             }
@@ -105,7 +131,7 @@ proptest! {
             if sync_first {
                 stream.sync();
                 let durable = stream.durable_lsn();
-                stream.set_checkpoint(durable);
+                stream.set_checkpoint(durable, 0);
                 best = best.max(durable.0);
             }
             prop_assert_eq!(stream.checkpoint().0, best, "monotone checkpoint");
