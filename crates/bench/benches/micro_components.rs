@@ -62,10 +62,10 @@ fn bench_tit(c: &mut Criterion) {
 }
 
 fn bench_plock(c: &mut Criterion) {
-    use pmp_engine::plock_local::{LocalPLocks, NegotiationHandler};
+    use pmp_engine::plock_local::LocalPLocks;
     let fusion = Arc::new(PLockFusion::new(realistic_repl()));
     let lazy = LocalPLocks::new(NodeId(1), Arc::clone(&fusion), true, Duration::from_secs(1));
-    fusion.register_node(NodeId(1), NegotiationHandler::new(Arc::clone(&lazy)));
+    fusion.register_node(NodeId(1), Arc::clone(&lazy));
     // Prime: hold once so re-grants are local.
     drop(lazy.acquire(PageId(1), PLockMode::X).unwrap());
     c.bench_function("plock/local lazy re-grant", |b| {
@@ -78,7 +78,7 @@ fn bench_plock(c: &mut Criterion) {
         false,
         Duration::from_secs(1),
     );
-    fusion.register_node(NodeId(2), NegotiationHandler::new(Arc::clone(&eager)));
+    fusion.register_node(NodeId(2), Arc::clone(&eager));
     c.bench_function("plock/fusion acquire+release (RPC)", |b| {
         b.iter(|| drop(eager.acquire(PageId(2), PLockMode::S).unwrap()))
     });

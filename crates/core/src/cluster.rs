@@ -279,7 +279,7 @@ impl Cluster {
                         wakes: sc.wakes.get(),
                         inline_runs: sc.inline_runs.get(),
                         timer_fires: sc.timer_fires.get(),
-                        blocking_jobs: sc.blocking_jobs.get(),
+                        blocking_jobs: 0,
                         tasks: sc.tasks.get(),
                         tasks_hwm: sc.tasks.hwm(),
                     },

@@ -115,6 +115,8 @@ pub struct SchedulerSection {
     pub wakes: u64,
     pub inline_runs: u64,
     pub timer_fires: u64,
+    /// Always 0: the scheduler has no helper pool since PR 23. Kept because
+    /// the benchmark's layer table reads it by name.
     pub blocking_jobs: u64,
     /// Live actor tasks and their high-water mark.
     pub tasks: u64,

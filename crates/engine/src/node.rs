@@ -28,7 +28,7 @@ use pmp_rdma::Locality;
 use crate::cts_cache::{CtsCache, MinActiveTable};
 use crate::lbp::{Frame, Lbp, LoadTicket, Lookup};
 use crate::page::Page;
-use crate::plock_local::{LocalPLocks, NegotiationHandler, PLockGuard, ReleaseHook};
+use crate::plock_local::{LocalPLocks, PLockGuard, ReleaseHook};
 use crate::scheduler::{self, Waiter};
 use crate::shared::Shared;
 use crate::tso_client::TsoClient;
@@ -222,10 +222,7 @@ impl NodeEngine {
             cfg.lazy_plock_release,
             Duration::from_millis(cfg.lock_wait_timeout_ms),
         );
-        shared
-            .pmfs
-            .plock
-            .register_node(node, NegotiationHandler::new(Arc::clone(&plocks)));
+        shared.pmfs.plock.register_node(node, Arc::clone(&plocks));
 
         let wal = Wal::new_with_compression(
             shared.storage.redo_stream(node),
@@ -649,10 +646,11 @@ impl NodeEngine {
                 ),
             });
         }
-        let trx_id = TrxId(self.next_trx.fetch_add(1, Ordering::Relaxed)); // lint: allow(relaxed-atomic): monotonic transaction-id allocator
-                                                                           // Slot exhaustion: wait on the TIT free-list condvar (woken by every
-                                                                           // release) instead of polling — a freed slot is picked up
-                                                                           // immediately rather than after a fixed poll interval.
+        // lint: allow(relaxed-atomic): monotonic transaction-id allocator
+        let trx_id = TrxId(self.next_trx.fetch_add(1, Ordering::Relaxed));
+        // Slot exhaustion: wait on the TIT free-list condvar (woken by every
+        // release) instead of polling — a freed slot is picked up
+        // immediately rather than after a fixed poll interval.
         let (slot, version) = self
             .tit
             .allocate_timeout(Duration::from_millis(self.cfg.lock_wait_timeout_ms))

@@ -15,9 +15,10 @@
 //! [`ReleaseHook`] — as soon as the reference count drains.
 //!
 //! Waiting is the scheduler's one wait path ([`Waiter`]): an acquirer that
-//! must wait registers its waker on the shard under the shard lock and
-//! suspends — a task parks, a thread blocks — and every state change fires
-//! the shard's wakers. There is one `acquire`, and one wake channel.
+//! must wait — for a local hold to drain, for another acquirer's Lock Fusion
+//! call, or for Lock Fusion's grant — registers its waker on the shard under
+//! the shard lock and suspends (a task parks, a thread blocks), and every
+//! state change, a grant landing included, fires the shard's wakers.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -25,7 +26,7 @@ use std::time::Duration;
 
 use pmp_common::sync::{sched_point, LockClass, TrackedMutex, TrackedMutexGuard};
 use pmp_common::{Counter, NodeId, PageId, PmpError, Result};
-use pmp_pmfs::{PLockFusion, PLockMode, ReleaseRequester};
+use pmp_pmfs::{Cancel, PLockFusion, PLockMode, PendingGrant, ReleaseRequester};
 
 use crate::scheduler::{self, Waiter, Waker};
 
@@ -38,28 +39,20 @@ const LOCAL_ENTRIES: LockClass = LockClass::new("engine.plock_local.entries");
 const LOCAL_HOOK: LockClass = LockClass::new("engine.plock_local.hook");
 
 /// Number of table shards. Power of two so the hash can mask; mirrors the
-/// LBP's sharding so a hot page's PLock chatter and frame traffic land on
-/// independent locks from unrelated pages'.
+/// LBP's sharding, so a hot page's PLock chatter misses unrelated pages'.
 const SHARD_COUNT: usize = 16;
-
-/// Fibonacci multiplier spreads (often sequential) page ids across shards.
-const HASH_MULT: u64 = 0x9E37_79B9_7F4A_7C15;
-
-#[inline]
-fn shard_index(page: PageId) -> usize {
-    (page.0.wrapping_mul(HASH_MULT) >> 32) as usize & (SHARD_COUNT - 1)
-}
 
 /// One shard: its own entry map and waker list, so waiters for one page
 /// never contend with or get woken by unrelated pages that hash elsewhere.
-type LockShard = TrackedMutex<ShardState>;
-
 #[derive(Default)]
 struct ShardState {
     entries: HashMap<PageId, Entry>,
     /// Acquirers suspended on this shard; drained and fired at every state
     /// change. Spurious wakes are fine — a woken acquirer re-checks.
     wakers: Vec<Waker>,
+    /// Bumped by `crash_clear`: whoever finds it changed across a Lock
+    /// Fusion call lost its entry to the crash, whatever is there by now.
+    epoch: u64,
 }
 
 /// Wake everything suspended on the shard. The wakers must fire with the
@@ -81,19 +74,36 @@ pub trait ReleaseHook: Send + Sync {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EntryState {
-    /// A fusion acquire is in flight on some thread.
+    /// Not usable: being asked for, queued at Lock Fusion (`pending`), or
+    /// being handed back.
     Acquiring,
     /// Lock held from fusion's perspective.
     Held,
 }
 
-#[derive(Debug)]
 struct Entry {
     state: EntryState,
     mode: PLockMode,
     refcount: u32,
     /// Lock Fusion asked us to give this lock back; no local re-grants.
     negotiation_pending: bool,
+    /// The request Lock Fusion queued for this `Acquiring` entry, kept where
+    /// whoever looks next — the requester's re-run, another acquirer, a
+    /// negotiation — finds it.
+    pending: Option<PendingGrant>,
+}
+
+impl Entry {
+    /// A grant that has landed makes the entry a hold nobody references yet;
+    /// `true` for the call that notices.
+    fn settle(&mut self) -> bool {
+        let granted = self.pending.as_ref().is_some_and(PendingGrant::is_granted);
+        if granted {
+            self.pending = None;
+            self.state = EntryState::Held;
+        }
+        granted
+    }
 }
 
 #[derive(Debug, Default)]
@@ -108,7 +118,7 @@ pub struct LocalPLockStats {
 pub struct LocalPLocks {
     node: NodeId,
     fusion: Arc<PLockFusion>,
-    shards: Box<[LockShard]>,
+    shards: Box<[TrackedMutex<ShardState>]>,
     hook: TrackedMutex<Option<Arc<dyn ReleaseHook>>>,
     /// Lazy release enabled (ablation switch, §4.3.1).
     lazy: bool,
@@ -116,26 +126,18 @@ pub struct LocalPLocks {
     stats: LocalPLockStats,
 }
 
-impl std::fmt::Debug for LocalPLocks {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LocalPLocks")
-            .field("node", &self.node)
-            .field("lazy", &self.lazy)
-            .field("stats", &self.stats)
-            .finish_non_exhaustive()
-    }
-}
-
 /// RAII guard for one reference on a held PLock.
 pub struct PLockGuard<'a> {
     owner: &'a LocalPLocks,
     page: PageId,
     pub mode: PLockMode,
+    /// The shard's epoch at the grant: a crash voids the reference.
+    epoch: u64,
 }
 
 impl Drop for PLockGuard<'_> {
     fn drop(&mut self) {
-        self.owner.unref(self.page);
+        self.owner.unref(self.page, self.epoch);
     }
 }
 
@@ -155,9 +157,10 @@ impl LocalPLocks {
         })
     }
 
-    #[inline]
-    fn shard(&self, page: PageId) -> &LockShard {
-        &self.shards[shard_index(page)]
+    /// Fibonacci hashing spreads (often sequential) page ids across shards.
+    fn shard(&self, page: PageId) -> &TrackedMutex<ShardState> {
+        let hash = page.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+        &self.shards[hash as usize & (SHARD_COUNT - 1)]
     }
 
     pub fn set_hook(&self, hook: Arc<dyn ReleaseHook>) {
@@ -171,18 +174,11 @@ impl LocalPLocks {
     /// Acquire `mode` on `page`. Returns a guard whose drop decrements the
     /// reference count.
     ///
-    /// An acquirer that has to wait — for another local acquirer's fusion
-    /// call, or for references on a hold it cannot share to drain —
-    /// registers its waker on the shard and suspends: a task returns
-    /// [`PmpError::WouldBlock`] and its statement is re-run by the wake.
-    /// Registration happens under the shard lock and every state change
-    /// fires the wakers taken under that same lock, so a wake can't be
-    /// missed: whatever changes after we registered wakes us, and whatever
-    /// changed before is visible to the re-check. The lock-wait deadline is
-    /// fixed at the first suspend — a thread keeps it on its stack, a task's
-    /// parker keeps it across statement re-runs — and a task's suspend arms
-    /// it as a timer, which backstops wakes lost to crashes.
-    ///
+    /// An acquirer that has to wait (module docs) registers its waker under
+    /// the shard lock, the lock every state change takes the wakers under,
+    /// and suspends: a task returns [`PmpError::WouldBlock`] and its statement
+    /// is re-run by the wake. The lock-wait deadline is fixed at the first
+    /// suspend — on a thread's stack, in a task's parker across re-runs.
     /// Eager release (the §4.3.1 ablation) always suspends as a thread: it
     /// keeps no hold at zero references for a re-run to pick up.
     pub fn acquire(self: &Arc<Self>, page: PageId, mode: PLockMode) -> Result<PLockGuard<'_>> {
@@ -207,56 +203,69 @@ impl LocalPLocks {
         let shard = self.shard(page);
         let mut st = shard.lock();
         let mut deadline = None; // asked for at the first wait
+        let mut asked = false; // Lock Fusion granted our own request just now
         loop {
-            match st.entries.get_mut(&page) {
-                None => {
-                    // Become the acquirer.
-                    st.entries.insert(
-                        page,
-                        Entry {
-                            state: EntryState::Acquiring,
-                            mode,
-                            refcount: 0,
-                            negotiation_pending: false,
-                        },
-                    );
-                    drop(st);
-                    self.stats.fusion_acquires.inc();
-                    return self.ask_fusion(waiter, page, mode);
-                }
-                Some(entry) if entry.state == EntryState::Held => {
-                    let can_local = entry.mode.covers(mode)
-                        && !entry.negotiation_pending
-                        && (self.lazy || entry.refcount > 0);
-                    if can_local {
-                        entry.refcount += 1;
+            let Some(entry) = st.entries.get_mut(&page) else {
+                (st, asked) = self.ask_fusion(st, page, mode)?;
+                continue;
+            };
+            // `fresh`: this pass found the grant landed, and takes the hold's
+            // first reference whatever a negotiation asked meanwhile — grants
+            // handed back unused would pass the lock to and fro.
+            let fresh = std::mem::take(&mut asked) | entry.settle();
+            if entry.state == EntryState::Held {
+                let regrant = !entry.negotiation_pending && (self.lazy || entry.refcount > 0);
+                if entry.mode.covers(mode) && (fresh || regrant) {
+                    entry.refcount += 1;
+                    let epoch = st.epoch;
+                    if fresh {
+                        notify_shard(st);
+                    } else {
                         self.stats.local_grants.inc();
-                        return Ok(PLockGuard {
-                            owner: self.as_ref(),
-                            page,
-                            mode,
-                        });
                     }
-                    // Either a negotiation forbids local grants, or we need
-                    // a stronger mode: the entry has to drain and go back,
-                    // then we retry through fusion (FIFO fairness, §4.3.1).
-                    if entry.refcount == 0 {
-                        // Drain it ourselves: the hook force and the
-                        // release RPC are bounded (no peer waits).
-                        entry.state = EntryState::Acquiring; // block others
-                        drop(st);
-                        self.hand_back(page);
-                        st = shard.lock();
-                        continue;
-                    }
+                    return Ok(PLockGuard {
+                        owner: self.as_ref(),
+                        page,
+                        mode,
+                        epoch,
+                    });
                 }
-                // Someone is talking to fusion; wait for the verdict.
-                Some(_) => {}
+                // Either a negotiation forbids local grants, or we need
+                // a stronger mode: the entry has to drain and go back,
+                // then we retry through fusion (FIFO fairness, §4.3.1).
+                // Unreferenced, we drain it ourselves: the hook force and
+                // the release RPC are bounded (no peer waits).
+                if entry.refcount == 0 {
+                    self.hand_back(st, page);
+                    st = shard.lock();
+                    continue;
+                }
             }
+            // References to drain, or a request in flight or queued at Lock
+            // Fusion: wait for the shard to change.
             let deadline =
                 *deadline.get_or_insert_with(|| waiter.lock_wait_deadline(page.0, self.timeout));
             if scheduler::passed(deadline) {
-                return Err(PmpError::LockWaitTimeout);
+                // The first waiter out withdraws the queued request, if
+                // there is one; the entry is its own while it does.
+                let Some(pending) = entry.pending.take() else {
+                    return Err(PmpError::LockWaitTimeout);
+                };
+                let epoch = st.epoch;
+                drop(st);
+                let outcome = self.fusion.cancel(&pending);
+                st = shard.lock();
+                if st.epoch != epoch {
+                    return Err(self.crashed(page, outcome == Cancel::AlreadyGranted));
+                }
+                if outcome == Cancel::Cancelled {
+                    st.entries.remove(&page);
+                    notify_shard(st);
+                    return Err(PmpError::LockWaitTimeout);
+                }
+                // The grant won the race: the next pass settles it.
+                st.entries.get_mut(&page).expect("ours").pending = Some(pending);
+                continue;
             }
             st.wakers.push(waiter.waker());
             sched_point("plock.wait.registered");
@@ -266,92 +275,74 @@ impl LocalPLocks {
         }
     }
 
-    /// Ask Lock Fusion for the `Acquiring` entry's lock and install the
-    /// verdict. The RPC and the negotiation are bounded, and the usual
-    /// answer is a grant — at once, or handed back by an idle holder inside
-    /// the negotiation. Only a holder with the page pinned makes the wait
-    /// last as long as a peer likes, and Lock Fusion's grant cell takes no
-    /// waker: the one place the two waiters differ. A thread waits for the
-    /// cell in place; a task leaves that to the scheduler's helper pool,
-    /// which installs the verdict as a lazily retained hold (the woken
-    /// statement re-grants locally) or fails the task's wait.
-    fn ask_fusion(
-        self: &Arc<Self>,
-        waiter: &Waiter,
+    /// Become `page`'s acquirer: insert the `Acquiring` entry, ask Lock
+    /// Fusion with the shard lock dropped, and record the answer in the
+    /// entry — `Held` (`true`), or the queued request. The RPC and the
+    /// negotiation are bounded and usually end in a grant; only a holder with
+    /// the page pinned leaves the request queued. Its waker is "notify this
+    /// shard", registered under the shard lock the request is stored and the
+    /// caller's own waker then registered under: the grant is one more change
+    /// of the shard to wait for, and cannot be missed.
+    fn ask_fusion<'a>(
+        self: &'a Arc<Self>,
+        mut st: TrackedMutexGuard<'a, ShardState>,
         page: PageId,
         mode: PLockMode,
-    ) -> Result<PLockGuard<'_>> {
+    ) -> Result<(TrackedMutexGuard<'a, ShardState>, bool)> {
+        let epoch = st.epoch;
+        st.entries.insert(
+            page,
+            Entry {
+                state: EntryState::Acquiring,
+                mode,
+                refcount: 0,
+                negotiation_pending: false,
+                pending: None,
+            },
+        );
+        drop(st);
+        self.stats.fusion_acquires.inc();
         // Parking is disabled around the request: a negotiated holder runs
         // its release hook (log force, DBP push) on this thread, and that
         // must not suspend *our* task.
         let pending =
             scheduler::with_parking_disabled(|| self.fusion.request(self.node, page, mode));
-        let verdict = match (pending, waiter) {
-            (None, _) => Ok(()),
-            (Some(p), Waiter::Task(parker)) if !p.is_granted() => {
-                let this = Arc::clone(self);
-                let waker = waiter.waker();
-                parker.spawn_blocking(Box::new(move || {
-                    let res = this.fusion.wait_grant(p, this.timeout);
-                    match this.install_grant(page, mode, res) {
-                        Ok(retained) => {
-                            drop(retained);
-                            waker.wake()
-                        }
-                        Err(e) => waker.fail(e),
-                    }
-                }));
-                // Guaranteed wake from the pool job (`wait_grant` has its
-                // own timeout) — no deadline needed.
-                return Err(PmpError::WouldBlock);
-            }
-            // Landed inside the negotiation (`wait_grant` only does the
-            // bookkeeping), or ours to wait out.
-            (Some(p), _) => self.fusion.wait_grant(p, self.timeout),
-        };
-        self.install_grant(page, mode, verdict)
+        let mut st = self.shard(page).lock();
+        if st.epoch != epoch {
+            drop(st);
+            let holds = |p| self.fusion.cancel(&p) == Cancel::AlreadyGranted;
+            return Err(self.crashed(page, pending.is_none_or(holds)));
+        }
+        let granted = pending.as_ref().is_none_or(|p| {
+            let locks = Arc::clone(self);
+            p.poll(Box::new(move || notify_shard(locks.shard(page).lock())))
+        });
+        let entry = st.entries.get_mut(&page).expect("its acquirer's");
+        if granted {
+            entry.state = EntryState::Held;
+        } else {
+            entry.pending = pending;
+        }
+        Ok((st, granted))
     }
 
-    /// The acquirer's last step: turn Lock Fusion's verdict for the
-    /// `Acquiring` entry into a guard (`Held`, one reference) or remove the
-    /// entry, and wake the shard either way.
-    fn install_grant(
-        &self,
-        page: PageId,
-        mode: PLockMode,
-        res: Result<()>,
-    ) -> Result<PLockGuard<'_>> {
-        let mut st = self.shard(page).lock();
-        if let Err(e) = res {
-            st.entries.remove(&page);
-            notify_shard(st);
-            return Err(e);
-        }
-        let Some(e) = st.entries.get_mut(&page) else {
-            // `crash_clear` wiped the table while the fusion call was in
-            // flight: the node crashed under us. Hand the surprise grant
-            // straight back so fusion doesn't record a hold no local entry
-            // tracks (recovery's release_all may already have run), and
-            // fail the caller.
-            drop(st);
+    /// `crash_clear` wiped the table under a Lock Fusion call. A grant the
+    /// call came back with goes straight back, so fusion records no hold
+    /// that no entry tracks (recovery's `release_all` may already have run).
+    fn crashed(&self, page: PageId, granted: bool) -> PmpError {
+        if granted {
             self.fusion.release(self.node, page);
-            return Err(PmpError::NodeUnavailable { node: self.node });
-        };
-        e.state = EntryState::Held;
-        e.mode = mode;
-        e.refcount = 1;
-        notify_shard(st);
-        Ok(PLockGuard {
-            owner: self,
-            page,
-            mode,
-        })
+        }
+        PmpError::NodeUnavailable { node: self.node }
     }
 
     /// Drop one reference; if it was the last and a negotiation is pending
     /// (or lazy release is disabled), hand the lock back to Lock Fusion.
-    fn unref(&self, page: PageId) {
+    fn unref(&self, page: PageId, epoch: u64) {
         let mut st = self.shard(page).lock();
+        if st.epoch != epoch {
+            return; // granted before a crash: whatever entry is here is not ours
+        }
         let Some(entry) = st.entries.get_mut(&page) else {
             return;
         };
@@ -364,35 +355,37 @@ impl LocalPLocks {
         let must_release = entry.negotiation_pending || !self.lazy;
         if !must_release {
             // Lazy retention keeps the lock, but a local acquirer that needs
-            // a *stronger* mode than the held one waits for exactly this
-            // refcount-to-zero edge so it can hand the entry back and retry
-            // through fusion. Without a notify here that waiter sleeps until
-            // its lock-wait deadline and surfaces a spurious timeout.
+            // a *stronger* mode waits for exactly this refcount-to-zero edge
+            // to hand the entry back and retry through fusion: without the
+            // notify it sleeps to its deadline and times out spuriously.
             notify_shard(st);
             return;
         }
         if !self.lazy {
             self.stats.eager_releases.inc();
         }
-        entry.state = EntryState::Acquiring; // block local grants while we release
-        drop(st);
-        self.hand_back(page);
+        self.hand_back(st, page);
     }
 
-    /// Push-then-release: run the engine hook (log force + DBP push for
-    /// dirty pages), tell fusion, drop the local entry. Wakes the shard —
-    /// a removed entry is exactly what suspended acquirers wait for.
-    ///
+    /// Push-then-release an unreferenced hold: mark it `Acquiring` (no local
+    /// grants meanwhile), run the engine hook (log force + DBP push for dirty
+    /// pages), tell fusion, drop the entry if it is still ours, and wake the
+    /// shard — a removed entry is exactly what suspended acquirers wait for.
     /// Runs from guard drops and negotiation handlers, which cannot unwind
     /// and be re-run: the hook's log force suspends as a thread.
-    fn hand_back(&self, page: PageId) {
+    fn hand_back(&self, mut st: TrackedMutexGuard<'_, ShardState>, page: PageId) {
+        st.entries.get_mut(&page).expect("caller's").state = EntryState::Acquiring;
+        let epoch = st.epoch;
+        drop(st);
         let hook = self.hook.lock().clone();
         if let Some(hook) = &hook {
             scheduler::with_parking_disabled(|| hook.before_release(page));
         }
         self.fusion.release(self.node, page);
         let mut st = self.shard(page).lock();
-        st.entries.remove(&page);
+        if st.epoch == epoch {
+            st.entries.remove(&page);
+        }
         notify_shard(st);
     }
 
@@ -411,22 +404,22 @@ impl LocalPLocks {
     pub fn release_idle(&self) {
         for shard in self.shards.iter() {
             // Mark every idle entry Acquiring in one pass under the lock,
-            // then hand the whole set back through fusion's doorbell-batched
-            // release (one charged flush for the sweep) instead of paying a
-            // release RPC per page. A concurrent negotiation or crash_clear
-            // racing the marked entries is safe: fusion's release tolerates
-            // missing state and the entry remove below no-ops if gone.
-            let victims: Vec<PageId> = {
-                let mut st = shard.lock();
-                st.entries
-                    .iter_mut()
-                    .filter(|(_, e)| e.state == EntryState::Held && e.refcount == 0)
-                    .map(|(&page, entry)| {
-                        entry.state = EntryState::Acquiring; // block local grants
-                        page
-                    })
-                    .collect()
-            };
+            // then hand the set back through fusion's doorbell-batched release
+            // (one charged flush, not an RPC per page). A negotiation or
+            // crash_clear racing the marked entries is safe: fusion's release
+            // tolerates missing state and we remove only entries still ours.
+            let mut st = shard.lock();
+            let epoch = st.epoch;
+            let victims: Vec<PageId> = st
+                .entries
+                .iter_mut()
+                .filter(|(_, e)| e.state == EntryState::Held && e.refcount == 0)
+                .map(|(&page, entry)| {
+                    entry.state = EntryState::Acquiring; // block local grants
+                    page
+                })
+                .collect();
+            drop(st);
             if victims.is_empty() {
                 continue;
             }
@@ -438,8 +431,10 @@ impl LocalPLocks {
             }
             self.fusion.release_batch(self.node, &victims);
             let mut st = shard.lock();
-            for page in victims {
-                st.entries.remove(&page);
+            if st.epoch == epoch {
+                for page in &victims {
+                    st.entries.remove(page);
+                }
             }
             notify_shard(st);
         }
@@ -447,43 +442,41 @@ impl LocalPLocks {
 
     /// Drop all local state without telling fusion — crash simulation. The
     /// fusion-side locks stay frozen until recovery calls
-    /// `PLockFusion::release_all`.
+    /// `PLockFusion::release_all`; requests still queued there are withdrawn
+    /// (one granted first is a frozen hold like the others), and whoever is
+    /// suspended on a shard learns the node is gone.
     pub fn crash_clear(&self) {
         for shard in self.shards.iter() {
             let mut st = shard.lock();
-            st.entries.clear();
-            notify_shard(st);
+            st.epoch += 1;
+            let pendings: Vec<PendingGrant> =
+                st.entries.drain().filter_map(|(_, e)| e.pending).collect();
+            let wakers = std::mem::take(&mut st.wakers);
+            drop(st);
+            for w in wakers {
+                w.fail(PmpError::NodeUnavailable { node: self.node });
+            }
+            for pending in &pendings {
+                let _ = self.fusion.cancel(pending);
+            }
         }
     }
 }
 
-/// The fusion-facing negotiation handler. Separate struct so the engine can
-/// register it while `LocalPLocks` stays behind a plain `Arc`.
-pub struct NegotiationHandler {
-    locks: Arc<LocalPLocks>,
-}
-
-impl NegotiationHandler {
-    pub fn new(locks: Arc<LocalPLocks>) -> Arc<Self> {
-        Arc::new(NegotiationHandler { locks })
-    }
-}
-
-impl ReleaseRequester for NegotiationHandler {
+/// Lock Fusion's negotiation message: "give `page` back once it drains".
+impl ReleaseRequester for LocalPLocks {
     fn request_release(&self, page: PageId, _wanted: PLockMode) {
-        let locks = &self.locks;
-        let mut st = locks.shard(page).lock();
+        let mut st = self.shard(page).lock();
         let Some(entry) = st.entries.get_mut(&page) else {
             return; // already gone
         };
         // While `Acquiring` we don't actually hold it yet; fusion races are
-        // benign.
+        // benign. A grant that landed and nobody picked up is an idle hold.
         entry.negotiation_pending = true;
+        entry.settle();
         if entry.state == EntryState::Held && entry.refcount == 0 {
-            locks.stats.negotiated_releases.inc();
-            entry.state = EntryState::Acquiring;
-            drop(st);
-            locks.hand_back(page);
+            self.stats.negotiated_releases.inc();
+            self.hand_back(st, page);
         }
         // refcount > 0: the final unref will hand it back.
     }
@@ -510,8 +503,8 @@ mod tests {
         )));
         let a = LocalPLocks::new(NodeId(1), Arc::clone(&fusion), lazy, timeout);
         let b = LocalPLocks::new(NodeId(2), Arc::clone(&fusion), lazy, Duration::from_secs(5));
-        fusion.register_node(NodeId(1), NegotiationHandler::new(Arc::clone(&a)));
-        fusion.register_node(NodeId(2), NegotiationHandler::new(Arc::clone(&b)));
+        fusion.register_node(NodeId(1), Arc::clone(&a));
+        fusion.register_node(NodeId(2), Arc::clone(&b));
         (fusion, a, b)
     }
 
@@ -775,9 +768,9 @@ mod tests {
 
         assert_eq!(t.runs.load(Ordering::SeqCst), 1, "one run, no re-run");
         let st = sched.stats();
-        assert_eq!(st.blocking_jobs.get(), 0, "no grant was outstanding");
-        assert_eq!(st.parks.get(), 0);
+        assert_eq!(st.parks.get(), 0, "no grant was outstanding");
         assert_eq!(st.timer_fires.get(), 0);
+        assert_eq!(sched.pending_timers(), 0, "and no deadline was armed");
         // The guards were dropped: both locks are idle, retained holds.
         drop(a.acquire(free, PLockMode::X).unwrap());
         drop(a.acquire(retained, PLockMode::S).unwrap());
@@ -794,25 +787,28 @@ mod tests {
         let t = AcquireTask::spawn(&sched, &a, None, p, PLockMode::X);
         t.wait_parked_after(1);
         let st = sched.stats();
-        assert_eq!(
-            st.blocking_jobs.get(),
-            1,
-            "the outstanding grant waits on the pool"
-        );
-        assert_eq!(st.parks.get(), 1);
+        assert_eq!(st.parks.get(), 1, "the outstanding grant holds no thread");
+        assert_eq!(sched.pending_timers(), 1, "only its lock-wait deadline");
         assert_eq!(fusion.queue_len(p), 1);
+        assert!(a.is_retained(p), "the request waits in the Acquiring entry");
         assert!(t.outcome.lock().is_none());
 
         drop(pin); // last reference: the pending negotiation hands the lock over
         assert_eq!(t.wait_outcome(), Ok(PLockMode::X));
         assert_eq!(t.runs.load(Ordering::SeqCst), 2, "parked once, woken once");
-        assert_eq!(st.blocking_jobs.get(), 1);
+        assert_eq!(st.parks.get(), 1);
+        assert_eq!(
+            st.timer_fires.get(),
+            0,
+            "woken by the grant, not the deadline"
+        );
+        assert_eq!(fusion.stats().queued_grants.get(), 1);
         assert_eq!(fusion.queue_len(p), 0);
         assert_eq!(fusion.holders(p), vec![(NodeId(1), PLockMode::X)]);
     }
 
     #[test]
-    fn async_acquire_times_out_on_the_pool_and_leaves_no_queue_entry() {
+    fn async_acquire_times_out_on_its_own_deadline_and_leaves_no_queue_entry() {
         let (fusion, a, b) = setup_with_timeout(true, Duration::from_millis(50));
         let sched = Scheduler::new(1);
         let p = PageId(23);
@@ -820,6 +816,12 @@ mod tests {
 
         let t = AcquireTask::spawn(&sched, &a, None, p, PLockMode::S);
         assert_eq!(t.wait_outcome(), Err(PmpError::LockWaitTimeout));
+        assert_eq!(
+            t.runs.load(Ordering::SeqCst),
+            2,
+            "parked, then the deadline"
+        );
+        assert_eq!(sched.stats().timer_fires.get(), 1);
         assert_eq!(fusion.stats().timeouts.get(), 1);
         assert_eq!(fusion.queue_len(p), 0);
         assert_eq!(a.held_count(), 0, "the Acquiring entry is gone");
@@ -846,16 +848,24 @@ mod tests {
             t.wait_outcome(),
             Err(PmpError::NodeUnavailable { node: NodeId(1) })
         );
-        assert_eq!(sched.stats().blocking_jobs.get(), 0);
+        assert_eq!(
+            t.runs.load(Ordering::SeqCst),
+            1,
+            "failed inside the request"
+        );
+        assert_eq!(sched.stats().parks.get(), 0);
         assert_eq!(a.held_count(), 0);
         assert!(fusion.holders(p).is_empty(), "the surprise grant went back");
 
-        // Outstanding grant: the crash lands while the pool waits.
+        // Outstanding grant: the crash lands while the task is parked, and
+        // withdraws the request with the entry that carried it.
         let (fusion, a, b) = setup(true);
         let pin = b.acquire(p, PLockMode::X).unwrap();
         let t = AcquireTask::spawn(&sched, &a, None, p, PLockMode::X);
         t.wait_parked_after(1);
+        assert_eq!(fusion.queue_len(p), 1);
         a.crash_clear();
+        assert_eq!(fusion.queue_len(p), 0);
         drop(pin);
         assert_eq!(
             t.wait_outcome(),
@@ -864,6 +874,73 @@ mod tests {
         assert_eq!(a.held_count(), 0);
         assert!(fusion.holders(p).is_empty());
         assert_eq!(fusion.queue_len(p), 0);
+    }
+
+    /// Every outstanding grant has its own deadline: nothing queues for a
+    /// helper thread, so the ninth waiter times out when the first does.
+    #[test]
+    fn nine_parked_acquires_all_time_out_within_one_timeout() {
+        let timeout = Duration::from_millis(400);
+        let (fusion, a, b) = setup_with_timeout(true, timeout);
+        let sched = Scheduler::new(1);
+        let pages: Vec<PageId> = (40..49).map(PageId).collect();
+        let _pins: Vec<_> = pages
+            .iter()
+            .map(|&p| b.acquire(p, PLockMode::X).unwrap())
+            .collect();
+
+        let asked = Instant::now();
+        let tasks: Vec<AcquireTask> = pages
+            .iter()
+            .map(|&p| AcquireTask::spawn(&sched, &a, None, p, PLockMode::X))
+            .collect();
+        for t in &tasks {
+            assert_eq!(t.wait_outcome(), Err(PmpError::LockWaitTimeout));
+        }
+        let took = asked.elapsed();
+        assert!(took >= timeout, "timed out early: {took:?}");
+        assert!(
+            took < timeout * 7 / 4,
+            "a waiter's deadline started late: all nine took {took:?}"
+        );
+        assert_eq!(fusion.stats().timeouts.get(), 9);
+        assert_eq!(a.held_count(), 0);
+        assert!(pages.iter().all(|&p| fusion.queue_len(p) == 0));
+    }
+
+    /// A statement's re-run need not come back for the lock it parked on
+    /// (the tree changed under it). The grant still lands in the entry, and
+    /// the next negotiation finds it there: an idle hold, handed back.
+    #[test]
+    fn a_grant_nobody_comes_back_for_is_negotiated_away() {
+        let (fusion, a, b) = setup(true);
+        let sched = Scheduler::new(1);
+        let p = PageId(50);
+        let pin = b.acquire(p, PLockMode::X).unwrap();
+
+        let runs = Arc::new(AtomicUsize::new(0));
+        let (locks, r) = (Arc::clone(&a), Arc::clone(&runs));
+        let parker = sched.spawn(Box::new(move || {
+            if r.fetch_add(1, Ordering::SeqCst) > 0 {
+                return StepResult::Done; // the re-run went elsewhere
+            }
+            let res = locks.acquire(p, PLockMode::X).map(|g| g.mode);
+            assert_eq!(res, Err(PmpError::WouldBlock));
+            StepResult::Parked
+        }));
+        eventually("task never parked", || parker.is_parked());
+        drop(pin);
+        eventually("re-run never finished", || sched.stats().tasks.get() == 0);
+        assert_eq!(fusion.holders(p), vec![(NodeId(1), PLockMode::X)]);
+        assert!(a.is_retained(p));
+
+        drop(
+            b.acquire(p, PLockMode::X)
+                .expect("the orphan grant is handed back"),
+        );
+        assert_eq!(a.held_count(), 0);
+        assert_eq!(a.stats().negotiated_releases.get(), 1);
+        assert_eq!(fusion.holders(p), vec![(NodeId(2), PLockMode::X)]);
     }
 
     #[test]

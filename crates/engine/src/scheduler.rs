@@ -76,7 +76,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
-// lint: allow(raw-instant): deadline timers are scheduler infrastructure, not modelled latency
 use std::time::{Duration, Instant};
 
 use pmp_common::sync::{sched_point, LockClass, TrackedCondvar, TrackedMutex};
@@ -88,17 +87,12 @@ const SCHED_QUEUE: LockClass = LockClass::new("sched.queue");
 const SCHED_PARKER: LockClass = LockClass::new("sched.parker");
 /// Armed deadline timers.
 const SCHED_TIMER: LockClass = LockClass::new("sched.timer");
-/// Helper pool for unbounded blocking waits (outstanding PLock grants).
-const SCHED_BLOCKING: LockClass = LockClass::new("sched.blocking");
 /// A blocked thread's wake flag (leaf: nothing is acquired under it).
 const SCHED_WAITER: LockClass = LockClass::new("sched.waiter");
 
 const RUNNING: u8 = 0;
 const PARKED: u8 = 1;
 const NOTIFIED: u8 = 2;
-
-/// Upper bound on lazily-spawned helper threads for [`Parker::spawn_blocking`].
-const BLOCKING_POOL_CAP: usize = 8;
 
 /// Outcome of one step of a task's state machine.
 pub enum StepResult {
@@ -361,9 +355,6 @@ pub struct SchedStats {
     pub inline_runs: Counter,
     /// Deadline timers that fired.
     pub timer_fires: Counter,
-    /// Jobs handed to the blocking helper pool: PLock grants that were
-    /// still outstanding after the Lock Fusion request returned.
-    pub blocking_jobs: Counter,
     /// Live tasks (spawned and not yet `Done`); the HWM is the
     /// open-continuations ceiling the acceptance test asserts on.
     pub tasks: Gauge,
@@ -391,22 +382,11 @@ struct RunQueue {
 /// address: re-arming a task's deadline for the same instant is a no-op.
 type Timers = BTreeMap<(Instant, usize), Arc<Parker>>;
 
-type Job = Box<dyn FnOnce() + Send>;
-
-#[derive(Default)]
-struct BlockingPool {
-    queue: VecDeque<Job>,
-    threads: usize,
-    idle: usize,
-}
-
 struct SchedInner {
     queue: TrackedMutex<RunQueue>,
     cv: TrackedCondvar,
     timers: TrackedMutex<Timers>,
     timer_cv: TrackedCondvar,
-    blocking: TrackedMutex<BlockingPool>,
-    blocking_cv: TrackedCondvar,
     stats: SchedStats,
     stopped: AtomicBool,
 }
@@ -520,12 +500,10 @@ impl Parker {
                 sched_point("sched.park-deadline.stop-window");
                 let mut t = s.timers.lock();
                 // Re-check under the timer lock: `stop` may have flagged,
-                // woken the timer thread, and joined it between the load
-                // above and this acquisition. An entry pushed now would
-                // land in a map nobody drains and the backstop would never
-                // fire (modelled by crates/model/tests/parker_timer.rs).
-                // `stop` also drains the map after the join, so an entry
-                // pushed before its drain is still fired.
+                // woken and joined the timer thread since the load above,
+                // and an entry pushed now would sit in a map nobody drains
+                // (crates/model/tests/parker_timer.rs). `stop` drains the map
+                // once more after the join, so one pushed before is fired.
                 if !s.stopped.load(Ordering::Acquire) {
                     let key = (at, Arc::as_ptr(self) as usize);
                     let armed = t.insert(key, Arc::clone(self)).is_none();
@@ -549,17 +527,6 @@ impl Parker {
     /// the deadline the task is suspended on?
     fn deadline_due(&self, at: Instant) -> bool {
         self.slot.lock().deadline == Some(at)
-    }
-
-    /// Route a wait that may last as long as a peer keeps a page pinned (an
-    /// outstanding PLock grant) to the helper pool, so it occupies neither
-    /// a scheduler worker nor a waiting client. Falls back to running the
-    /// job on the calling thread when the scheduler stopped.
-    pub fn spawn_blocking(&self, job: Job) {
-        match self.sched.upgrade() {
-            Some(s) => s.spawn_blocking(job),
-            None => job(),
-        }
     }
 }
 
@@ -704,62 +671,10 @@ impl SchedInner {
             }
         }
     }
-
-    fn spawn_blocking(self: &Arc<Self>, job: Job) {
-        if self.stopped.load(Ordering::Acquire) {
-            job();
-            return;
-        }
-        self.stats.blocking_jobs.inc();
-        let spawn_helper = {
-            let mut b = self.blocking.lock();
-            b.queue.push_back(job);
-            let need = b.idle == 0 && b.threads < BLOCKING_POOL_CAP;
-            if need {
-                b.threads += 1;
-            }
-            need
-        };
-        self.blocking_cv.notify_one();
-        if spawn_helper {
-            let inner = Arc::clone(self);
-            // Helper threads are joined by `Scheduler::stop` via the pool
-            // bookkeeping; detach the handle.
-            std::thread::spawn(move || inner.blocking_loop());
-        }
-    }
-
-    fn blocking_loop(self: &Arc<Self>) {
-        loop {
-            let job = {
-                let mut b = self.blocking.lock();
-                loop {
-                    if let Some(j) = b.queue.pop_front() {
-                        break Some(j);
-                    }
-                    if self.stopped.load(Ordering::Acquire) {
-                        b.threads -= 1;
-                        break None;
-                    }
-                    b.idle += 1;
-                    // lint: allow(blocking-wait-in-scheduler): idle helper threads park on the job condvar
-                    self.blocking_cv.wait(&mut b);
-                    b.idle -= 1;
-                }
-            };
-            match job {
-                Some(j) => j(),
-                None => {
-                    self.blocking_cv.notify_all();
-                    return;
-                }
-            }
-        }
-    }
 }
 
-/// The per-node scheduler: a small worker pool, a deadline-timer thread and
-/// a lazily-grown helper pool for outstanding PLock grants.
+/// The per-node scheduler: a small worker pool and a deadline-timer thread,
+/// all started by [`Scheduler::new`].
 pub struct Scheduler {
     inner: Arc<SchedInner>,
     threads: TrackedMutex<Vec<JoinHandle<()>>>,
@@ -780,8 +695,6 @@ impl Scheduler {
             cv: TrackedCondvar::new(),
             timers: TrackedMutex::new(SCHED_TIMER, Timers::new()),
             timer_cv: TrackedCondvar::new(),
-            blocking: TrackedMutex::new(SCHED_BLOCKING, BlockingPool::default()),
-            blocking_cv: TrackedCondvar::new(),
             stats: SchedStats::default(),
             stopped: AtomicBool::new(false),
         });
@@ -826,18 +739,15 @@ impl Scheduler {
     /// their blocking fallbacks, so it terminates). Idempotent.
     pub fn stop(&self) {
         self.inner.stopped.store(true, Ordering::Release);
-        // Each waiter reads `stopped` under its mutex and then waits on the
+        // Each thread reads `stopped` under its mutex and then waits on the
         // condvar paired with it. Passing through that mutex between the
-        // store and the notify means a waiter either sees the flag or is
-        // already inside `wait` when the notify lands; notifying without it
-        // can fall between the waiter's check and its wait, and the waiter
-        // (and the join below) then sleeps forever.
+        // store and the notify means it either sees the flag or is already
+        // inside `wait` when the notify lands; a notify without it can fall
+        // between the check and the wait, and the join below never returns.
         drop(self.inner.queue.lock());
         self.inner.cv.notify_all();
         drop(self.inner.timers.lock());
         self.inner.timer_cv.notify_all();
-        drop(self.inner.blocking.lock());
-        self.inner.blocking_cv.notify_all();
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.threads.lock());
         for h in handles {
             let _ = h.join();
@@ -853,24 +763,10 @@ impl Scheduler {
             self.inner.stats.timer_fires.inc();
             p.wake();
         }
-        // Wait for lazily-spawned helper threads to finish their (bounded)
-        // jobs and exit.
-        {
-            let mut b = self.inner.blocking.lock();
-            while b.threads > 0 {
-                // lint: allow(blocking-wait-in-scheduler): stop-path join of helper threads
-                self.inner.blocking_cv.wait(&mut b);
-            }
-        }
         // Drain tasks that were ready but never picked up.
-        loop {
-            let task = self.inner.queue.lock().tasks.pop_front();
-            match task {
-                Some(ReadyTask { parker, step }) => {
-                    SchedInner::run_inline(Some(&self.inner), &parker, step)
-                }
-                None => break,
-            }
+        let pop = || self.inner.queue.lock().tasks.pop_front();
+        while let Some(ReadyTask { parker, step }) = pop() {
+            SchedInner::run_inline(Some(&self.inner), &parker, step);
         }
     }
 }
@@ -1059,8 +955,11 @@ mod tests {
             r.lock().push(std::thread::current().id());
             StepResult::Parked
         }));
-        eventually("task never parked", || parker.is_parked());
         let stats = sched.stats();
+        // (The worker counts the park after publishing it.)
+        eventually("task never parked", || {
+            parker.is_parked() && stats.parks.get() == 1
+        });
         let (wakes, parks) = (stats.wakes.get(), stats.parks.get());
 
         parker.wake_inline();
@@ -1104,30 +1003,6 @@ mod tests {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || p.wake_inline()));
         assert!(unwound.is_err());
         assert!(current_parker().is_none());
-    }
-
-    #[test]
-    fn spawn_blocking_runs_jobs() {
-        let sched = Scheduler::new(1);
-        let done = Arc::new(AtomicUsize::new(0));
-        for _ in 0..16 {
-            let d = Arc::clone(&done);
-            sched.inner.spawn_blocking(Box::new(move || {
-                d.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while done.load(Ordering::SeqCst) < 16 {
-            assert!(Instant::now() < deadline, "blocking jobs stalled");
-            std::thread::yield_now();
-        }
-        sched.stop();
-        // After stop, jobs run inline on the caller.
-        let d = Arc::clone(&done);
-        sched.inner.spawn_blocking(Box::new(move || {
-            d.fetch_add(1, Ordering::SeqCst);
-        }));
-        assert_eq!(done.load(Ordering::SeqCst), 17);
     }
 
     #[test]
@@ -1208,8 +1083,8 @@ mod tests {
 
     #[test]
     fn stop_racing_thread_start_up_does_not_hang() {
-        // Regression for the lost wake-up in `stop`: a worker, the timer
-        // thread or a helper that had read `stopped == false` and not yet
+        // Regression for the lost wake-up in `stop`: a worker or the timer
+        // thread that had read `stopped == false` and not yet
         // entered its condvar wait missed a notify sent without the mutex,
         // and `stop` hung in `join`. The window is a few instructions wide
         // right after a thread starts, so sweep `stop` across start-up with
@@ -1218,10 +1093,6 @@ mod tests {
         let cycles = std::thread::spawn(move || {
             for round in 0..3_000u64 {
                 let sched = Scheduler::new(1);
-                if round % 3 == 0 {
-                    // Bring a helper thread into the race too.
-                    sched.inner.spawn_blocking(Box::new(|| {}));
-                }
                 // 0–200 µs, scattered: a prime stride walks the whole range.
                 let delay = Duration::from_nanos(round * 7_919 % 200_000);
                 let t = Instant::now();

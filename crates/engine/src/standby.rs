@@ -227,8 +227,7 @@ impl Standby {
                 .source
                 .storage
                 .page_store()
-                // lint: allow(direct-page-read): cross-region basebackup fetch outside any node's io ring
-                .read(rec.page)?
+                .read(rec.page)? // lint: allow(direct-page-read): cross-region basebackup fetch outside any node's io ring
                 .ok_or_else(|| {
                     PmpError::internal(format!("standby missing base image for {}", rec.page))
                 })?;

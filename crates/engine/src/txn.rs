@@ -100,7 +100,7 @@ enum CommitStage {
 /// Fusion signals, and when the wait gives up.
 struct RowWait {
     holder: GlobalTrxId,
-    cell: Arc<WaitCell>,
+    cell: Arc<WaitCell<WaitOutcome>>,
     deadline: Option<Instant>,
 }
 
@@ -779,7 +779,6 @@ impl Txn {
 
                     if engine.cfg.cts_backfill {
                         self.backfill_cts(cts);
-                        // lint: allow(raw-instant): commit-stage latency metering (histograms)
                         engine.stats.commit_backfill_ns.record(t3.elapsed());
                     }
 
@@ -867,7 +866,7 @@ impl Txn {
         let engine = Arc::clone(&self.engine);
         let gid = self.gid;
         if let Some(wait) = self.row_wait.take() {
-            // Abandoned mid-wait: take the edge out of the wait-for graph.
+            // Dropped mid-wait: take the edge out of the wait-for graph.
             engine.shared.pmfs.rlock.cancel_wait(gid, wait.holder);
         }
         for &ptr in self.undo_all.iter().rev() {

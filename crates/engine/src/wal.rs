@@ -571,7 +571,6 @@ mod tests {
             return;
         }
         if w.empty_streak.load(Ordering::Relaxed) >= EMPTY_WINDOW_LIMIT {
-            // lint: allow(relaxed-atomic): adaptive group-commit heuristic; a stale read costs one extra empty window
             // The burst's serialized tail re-tripped the streak with lone
             // commits *after* the last rider (common on one CPU): the
             // window is legitimately disabled again, so there is nothing

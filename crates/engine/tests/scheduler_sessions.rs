@@ -1,7 +1,7 @@
 //! Async-session / scheduler integration tests: the open-transaction
 //! ceiling on a tiny worker pool, overlap under a single polling client,
-//! cross-node PLock conflicts (granted inline vs parked on the helper
-//! pool), and the min-active-snapshot version-store GC.
+//! cross-node PLock conflicts (granted inline vs parked until the grant),
+//! and the min-active-snapshot version-store GC.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -89,11 +89,12 @@ fn hammer_256_sessions_on_two_workers_holds_all_open() {
 /// inside the Lock Fusion negotiation, on the requesting thread: the
 /// statement gets its guard without the grant ever being outstanding.
 #[test]
-fn idle_remote_plock_is_negotiated_away_without_the_helper_pool() {
+fn idle_remote_plock_is_negotiated_away_inside_the_request() {
     let mut config = ClusterConfig::test(2);
     config.engine.lazy_plock_release = true;
     let (shared, engines) = cluster_with(config);
-    let t = shared.create_table("t", 1, &[]).unwrap().id;
+    let meta = shared.create_table("t", 1, &[]).unwrap();
+    let t = meta.id;
 
     // Node 0 writes the row and commits; lazy mode keeps its X PLock.
     let mut holder = engines[0].begin().unwrap();
@@ -116,16 +117,17 @@ fn idle_remote_plock_is_negotiated_away_without_the_helper_pool() {
         negotiations > 0,
         "the conflicting update must have negotiated the lazy lock away"
     );
-    assert_eq!(
-        engines[1].sched.stats().blocking_jobs.get(),
-        0,
-        "no grant was outstanding, so nothing goes to the helper pool"
-    );
+    // No grant was outstanding when the request returned: node 0 runs no
+    // thread that could have granted it later, so an outstanding one would
+    // have waited out its deadline instead.
+    assert_eq!(shared.pmfs.plock.stats().timeouts.get(), 0);
+    assert_eq!(shared.pmfs.plock.queue_len(meta.root), 0);
+    assert_eq!(engines[1].sched.stats().timer_fires.get(), 0);
 }
 
 /// A transaction whose PLock is pinned on another node parks — holding no
-/// thread — with the outstanding grant on the helper pool, and wakes when
-/// the holder's last reference drains.
+/// thread, its request queued at Lock Fusion — and wakes when the holder's
+/// last reference drains.
 #[test]
 fn txn_parked_on_pinned_remote_plock_wakes_on_release() {
     let mut config = ClusterConfig::test(2);
@@ -146,7 +148,7 @@ fn txn_parked_on_pinned_remote_plock_wakes_on_release() {
     let update = s.update(t, 1, v(20));
     let sched = engines[1].sched.stats();
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while !(update.is_ready() || sched.blocking_jobs.get() == 1) {
+    while !(update.is_ready() || shared.pmfs.plock.queue_len(meta.root) == 1) {
         assert!(std::time::Instant::now() < deadline, "update never parked");
         std::thread::yield_now();
     }
@@ -155,16 +157,62 @@ fn txn_parked_on_pinned_remote_plock_wakes_on_release() {
         "the update resolved while node 0 still pinned the page"
     );
     assert_eq!(shared.pmfs.plock.queue_len(meta.root), 1);
+    let runs = || sched.parks.get() + sched.inline_runs.get();
+    let parked = runs();
 
     drop(pin);
     update.wait().unwrap();
     s.commit().wait().unwrap();
     s.close().wait().unwrap();
-    assert_eq!(sched.blocking_jobs.get(), 1);
+    assert_eq!(shared.pmfs.plock.queue_len(meta.root), 0);
+    assert_eq!(shared.pmfs.plock.stats().timeouts.get(), 0);
+    assert_eq!(sched.timer_fires.get(), 0, "woken by the grant");
+    assert!(runs() > parked, "the grant re-ran the parked update");
 
     let mut check = engines[0].begin().unwrap();
     assert_eq!(check.get(t, 1).unwrap(), Some(v(20)));
     check.commit().unwrap();
+}
+
+/// A crash with a transaction parked behind a page another node keeps pinned
+/// stops the scheduler at once: no thread is waiting out the grant, so
+/// nothing has to be joined. The parked statement resolves with the crash,
+/// and its request leaves Lock Fusion's queue with the table that carried it.
+#[test]
+fn crash_with_a_txn_parked_on_a_pinned_remote_plock_stops_at_once() {
+    let mut config = ClusterConfig::test(2);
+    config.engine.lazy_plock_release = true;
+    let timeout = Duration::from_millis(config.engine.lock_wait_timeout_ms);
+    let (shared, engines) = cluster_with(config);
+    let meta = shared.create_table("t", 1, &[]).unwrap();
+    let t = meta.id;
+    let mut holder = engines[0].begin().unwrap();
+    holder.insert(t, 1, v(10)).unwrap();
+    holder.commit().unwrap();
+    let _pin = engines[0].plocks.acquire(meta.root, PLockMode::X).unwrap();
+
+    let s = AsyncSession::open(&engines[1]);
+    s.begin().wait().unwrap();
+    let update = s.update(t, 1, v(20));
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !(update.is_ready() || shared.pmfs.plock.queue_len(meta.root) == 1) {
+        assert!(std::time::Instant::now() < deadline, "update never parked");
+        std::thread::yield_now();
+    }
+    assert!(!update.is_ready());
+
+    let crashed = std::time::Instant::now();
+    engines[1].crash();
+    let took = crashed.elapsed();
+    assert!(
+        took < timeout / 4,
+        "the crash waited on the outstanding grant: {took:?} of a {timeout:?} lock wait"
+    );
+    assert_eq!(
+        update.wait(),
+        Err(PmpError::NodeUnavailable { node: NodeId(1) })
+    );
+    assert_eq!(shared.pmfs.plock.queue_len(meta.root), 0);
 }
 
 /// The pipelined guard: one client thread drives 64 connections with

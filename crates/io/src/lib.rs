@@ -1233,7 +1233,6 @@ mod tests {
             ids.push(id);
         }
         let ring = IoRing::new(Arc::clone(&st), IoRingConfig::default());
-        // lint: allow(raw-instant): wall-clock check of simulated overlap
         let t0 = std::time::Instant::now();
         ring.submit_all(ids.iter().map(|id| (SqeOp::ReadPage(*id), id.0)).collect())
             .unwrap();
@@ -1316,7 +1315,6 @@ mod tests {
                 },
             );
             let rounds = 200;
-            // lint: allow(raw-instant): throughput probe
             let t0 = std::time::Instant::now();
             for r in 0..rounds {
                 let ops: Vec<_> = (0..depth)

@@ -36,7 +36,7 @@
 
 use pmp_common::sync::{LockClass, TrackedCondvar, TrackedMutex};
 use pmp_common::{LatencyConfig, NodeId, PageId};
-use pmp_engine::plock_local::{LocalPLocks, NegotiationHandler};
+use pmp_engine::plock_local::LocalPLocks;
 use pmp_model::{
     render_trace, replay, sched_point, spawn, Explorer, Failure, Mode, DEFAULT_MAX_STEPS,
 };
@@ -69,7 +69,7 @@ fn real_scenario() {
     // deadlock, not as a timeout that happens to paper over it.
     let node = |id: u16| {
         let locks = LocalPLocks::new(NodeId(id), Arc::clone(&fusion), true, Duration::MAX);
-        fusion.register_node(NodeId(id), NegotiationHandler::new(Arc::clone(&locks)));
+        fusion.register_node(NodeId(id), Arc::clone(&locks));
         locks
     };
     let (a, b) = (node(1), node(2));

@@ -28,18 +28,20 @@ pub mod rlock;
 pub mod tit;
 pub mod tso;
 pub mod txn_fusion;
+pub mod wait_cell;
 
 use std::sync::Arc;
 
 use pmp_repl::ReplicatedFabric;
 
 pub use buffer::{BufferFusion, BufferFusionStats, PageSource};
-pub use plock::{PLockFusion, PLockMode, PendingGrant, ReleaseRequester};
+pub use plock::{Cancel, PLockFusion, PLockMode, PendingGrant, ReleaseRequester};
 pub use pmp_repl::{ReplBatch, ReplCell, ReplSnapshot, ReplStats};
-pub use rlock::{RLockFusion, WaitCell, WaitOutcome};
+pub use rlock::{RLockFusion, WaitOutcome};
 pub use tit::{SlotSnapshot, TitRegion};
 pub use tso::Tso;
 pub use txn_fusion::TxnFusion;
+pub use wait_cell::{WaitCell, WakeFn};
 
 /// The assembled fusion server, generic over the page payload `P` stored in
 /// the distributed buffer pool.

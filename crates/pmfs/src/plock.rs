@@ -10,17 +10,17 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use pmp_common::sync::{LockClass, TrackedCondvar, TrackedMutex, TrackedRwLock};
+use pmp_common::sync::{LockClass, TrackedMutex, TrackedRwLock};
 use pmp_common::{Counter, NodeId, PageId, PmpError, Result};
 use pmp_repl::ReplicatedFabric;
 
-/// Lock-table shard maps. Ordered before `pmfs.plock.grant_cell` (FIFO
-/// grants signal cells under the shard lock).
+use crate::wait_cell::{WaitCell, WakeFn};
+
+/// Lock-table shard maps. Ordered before `pmfs.wait_cell`: a grant is
+/// recorded in its cell under the shard lock.
 const PLOCK_SHARD: LockClass = LockClass::new("pmfs.plock.shard");
-/// Per-waiting-request grant cells.
-const GRANT_CELL: LockClass = LockClass::new("pmfs.plock.grant_cell");
 /// The node → negotiation-handler directory.
 const REQUESTERS: LockClass = LockClass::new("pmfs.plock.requesters");
 
@@ -50,77 +50,40 @@ pub trait ReleaseRequester: Send + Sync {
     fn request_release(&self, page: PageId, wanted: PLockMode);
 }
 
-#[derive(Debug)]
-enum GrantState {
-    Waiting,
-    Granted,
-    Abandoned,
-}
-
-#[derive(Debug)]
-struct GrantCell {
-    state: TrackedMutex<GrantState>,
-    cv: TrackedCondvar,
-}
-
-impl GrantCell {
-    fn new() -> Arc<Self> {
-        Arc::new(GrantCell {
-            state: TrackedMutex::new(GRANT_CELL, GrantState::Waiting),
-            cv: TrackedCondvar::new(),
-        })
-    }
-
-    fn grant(&self) {
-        *self.state.lock() = GrantState::Granted;
-        self.cv.notify_all();
-    }
-
-    /// Wait until granted or `timeout`. Returns true when granted.
-    fn wait(&self, timeout: Duration) -> bool {
-        let mut st = self.state.lock();
-        loop {
-            match *st {
-                GrantState::Granted => return true,
-                GrantState::Abandoned => return false,
-                GrantState::Waiting => {}
-            }
-            if self.cv.wait_for(&mut st, timeout).timed_out() {
-                // Lost the race check: a grant may have slipped in.
-                if matches!(*st, GrantState::Granted) {
-                    return true;
-                }
-                *st = GrantState::Abandoned;
-                return false;
-            }
-        }
-    }
-}
-
-#[derive(Debug)]
 struct WaitingReq {
     node: NodeId,
     mode: PLockMode,
-    cell: Arc<GrantCell>,
+    cell: Arc<WaitCell<()>>,
 }
 
-/// A request [`PLockFusion::request`] left in the FIFO queue: the handle
-/// [`PLockFusion::wait_grant`] blocks on.
-#[derive(Debug)]
+/// A request [`PLockFusion::request`] left in the FIFO queue: the grant
+/// lands in its cell, unless [`PLockFusion::cancel`] comes first.
 pub struct PendingGrant {
-    node: NodeId,
     page: PageId,
-    cell: Arc<GrantCell>,
+    cell: Arc<WaitCell<()>>,
 }
 
 impl PendingGrant {
-    /// Whether the grant has landed, i.e. `wait_grant` would not block.
     pub fn is_granted(&self) -> bool {
-        matches!(*self.cell.state.lock(), GrantState::Granted)
+        self.cell.verdict().is_some()
+    }
+
+    /// Whether the grant has landed; if not, `waker` fires when it does.
+    pub fn poll(&self, waker: WakeFn) -> bool {
+        self.cell.poll(waker).is_some()
     }
 }
 
-#[derive(Debug, Default)]
+/// What [`PLockFusion::cancel`] found.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Cancel {
+    /// The request left the queue ungranted.
+    Cancelled,
+    /// The grant had landed first: the node holds the lock.
+    AlreadyGranted,
+}
+
+#[derive(Default)]
 struct PLockState {
     /// Current holders. Invariant: either any number of distinct S holders,
     /// or exactly one X holder.
@@ -129,18 +92,21 @@ struct PLockState {
 }
 
 impl PLockState {
-    fn holder_mode(&self, node: NodeId) -> Option<PLockMode> {
-        self.holders
-            .iter()
-            .find(|(n, _)| *n == node)
-            .map(|(_, m)| *m)
-    }
-
     /// Can `node` be granted `mode` given current holders (ignoring queue)?
     fn grantable(&self, node: NodeId, mode: PLockMode) -> bool {
         self.holders
             .iter()
             .all(|(n, m)| *n == node || m.compatible(mode))
+    }
+
+    /// The holders `node` must negotiate with to be granted `mode`.
+    fn conflicting(&self, node: NodeId, mode: PLockMode) -> Vec<NodeId> {
+        let blocks = |(n, m): &(NodeId, PLockMode)| *n != node && !m.compatible(mode);
+        self.holders
+            .iter()
+            .filter(|h| blocks(h))
+            .map(|h| h.0)
+            .collect()
     }
 
     fn add_holder(&mut self, node: NodeId, mode: PLockMode) {
@@ -158,13 +124,22 @@ impl PLockState {
 /// Lock Fusion meters.
 #[derive(Debug, Default)]
 pub struct PLockStats {
+    /// Requests. Once none is outstanding, `acquires == immediate_grants +
+    /// queued_grants + timeouts`.
     pub acquires: Counter,
     pub immediate_grants: Counter,
+    /// Requests granted from the FIFO queue, counted at the grant.
     pub queued_grants: Counter,
     pub negotiations: Counter,
     pub releases: Counter,
+    /// Requests that left the queue ungranted ([`PLockFusion::cancel`],
+    /// [`PLockFusion::release_all`]): a deadline passed, a requester crashed.
     pub timeouts: Counter,
 }
+
+/// What is left to do with the shard lock dropped: the granted requests'
+/// wakers to fire, the queue head's blockers to nudge.
+type FollowUp = (Vec<WakeFn>, Option<(PLockMode, Vec<NodeId>)>);
 
 const SHARDS: usize = 64;
 
@@ -206,7 +181,7 @@ impl PLockFusion {
     }
 
     /// Register the node-side negotiation handler (engine local manager).
-    pub fn register_node(&self, node: NodeId, handler: Arc<dyn ReleaseRequester>) {
+    pub fn register_node(&self, node: NodeId, handler: Arc<impl ReleaseRequester + 'static>) {
         self.requesters.write().insert(node, handler);
     }
 
@@ -221,14 +196,14 @@ impl PLockFusion {
         &self.shards[(page.0 as usize) & (SHARDS - 1)]
     }
 
-    /// Acquire `mode` on `page` for `node`, blocking up to `timeout`:
-    /// [`request`](Self::request), then [`wait_grant`](Self::wait_grant) if
-    /// the grant is still outstanding.
-    ///
-    /// The node-side cache guarantees at most one in-flight fusion request
-    /// per (node, page), and that a node only re-requests a lock it still
-    /// holds when a negotiation forbade local re-granting — in which case
-    /// FIFO queueing provides the fairness the paper requires.
+    /// Acquire `mode` on `page` for `node`, blocking the calling thread up
+    /// to `timeout` — for callers that have no scheduler (the baselines'
+    /// lock cache, tests): [`request`](Self::request), park until the grant
+    /// lands or the time is up, then [`cancel`](Self::cancel). The engine
+    /// drives the same calls through its own wait path. The node-side cache
+    /// guarantees at most one in-flight request per (node, page), and that
+    /// a node only re-requests a lock it still holds when a negotiation
+    /// forbade local re-granting — FIFO queueing is then the paper's fairness.
     pub fn acquire(
         &self,
         node: NodeId,
@@ -236,9 +211,24 @@ impl PLockFusion {
         mode: PLockMode,
         timeout: Duration,
     ) -> Result<()> {
-        match self.request(node, page, mode) {
-            None => Ok(()),
-            Some(pending) => self.wait_grant(pending, timeout),
+        let Some(pending) = self.request(node, page, mode) else {
+            return Ok(());
+        };
+        // lint: allow(raw-instant): the lock-wait timeout of a caller that has no scheduler is real time
+        let asked = Instant::now();
+        loop {
+            let me = std::thread::current();
+            if pending.poll(Box::new(move || me.unpark())) {
+                return Ok(());
+            }
+            match timeout.checked_sub(asked.elapsed()) {
+                Some(left) if !left.is_zero() => std::thread::park_timeout(left),
+                _ => break,
+            }
+        }
+        match self.cancel(&pending) {
+            Cancel::AlreadyGranted => Ok(()),
+            Cancel::Cancelled => Err(PmpError::LockWaitTimeout),
         }
     }
 
@@ -246,10 +236,9 @@ impl PLockFusion {
     /// an immediate grant (`None`) or a FIFO queue entry plus negotiation
     /// messages to the conflicting holders. Bounded — it never waits for a
     /// peer to drain. The returned [`PendingGrant`] may already be granted
-    /// (an idle holder hands the lock back inside the negotiation); either
-    /// way it must be passed to [`wait_grant`](Self::wait_grant), which is
-    /// what removes the queue entry if the grant never comes.
-    #[must_use = "a pending grant left unwaited leaks its FIFO queue entry"]
+    /// (an idle holder hands the lock back inside the negotiation). A
+    /// requester that stops waiting must [`cancel`](Self::cancel) it.
+    #[must_use = "a pending grant that is neither granted nor cancelled leaks its FIFO queue entry"]
     pub fn request(&self, node: NodeId, page: PageId, mode: PLockMode) -> Option<PendingGrant> {
         self.stats.acquires.inc();
         self.repl.rpc(32, || ());
@@ -260,15 +249,8 @@ impl PLockFusion {
             let mut shard = self.shard(page).lock();
             let state = shard.entry(page).or_default();
 
-            // Already holding a covering lock (e.g. re-request after a
-            // negotiation that was resolved before we got here).
-            if let Some(held) = state.holder_mode(node) {
-                if held.covers(mode) && state.queue.is_empty() {
-                    self.stats.immediate_grants.inc();
-                    return None;
-                }
-            }
-
+            // (Also a node re-requesting a lock it still holds, e.g. after a
+            // negotiation that was resolved before it got here.)
             if state.queue.is_empty() && state.grantable(node, mode) {
                 state.add_holder(node, mode);
                 self.stats.immediate_grants.inc();
@@ -276,51 +258,43 @@ impl PLockFusion {
             }
 
             // Conflict: enqueue FIFO and remember whom to negotiate with.
-            let cell = GrantCell::new();
+            let cell = WaitCell::new();
             state.queue.push_back(WaitingReq {
                 node,
                 mode,
                 cell: Arc::clone(&cell),
             });
-            let conflicting: Vec<NodeId> = state
-                .holders
-                .iter()
-                .filter(|(n, m)| *n != node && !m.compatible(mode))
-                .map(|(n, _)| *n)
-                .collect();
-            (cell, conflicting)
+            (cell, state.conflicting(node, mode))
         };
 
         // Send negotiation messages outside the shard lock: the handler may
         // release immediately, which re-enters this fusion.
         self.negotiate(page, mode, &conflicting);
-        Some(PendingGrant { node, page, cell })
+        Some(PendingGrant { page, cell })
     }
 
-    /// Block until `pending` is granted or `timeout` passes; on timeout the
-    /// request leaves the FIFO queue and whatever it was blocking is
-    /// granted. Returns at once when the grant already landed.
-    pub fn wait_grant(&self, pending: PendingGrant, timeout: Duration) -> Result<()> {
-        let PendingGrant { node, page, cell } = pending;
-        if cell.wait(timeout) {
-            self.stats.queued_grants.inc();
-            return Ok(());
-        }
-
-        // Timed out: remove our queue entry if it is still there.
-        self.stats.timeouts.inc();
-        let mut shard = self.shard(page).lock();
-        if let Some(state) = shard.get_mut(&page) {
-            state
-                .queue
-                .retain(|req| !(req.node == node && Arc::ptr_eq(&req.cell, &cell)));
-            // Our abandoned slot may have been blocking grantable requests.
-            Self::grant_from_queue(&self.stats, state);
-            if state.holders.is_empty() && state.queue.is_empty() {
-                shard.remove(&page);
+    /// Withdraw a queued request whose requester stopped waiting (deadline,
+    /// crash). Decided under the shard lock, like the grant: either the
+    /// request leaves the queue ungranted — and whatever it was blocking is
+    /// granted — or the node holds the lock.
+    pub fn cancel(&self, pending: &PendingGrant) -> Cancel {
+        let PendingGrant { page, cell } = pending;
+        let page = *page;
+        let follow_up = {
+            let mut shard = self.shard(page).lock();
+            if cell.verdict().is_some() {
+                return Cancel::AlreadyGranted;
             }
-        }
-        Err(PmpError::LockWaitTimeout)
+            if let Some(state) = shard.get_mut(&page) {
+                let queued = state.queue.len();
+                state.queue.retain(|req| !Arc::ptr_eq(&req.cell, cell));
+                let withdrawn = queued - state.queue.len();
+                self.stats.timeouts.add(withdrawn as u64);
+            }
+            Self::regrant(&self.stats, &mut shard, page)
+        };
+        self.follow_up(page, follow_up);
+        Cancel::Cancelled
     }
 
     fn negotiate(&self, page: PageId, wanted: PLockMode, holders: &[NodeId]) {
@@ -328,9 +302,8 @@ impl PLockFusion {
             return;
         }
         // Snapshot the handlers and drop the directory lock before
-        // messaging: the nudge charges fabric latency, and the handler may
-        // re-enter this fusion (an instant release takes a shard lock) —
-        // neither may happen under the requesters lock.
+        // messaging: the nudge charges fabric latency and the handler may
+        // re-enter this fusion, neither of which may happen under it.
         let handlers: Vec<Arc<dyn ReleaseRequester>> = {
             let requesters = self.requesters.read();
             holders
@@ -338,9 +311,8 @@ impl PLockFusion {
                 .filter_map(|n| requesters.get(n).cloned())
                 .collect()
         };
-        // Fusion → node nudges: one-way messages, no reply needed. All of
-        // them post through one doorbell batch (one charged round trip),
-        // then the handlers run with the charge already paid.
+        // Fusion → node nudges: one-way messages through one doorbell batch
+        // (one charged round trip); the handlers run with the charge paid.
         let mut batch = self.repl.batch();
         for _ in &handlers {
             self.stats.negotiations.inc();
@@ -382,51 +354,65 @@ impl PLockFusion {
     }
 
     fn release_inner(&self, node: NodeId, page: PageId) {
-        let pending = {
+        let follow_up = {
             let mut shard = self.shard(page).lock();
-            let Some(state) = shard.get_mut(&page) else {
-                return;
-            };
-            state.holders.retain(|(n, _)| *n != node);
-            Self::grant_from_queue(&self.stats, state);
-            let pending = Self::pending_negotiations(state);
-            if state.holders.is_empty() && state.queue.is_empty() {
-                shard.remove(&page);
+            if let Some(state) = shard.get_mut(&page) {
+                state.holders.retain(|(n, _)| *n != node);
             }
-            pending
+            Self::regrant(&self.stats, &mut shard, page)
         };
-        if let Some((wanted, holders)) = pending {
-            self.negotiate(page, wanted, &holders);
-        }
+        self.follow_up(page, follow_up);
     }
 
-    /// Release every lock `node` holds (post-recovery, or decommission).
-    /// Returns the pages that were released.
+    /// Forget `node` (post-recovery, or decommission): release every lock it
+    /// holds, drop every request it left queued, and grant what either was
+    /// blocking. Returns the pages whose lock was released.
     pub fn release_all(&self, node: NodeId) -> Vec<PageId> {
         let mut released = Vec::new();
         for shard in &self.shards {
             let mut shard = shard.lock();
-            let pages: Vec<PageId> = shard
-                .iter()
-                .filter(|(_, st)| st.holder_mode(node).is_some())
-                .map(|(p, _)| *p)
-                .collect();
-            for page in pages {
-                let state = shard.get_mut(&page).expect("listed above");
+            let mut touched = Vec::new();
+            for (&page, state) in shard.iter_mut() {
+                let before = (state.holders.len(), state.queue.len());
                 state.holders.retain(|(n, _)| *n != node);
-                Self::grant_from_queue(&self.stats, state);
-                if state.holders.is_empty() && state.queue.is_empty() {
-                    shard.remove(&page);
+                state.queue.retain(|req| req.node != node);
+                self.stats
+                    .timeouts
+                    .add((before.1 - state.queue.len()) as u64);
+                if state.holders.len() != before.0 {
+                    released.push(page);
                 }
-                released.push(page);
+                if (state.holders.len(), state.queue.len()) != before {
+                    touched.push(page);
+                }
+            }
+            let follow_ups: Vec<(PageId, FollowUp)> = touched
+                .into_iter()
+                .map(|page| (page, Self::regrant(&self.stats, &mut shard, page)))
+                .collect();
+            drop(shard);
+            for (page, follow_up) in follow_ups {
+                self.follow_up(page, follow_up);
             }
         }
         released
     }
 
-    /// Pop every queue-head request that is compatible with the current
-    /// holders, FIFO. Consecutive S requests are granted together.
-    fn grant_from_queue(stats: &PLockStats, state: &mut PLockState) {
+    /// `page`'s holders or queue changed: grant every queue-head request
+    /// compatible with the current holders, FIFO (consecutive S requests
+    /// together), and drop the page's state once empty. If the queue is
+    /// still blocked its head's conflicting holders need (another) nudge —
+    /// e.g. S holders blocking an X request that arrived while an unrelated
+    /// holder was releasing.
+    fn regrant(
+        stats: &PLockStats,
+        shard: &mut HashMap<PageId, PLockState>,
+        page: PageId,
+    ) -> FollowUp {
+        let Some(state) = shard.get_mut(&page) else {
+            return FollowUp::default();
+        };
+        let mut wakers = Vec::new();
         while let Some(head) = state.queue.front() {
             if !state.grantable(head.node, head.mode) {
                 break;
@@ -434,43 +420,38 @@ impl PLockFusion {
             let req = state.queue.pop_front().expect("front exists");
             state.add_holder(req.node, req.mode);
             stats.queued_grants.inc();
-            req.cell.grant();
+            wakers.extend(req.cell.set(()));
         }
+        let nudge = state
+            .queue
+            .front()
+            .map(|head| (head.mode, state.conflicting(head.node, head.mode)));
+        if state.holders.is_empty() && state.queue.is_empty() {
+            shard.remove(&page);
+        }
+        (wakers, nudge)
     }
 
-    /// If the queue is still blocked, the remaining holders need (another)
-    /// negotiation nudge — e.g. S holders blocking an X request that arrived
-    /// while an unrelated holder was releasing.
-    fn pending_negotiations(state: &PLockState) -> Option<(PLockMode, Vec<NodeId>)> {
-        let head = state.queue.front()?;
-        let conflicting: Vec<NodeId> = state
-            .holders
-            .iter()
-            .filter(|(n, m)| *n != head.node && !m.compatible(head.mode))
-            .map(|(n, _)| *n)
-            .collect();
-        if conflicting.is_empty() {
-            None
-        } else {
-            Some((head.mode, conflicting))
+    /// The wakers may run their waiters inline and the nudged holders may
+    /// release at once, re-entering this fusion: no lock is held here.
+    fn follow_up(&self, page: PageId, (wakers, nudge): FollowUp) {
+        for wake in wakers {
+            wake();
+        }
+        if let Some((wanted, holders)) = nudge {
+            self.negotiate(page, wanted, &holders);
         }
     }
 
     /// Test/diagnostic: current holders of a page.
     pub fn holders(&self, page: PageId) -> Vec<(NodeId, PLockMode)> {
-        self.shard(page)
-            .lock()
-            .get(&page)
-            .map(|s| s.holders.clone())
-            .unwrap_or_default()
+        let shard = self.shard(page).lock();
+        shard.get(&page).map_or(Vec::new(), |s| s.holders.clone())
     }
 
     pub fn queue_len(&self, page: PageId) -> usize {
-        self.shard(page)
-            .lock()
-            .get(&page)
-            .map(|s| s.queue.len())
-            .unwrap_or(0)
+        let shard = self.shard(page).lock();
+        shard.get(&page).map_or(0, |s| s.queue.len())
     }
 }
 
@@ -512,7 +493,7 @@ mod tests {
             node,
             nudges: AtomicUsize::new(0),
         });
-        fusion.register_node(node, Arc::clone(&h) as Arc<dyn ReleaseRequester>);
+        fusion.register_node(node, Arc::clone(&h));
         h
     }
 
@@ -691,7 +672,7 @@ mod tests {
             nudges: AtomicUsize::new(0),
             max_held: AtomicUsize::new(0),
         });
-        f.register_node(NodeId(1), Arc::clone(&probe) as Arc<dyn ReleaseRequester>);
+        f.register_node(NodeId(1), Arc::clone(&probe));
         f.acquire(NodeId(1), p, PLockMode::X, T).unwrap();
 
         // The probe never releases, so node 2 times out — but the nudge fires.
@@ -722,8 +703,8 @@ mod tests {
         f.release(NodeId(1), p);
         assert!(pending.is_granted(), "the release grants the queue head");
         assert_eq!(f.queue_len(p), 0, "a granted request has left the queue");
-        f.wait_grant(pending, Duration::ZERO)
-            .expect("an already-granted request does not wait");
+        assert_eq!(f.cancel(&pending), Cancel::AlreadyGranted);
+        assert_eq!(f.stats().timeouts.get(), 0, "nothing was withdrawn");
         assert_eq!(f.holders(p), vec![(NodeId(2), PLockMode::X)]);
     }
 
@@ -737,12 +718,12 @@ mod tests {
         let pending = f.request(NodeId(2), p, PLockMode::X).expect("conflict");
         assert_eq!(h1.nudges.load(Ordering::Relaxed), 1);
         assert!(pending.is_granted(), "node 1 released on the nudge");
-        f.wait_grant(pending, Duration::ZERO).unwrap();
+        assert!(pending.poll(Box::new(|| panic!("no waker is kept once granted"))));
         assert_eq!(f.holders(p), vec![(NodeId(2), PLockMode::X)]);
     }
 
     #[test]
-    fn wait_grant_timeout_leaves_the_queue_and_regrants_behind_it() {
+    fn cancel_leaves_the_queue_and_regrants_behind_it() {
         let f = fusion();
         let p = PageId(16);
         f.acquire(NodeId(1), p, PLockMode::S, T).unwrap();
@@ -750,14 +731,95 @@ mod tests {
         let x = f.request(NodeId(2), p, PLockMode::X).expect("conflict");
         let s = f.request(NodeId(3), p, PLockMode::S).expect("no barging");
         assert_eq!(f.queue_len(p), 2);
+        let woken = Arc::new(AtomicUsize::new(0));
+        let w = Arc::clone(&woken);
+        assert!(!s.poll(Box::new(move || {
+            w.fetch_add(1, Ordering::SeqCst);
+        })));
 
-        let err = f.wait_grant(x, Duration::from_millis(20)).unwrap_err();
-        assert_eq!(err, PmpError::LockWaitTimeout);
+        assert_eq!(f.cancel(&x), Cancel::Cancelled);
         assert_eq!(f.stats().timeouts.get(), 1);
-        assert_eq!(f.queue_len(p), 0, "the abandoned X no longer blocks the S");
+        assert_eq!(f.queue_len(p), 0, "the withdrawn X no longer blocks the S");
         assert!(s.is_granted());
-        f.wait_grant(s, Duration::ZERO).unwrap();
+        assert_eq!(woken.load(Ordering::SeqCst), 1, "the grant fired the waker");
         assert_eq!(f.holders(p).len(), 2);
+        assert_eq!(
+            f.cancel(&x),
+            Cancel::Cancelled,
+            "a request that is in no queue and was never granted stays withdrawn"
+        );
+        assert_eq!(f.stats().timeouts.get(), 1, "and is counted once");
+    }
+
+    /// Grant versus withdrawal is decided once, under the shard lock: a
+    /// request is either a holder or gone, never both and never neither.
+    #[test]
+    fn cancel_racing_the_release_is_a_grant_or_a_withdrawal_never_both() {
+        for round in 0..200u64 {
+            let f = fusion();
+            let p = PageId(100 + round);
+            f.acquire(NodeId(1), p, PLockMode::X, T).unwrap();
+            let pending = f.request(NodeId(2), p, PLockMode::X).expect("conflict");
+            let f2 = Arc::clone(&f);
+            let releaser = thread::spawn(move || f2.release(NodeId(1), p));
+            let outcome = f.cancel(&pending);
+            releaser.join().unwrap();
+            let holds = f.holders(p) == vec![(NodeId(2), PLockMode::X)];
+            assert_eq!(outcome == Cancel::AlreadyGranted, holds, "round {round}");
+            assert_eq!(pending.is_granted(), holds);
+            assert_eq!(f.queue_len(p), 0);
+        }
+    }
+
+    #[test]
+    fn every_request_is_counted_once() {
+        let f = fusion();
+        let (p, q) = (PageId(17), PageId(18));
+        let _h = instant(&f, NodeId(1));
+        f.acquire(NodeId(1), p, PLockMode::X, T).unwrap(); // immediate
+        f.acquire(NodeId(2), p, PLockMode::X, T).unwrap(); // queued, granted in the nudge
+        f.acquire(NodeId(3), q, PLockMode::X, T).unwrap(); // immediate
+        let f2 = Arc::clone(&f);
+        let waiter = thread::spawn(move || f2.acquire(NodeId(2), q, PLockMode::S, T));
+        while f.queue_len(q) == 0 {
+            thread::yield_now();
+        }
+        f.release(NodeId(3), q); // queued, granted by the release
+        waiter.join().unwrap().unwrap();
+        let err = f.acquire(NodeId(3), p, PLockMode::S, Duration::from_millis(20));
+        assert_eq!(err, Err(PmpError::LockWaitTimeout)); // queued, withdrawn
+
+        let st = f.stats();
+        assert_eq!(st.acquires.get(), 5);
+        assert_eq!(st.immediate_grants.get(), 2);
+        assert_eq!(st.queued_grants.get(), 2, "one per queued grant");
+        assert_eq!(st.timeouts.get(), 1);
+    }
+
+    #[test]
+    fn release_all_forgets_the_nodes_queued_requests() {
+        let f = fusion();
+        let p = PageId(19);
+        f.acquire(NodeId(1), p, PLockMode::S, T).unwrap();
+        // Node 2's X queues behind the S; node 3's S may not barge past it.
+        let dead = f.request(NodeId(2), p, PLockMode::X).expect("conflict");
+        let behind = f.request(NodeId(3), p, PLockMode::S).expect("no barging");
+        assert_eq!(f.queue_len(p), 2);
+
+        assert!(f.release_all(NodeId(2)).is_empty(), "node 2 held nothing");
+        assert_eq!(f.queue_len(p), 0, "the crashed node's request is gone");
+        assert!(behind.is_granted(), "what it was blocking is granted");
+        assert!(!dead.is_granted());
+        assert_eq!(f.holders(p).len(), 2);
+        // The dead node's own withdrawal, if it ever comes, finds nothing.
+        assert_eq!(f.cancel(&dead), Cancel::Cancelled);
+        assert_eq!(f.holders(p).len(), 2);
+        let st = f.stats();
+        assert_eq!(
+            st.immediate_grants.get() + st.queued_grants.get() + st.timeouts.get(),
+            st.acquires.get()
+        );
+        assert_eq!(st.timeouts.get(), 1);
     }
 
     #[test]

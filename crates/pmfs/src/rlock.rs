@@ -21,9 +21,8 @@ use pmp_common::sync::{LockClass, TrackedMutex};
 use pmp_common::{Counter, GlobalTrxId};
 use pmp_repl::ReplicatedFabric;
 
-/// Per-waiter cell state (a leaf: signalled and polled with no table lock
-/// held).
-const RLOCK_CELL: LockClass = LockClass::new("pmfs.rlock.wait_cell");
+use crate::wait_cell::WaitCell;
+
 /// holder → waiters table.
 const RLOCK_WAITS: LockClass = LockClass::new("pmfs.rlock.waits");
 /// waiter → holder wait-for edges.
@@ -38,58 +37,9 @@ pub enum WaitOutcome {
     Victim,
 }
 
-#[derive(Default)]
-struct CellState {
-    outcome: Option<WaitOutcome>,
-    /// Fired once, when the verdict lands.
-    waker: Option<Box<dyn FnOnce() + Send>>,
-}
-
-/// Shared waiter cell: Lock Fusion signals the verdict, the engine polls it
-/// and leaves a waker behind while there is none. How the waiter sleeps in
-/// between (and for how long) is the engine's business.
-pub struct WaitCell {
-    state: TrackedMutex<CellState>,
-}
-
-impl WaitCell {
-    fn new() -> Arc<Self> {
-        Arc::new(WaitCell {
-            state: TrackedMutex::new(RLOCK_CELL, CellState::default()),
-        })
-    }
-
-    /// Record the verdict (the first one stands) and fire the waker — with
-    /// the cell lock dropped, and by every caller with no table lock held:
-    /// a waker may run the woken transaction inline.
-    fn signal(&self, outcome: WaitOutcome) {
-        let waker = {
-            let mut st = self.state.lock();
-            if st.outcome.is_some() {
-                return;
-            }
-            st.outcome = Some(outcome);
-            st.waker.take()
-        };
-        if let Some(wake) = waker {
-            wake();
-        }
-    }
-
-    /// The verdict, if it has landed; otherwise `waker` replaces whatever
-    /// waker was registered and fires when it does.
-    pub fn poll(&self, waker: Box<dyn FnOnce() + Send>) -> Option<WaitOutcome> {
-        let mut st = self.state.lock();
-        if st.outcome.is_none() {
-            st.waker = Some(waker);
-        }
-        st.outcome
-    }
-}
-
 struct Waiter {
     trx: GlobalTrxId,
-    cell: Arc<WaitCell>,
+    cell: Arc<WaitCell<WaitOutcome>>,
 }
 
 #[derive(Debug, Default)]
@@ -139,7 +89,11 @@ impl RLockFusion {
 
     /// Register `waiter waits-for holder` (Figure 6 step 2) and return the
     /// cell the verdict lands in. RPC-priced.
-    pub fn register_wait(&self, waiter: GlobalTrxId, holder: GlobalTrxId) -> Arc<WaitCell> {
+    pub fn register_wait(
+        &self,
+        waiter: GlobalTrxId,
+        holder: GlobalTrxId,
+    ) -> Arc<WaitCell<WaitOutcome>> {
         self.stats.waits_registered.inc();
         let cell = self.repl.rpc(64, || {
             let cell = WaitCell::new();
@@ -298,7 +252,7 @@ mod tests {
 
     /// Block on a cell the way an engine thread does: poll, leave a waker,
     /// sleep until it fires or `timeout` passes (`None`).
-    fn wait(cell: &WaitCell, timeout: Duration) -> Option<WaitOutcome> {
+    fn wait(cell: &WaitCell<WaitOutcome>, timeout: Duration) -> Option<WaitOutcome> {
         let (tx, rx) = std::sync::mpsc::channel();
         let verdict = cell.poll(Box::new(move || {
             let _ = tx.send(());

@@ -49,7 +49,7 @@ enum SlotState {
     Pending,
     /// Bytes copied in; the watermark may pass it.
     Filled,
-    /// Abandoned without a fill (panic path); skipped by the watermark,
+    /// Given up without a fill (panic path); skipped by the watermark,
     /// recorded as a dead range for readers.
     Dead,
 }

@@ -35,9 +35,9 @@
 //!   `engine/src/session.rs`): a scheduler worker that blocks in place
 //!   defeats parking — the whole point is that a waiting transaction
 //!   releases its thread. The documented exceptions (idle-worker run-queue
-//!   park, timer thread, helper-pool idle wait, the `DbFuture::wait`
-//!   client-side shim) each carry an inline allow naming why that thread
-//!   may block.
+//!   park, timer thread, a thread waiter's own suspend, the
+//!   `DbFuture::wait` client-side shim) each carry an inline allow naming
+//!   why that thread may block.
 //! * `undo-reconstruction` — direct undo-chain reads (`undo.read(…)`) are
 //!   forbidden in engine library code outside `txn.rs` and `undo.rs`:
 //!   version reconstruction must flow through `txn::visible_version` so
@@ -50,7 +50,11 @@
 //!   `// lint: allow(<rule>): <reason>`
 //! * whole file: `// lint: allow-file(<rule>): <reason>`
 //!
-//! An allow with an empty reason does not suppress anything. Files under
+//! An allow with an empty reason does not suppress anything, and an allow
+//! that suppresses nothing is itself reported (`unused-allow` — a check on
+//! the escape hatches, not a rule, so it has no escape hatch of its own): a
+//! stale one would silently cover the next violation written on its line.
+//! Files under
 //! `tests/`, `benches/`, `examples/`, `tools/`, `target/` and this crate
 //! are not scanned, and `#[cfg(test)]` blocks inside library files are
 //! skipped.
@@ -107,8 +111,8 @@ const CLOCK_EXEMPT: &str = "crates/rdma/src/clock.rs";
 /// Files where in-place blocking waits defeat the parking design: a
 /// scheduler worker or session actor that blocks holds a thread a parked
 /// transaction was supposed to release. Every legitimate block (idle-worker
-/// park, timer thread, helper pool, the client-side `DbFuture::wait` shim)
-/// must say so with an inline allow.
+/// park, timer thread, a thread waiter's suspend, the client-side
+/// `DbFuture::wait` shim) must say so with an inline allow.
 const SCHED_BLOCKING_BANNED: [&str; 2] = [
     "crates/engine/src/scheduler.rs",
     "crates/engine/src/session.rs",
@@ -248,6 +252,10 @@ fn lint_source(rel_path: &str, text: &str) -> Vec<Violation> {
 
     let test_lines = cfg_test_lines(&lines);
     let mut out = Vec::new();
+    // Which escape hatches suppressed something: `(line index, rule)` of
+    // inline allows, and the rules of allow-file pragmas.
+    let mut used_inline: Vec<(usize, &'static str)> = Vec::new();
+    let mut used_file: Vec<&'static str> = Vec::new();
 
     // sequential-fanout state: brace depth plus the depths at which `for`
     // bodies opened. `while`/bare `loop` are deliberately untracked so CAS
@@ -269,10 +277,15 @@ fn lint_source(rel_path: &str, text: &str) -> Vec<Violation> {
 
         let mut report = |rule: &'static str, message: String| {
             if file_allows.contains(&rule) {
+                used_file.push(rule);
                 return;
             }
-            let prev = if idx > 0 { lines[idx - 1] } else { "" };
-            if has_allow(raw, rule, "allow") || has_allow(prev, rule, "allow") {
+            if has_allow(raw, rule, "allow") {
+                used_inline.push((idx, rule));
+                return;
+            }
+            if idx > 0 && has_allow(lines[idx - 1], rule, "allow") {
+                used_inline.push((idx - 1, rule));
                 return;
             }
             out.push(Violation {
@@ -468,6 +481,24 @@ fn lint_source(rel_path: &str, text: &str) -> Vec<Violation> {
             }
         }
     }
+
+    for (idx, line) in lines.iter().enumerate() {
+        if !line.contains("lint: allow") {
+            continue;
+        }
+        for rule in RULES {
+            let stale_inline =
+                has_allow(line, rule, "allow") && !used_inline.contains(&(idx, rule));
+            let stale_file = has_allow(line, rule, "allow-file") && !used_file.contains(&rule);
+            if stale_inline || stale_file {
+                out.push(Violation {
+                    line: idx + 1,
+                    rule: "unused-allow",
+                    message: format!("this allow({rule}) suppresses nothing; delete it"),
+                });
+            }
+        }
+    }
     out
 }
 
@@ -655,8 +686,47 @@ mod tests {
         let wrong_rule = "std::thread::sleep(d); // lint: allow(raw-instant): nope\n";
         assert_eq!(
             rules_hit("crates/engine/src/x.rs", wrong_rule),
-            vec!["raw-sleep"]
+            vec!["raw-sleep", "unused-allow"]
         );
+    }
+
+    #[test]
+    fn allow_that_suppresses_nothing_is_reported() {
+        // The violation it excused is gone (or was never there).
+        let stale = "let x = 1; // lint: allow(raw-sleep): admin drain poll\n";
+        assert_eq!(
+            rules_hit("crates/engine/src/x.rs", stale),
+            vec!["unused-allow"]
+        );
+        // Two lines above the violation is out of an inline allow's reach.
+        let far = "// lint: allow(raw-sleep): admin drain poll\n\nstd::thread::sleep(d);\n";
+        assert_eq!(
+            rules_hit("crates/engine/src/x.rs", far),
+            vec!["raw-sleep", "unused-allow"]
+        );
+        // The rule does not apply to this file at all.
+        let elsewhere = "x.load(Ordering::Relaxed); // lint: allow(relaxed-atomic): counter\n";
+        assert_eq!(
+            rules_hit("crates/pmfs/src/x.rs", elsewhere),
+            vec!["unused-allow"]
+        );
+        assert!(rules_hit("crates/engine/src/x.rs", elsewhere).is_empty());
+        // Inside a skipped test block nothing is scanned, so nothing is excused.
+        let in_test = "#[cfg(test)]\nmod tests {\n    \
+                       fn t() { std::thread::sleep(d); } // lint: allow(raw-sleep): test\n}\n";
+        assert_eq!(
+            rules_hit("crates/engine/src/x.rs", in_test),
+            vec!["unused-allow"]
+        );
+        let file_wide = "// lint: allow-file(raw-parking-lot): wrapper impl\nfn f() {}\n";
+        assert_eq!(
+            rules_hit("crates/common/src/x.rs", file_wide),
+            vec!["unused-allow"]
+        );
+        // One allow between two violations of its rule excuses both, once.
+        let both = "a.load(Ordering::Relaxed); // lint: allow(relaxed-atomic): counters\n\
+                    b.load(Ordering::Relaxed);\n";
+        assert!(rules_hit("crates/engine/src/x.rs", both).is_empty());
     }
 
     #[test]
